@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import InfeasibleLevelError, ScoreSample, quantile
-from .lp_metric import lp_distance
+from .lp_metric import lp_distance, validate_epsilon_grid
 from .robust import _level_at_most_one, adjusted_beta
 
 __all__ = [
@@ -59,17 +59,6 @@ class EstimationResult:
     grid_trace: tuple[GridPoint, ...]
 
 
-def _validate_grid(epsilon_grid: Sequence[float]) -> list[float]:
-    grid = [float(e) for e in epsilon_grid]
-    if not grid:
-        raise ValueError("epsilon grid must be nonempty")
-    if any(not (np.isfinite(e) and e >= 0.0) for e in grid):
-        raise ValueError("epsilon grid entries must be finite and nonnegative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("epsilon grid must be strictly increasing")
-    return grid
-
-
 def estimate_lp_params(
     calib_a: ScoreSample,
     calib_b: ScoreSample,
@@ -92,7 +81,7 @@ def estimate_lp_params(
 
     Raises :class:`NoFeasibleGridError` if no grid point is feasible.
     """
-    grid = _validate_grid(epsilon_grid)
+    grid = validate_epsilon_grid(epsilon_grid)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     n_b = calib_b.n

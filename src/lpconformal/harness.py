@@ -384,14 +384,20 @@ def compare(
 
 
 def read_scores(path, has_header: bool = False) -> ScoreSample:
-    """Parse a one-score-per-line CSV file into a sample."""
+    """Parse a one-score-per-line CSV file into a sample.
+
+    Blank lines are skipped; with ``has_header`` the first non-blank line is
+    the header.
+    """
     values = []
+    skip_header = has_header
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if has_header and lineno == 1:
+            if skip_header:
+                skip_header = False
                 continue
             try:
                 values.append(float(row[0]))

@@ -4,10 +4,15 @@ The discrepancy at threshold ``eps`` between two empirical distributions is
 the smallest probability mass that any coupling must move strictly farther
 than ``eps`` (a Levy-Prokhorov style pseudo-metric; at ``eps = 0`` it is the
 total variation distance). A coupling edge between atoms ``x`` and ``y`` is
-admissible when ``|x - y| <= eps`` (non-strict match). The value is computed
-exactly as one minus the maximum mass routable through the bipartite graph
-of admissible edges, using integer capacities on the common ``n * m``
-denominator.
+admissible when ``|x - y| <= eps`` (non-strict match).
+
+The value is computed exactly on the common ``n * m`` integer scaling
+(source atoms supply ``m`` units, target atoms demand ``n``). Both samples
+are sorted, so admissible partners form intervals that advance together; on
+such convex bipartite graphs, filling each target in ascending order from
+the earliest source with supply is optimal (Glover 1967), which gives one
+``O(n + m)`` sweep for any sample sizes. A Dinic max-flow on the dense
+admissibility predicate is kept as an independent reference.
 
 All ``|x - y| <= eps`` comparisons are exact on the given doubles; no
 tolerance slack is applied. Callers constructing shifted samples should keep
@@ -159,9 +164,9 @@ def _complete_plan(
     """Extend a matched sub-plan to full marginals.
 
     Leftover supply and demand are paired greedily in index order; maximality
-    of the matched flow guarantees every added edge joins atoms farther apart
-    than the threshold, so the completed plan's cost equals the unmatched
-    mass.
+    of the matched sub-plan guarantees every added edge joins atoms farther
+    apart than the threshold, so the completed plan's cost equals the
+    unmatched mass.
     """
     supply = [m] * n
     demand = [n] * m
@@ -185,49 +190,41 @@ def _complete_plan(
     return tuple(full)
 
 
-def _interval_edges(x: np.ndarray, y: np.ndarray, eps: float) -> list[range]:
-    """Admissible targets per source, as contiguous index ranges.
+def _sweep(
+    x: list[float], y: list[float], eps: float
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Maximum matched units on the ``n*m`` scaling for sorted samples.
 
-    Both arrays are sorted, so ``{j : |x_i - y_j| <= eps}`` is an interval.
-    The searchsorted bounds are refined with the exact comparison so the edge
-    predicate matches the greedy path bit for bit.
+    Targets are visited in ascending order. Sources lying more than ``eps``
+    to the left of the target can match no later target and are dropped;
+    the target is then filled from the earliest source that still has
+    supply, while the exact test ``abs(x_i - y_j) <= eps`` holds. A partly
+    used source is carried forward to the next target.
     """
-    m = y.size
-    los = np.searchsorted(y, x - eps, side="left")
-    his = np.searchsorted(y, x + eps, side="right")
-    edges = []
-    for xi, lo, hi in zip(x, los, his):
-        lo, hi = int(lo), int(hi)
-        while lo > 0 and abs(xi - y[lo - 1]) <= eps:
-            lo -= 1
-        while hi < m and abs(xi - y[hi]) <= eps:
-            hi += 1
-        while lo < hi and abs(xi - y[lo]) > eps:
-            lo += 1
-        while hi > lo and abs(xi - y[hi - 1]) > eps:
-            hi -= 1
-        edges.append(range(lo, hi))
-    return edges
-
-
-def _greedy_equal_match(x: np.ndarray, y: np.ndarray, eps: float) -> list[tuple[int, int]]:
-    """Maximum matching for equal-size sorted samples.
-
-    Each target, in ascending order, is matched to the smallest-index
-    unmatched source within ``eps``. With sorted atoms the admissible sets
-    are ordered intervals, for which this greedy rule is optimal.
-    """
-    n = x.size
-    pairs = []
+    n, m = len(x), len(y)
+    x = x + [float("inf")]  # sentinel: never dropped, never admissible
+    plan = []
+    matched = 0
     i = 0
-    for j in range(n):
-        yj = y[j]
-        while i < n and x[i] < yj and abs(yj - x[i]) > eps:
+    xi = x[0]
+    left = m  # units source ``i`` can still supply
+    for j, yj in enumerate(y):
+        while xi < yj and abs(xi - yj) > eps:
             i += 1
-        if i < n and abs(x[i] - yj) <= eps:
-            pairs.append((i, j))
-            i += 1
-    return pairs
+            xi = x[i]
+            left = m
+        demand = n
+        while demand and abs(xi - yj) <= eps:
+            units = left if left < demand else demand
+            plan.append((i, j, units))
+            demand -= units
+            left -= units
+            if not left:
+                i += 1
+                xi = x[i]
+                left = m
+        matched += n - demand
+    return matched, plan
 
 
 def _result_from_units(
@@ -259,9 +256,9 @@ def lp_distance(
         Nonnegative match radius; atoms within ``epsilon`` (inclusive) may be
         coupled at zero cost.
     method : str
-        ``"auto"`` uses the sorted greedy sweep when ``n == m`` and the flow
-        solver otherwise; ``"greedy"`` and ``"flow"`` force a path (greedy
-        requires equal sizes).
+        ``"auto"`` and ``"greedy"`` run the ``O(n + m)`` sorted sweep
+        (``"greedy"`` additionally requires equal sizes); ``"flow"`` runs the
+        Dinic max-flow reference on the dense admissibility predicate.
 
     Returns
     -------
@@ -276,20 +273,13 @@ def lp_distance(
         raise ValueError(f"unknown method {method!r}")
     if method == "greedy" and n != m:
         raise ValueError("greedy path requires equal sample sizes")
-    if method in ("greedy", "auto") and n == m:
-        pairs = _greedy_equal_match(x, y, epsilon)
-        plan = [(i, j, n) for i, j in pairs]
-        return _result_from_units(n, n, len(pairs) * n, plan)
-    # All pairs admissible: the identity-rate coupling routes everything.
-    if abs(x[0] - y[-1]) <= epsilon and abs(x[-1] - y[0]) <= epsilon:
-        return _result_from_units(n, m, n * m, _full_product_plan(n, m))
-    matched, plan = _solve_flow(n, m, _interval_edges(x, y, epsilon))
+    if method == "flow":
+        with np.errstate(over="ignore"):
+            edges = [np.nonzero(np.abs(xi - y) <= epsilon)[0].tolist() for xi in x]
+        matched, plan = _solve_flow(n, m, edges)
+    else:
+        matched, plan = _sweep(x.tolist(), y.tolist(), float(epsilon))
     return _result_from_units(n, m, matched, plan)
-
-
-def _full_product_plan(n: int, m: int) -> list[tuple[int, int, int]]:
-    # Northwest-corner plan with full marginals; used when every pair matches.
-    return list(_complete_plan(n, m, []))
 
 
 def tv_distance(p: ScoreSample, q: ScoreSample) -> float:
@@ -301,21 +291,22 @@ def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
     """Whether the sup-norm transport distance between the samples is <= epsilon.
 
     For equal sizes this is the exact order-statistic test
-    ``max_i |x_(i) - y_(i)| <= epsilon``; otherwise it falls back to checking
-    that the threshold-cost discrepancy at ``epsilon`` is zero.
+    ``max_i |x_(i) - y_(i)| <= epsilon``; otherwise it falls back to the
+    ``O(n + m)`` sweep of :func:`lp_distance` and checks that the
+    threshold-cost discrepancy at ``epsilon`` is zero.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
     if p.n == q.n:
-        return bool(np.all(np.abs(p.scores - q.scores) <= epsilon))
+        # An overflowing gap is inf, which correctly exceeds any finite epsilon.
+        with np.errstate(over="ignore"):
+            return bool(np.all(np.abs(p.scores - q.scores) <= epsilon))
     res = lp_distance(p, q, epsilon)
     return res.matched_units == res.n * res.m
 
 
-def lp_profile(
-    p: ScoreSample, q: ScoreSample, epsilon_grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Sweep ``lp_distance`` over a strictly increasing grid of thresholds."""
+def validate_epsilon_grid(epsilon_grid: Sequence[float]) -> list[float]:
+    """The grid as floats, checked nonempty, finite, nonnegative and strictly increasing."""
     grid = [float(e) for e in epsilon_grid]
     if not grid:
         raise ValueError("epsilon grid must be nonempty")
@@ -323,4 +314,11 @@ def lp_profile(
         raise ValueError("epsilon grid entries must be finite and nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly increasing")
-    return [(e, lp_distance(p, q, e).rho) for e in grid]
+    return grid
+
+
+def lp_profile(
+    p: ScoreSample, q: ScoreSample, epsilon_grid: Sequence[float]
+) -> list[tuple[float, float]]:
+    """Sweep ``lp_distance`` over a strictly increasing grid of thresholds."""
+    return [(e, lp_distance(p, q, e).rho) for e in validate_epsilon_grid(epsilon_grid)]

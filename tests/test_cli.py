@@ -108,6 +108,21 @@ class TestEstimate:
         assert len(payload["grid_trace"]) == 20
 
 
+    def test_header_files_with_leading_blank_line(self, tmp_path):
+        rng = np.random.default_rng(4)
+        paths = []
+        for name, loc in (("a", 0.0), ("b", 0.0), ("t", 0.1)):
+            path = tmp_path / f"{name}.csv"
+            values = rng.normal(loc=loc, size=300 if name == "t" else 400)
+            path.write_text("\nscore\n" + "".join(f"{float(v)!r}\n" for v in values))
+            paths.append(str(path))
+        code = main([
+            "estimate", "--calib-a", paths[0], "--calib-b", paths[1], "--test", paths[2],
+            "--has-header", "--grid", "0.1,0.2,0.4", "--out", str(tmp_path / "o.json"),
+        ])
+        assert code == 0
+
+
 class TestEvaluateAndCompare:
     def test_evaluate_report(self, matrix_file, tmp_path):
         out = tmp_path / "report.json"

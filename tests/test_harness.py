@@ -199,6 +199,13 @@ class TestFileIngestion:
         with pytest.raises(FileFormatError):
             read_scores(path)
 
+    def test_score_header_after_blank_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("\nscore\n0.5\n\n0.25\n")
+        assert read_scores(path, has_header=True).scores.tolist() == [0.25, 0.5]
+        with pytest.raises(FileFormatError, match=r"scores\.csv:2: not a score: 'score'"):
+            read_scores(path)
+
     def test_weighted_scores(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("score,weight\n0.5,2.0\n0.25,1.0\n")

@@ -6,9 +6,12 @@ transport polytope for the general case.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from lpconformal import ScoreSample, cdf, lp_distance, lp_profile, tv_distance, winf_within
@@ -232,3 +235,113 @@ class TestLPParams:
             LPParams(0.1, 1.5)
         p = LPParams(0.1, 0.5)
         assert (p.epsilon, p.rho) == (0.1, 0.5)
+
+
+@st.composite
+def instances(draw, equal_sizes=False):
+    """Small sample pairs with a threshold often on a gap's ulp edge.
+
+    Half the draws use a 0.1-lattice, where products such as ``3 * 0.1`` are
+    not the decimal values they print as and many atoms tie.
+    """
+    n = draw(st.integers(1, 7))
+    m = n if equal_sizes else draw(st.integers(1, 7).filter(lambda k: k != n))
+    if draw(st.booleans()):
+        lattice = st.integers(0, 6).map(lambda k: k * 0.1)
+        x = draw(st.lists(lattice, min_size=n, max_size=n))
+        y = draw(st.lists(lattice, min_size=m, max_size=m))
+    else:
+        reals = st.floats(-3.0, 3.0, allow_nan=False)
+        x = draw(st.lists(reals, min_size=n, max_size=n))
+        y = draw(st.lists(reals, min_size=m, max_size=m))
+    gap = abs(draw(st.sampled_from(x)) - draw(st.sampled_from(y)))
+    eps = draw(st.sampled_from([
+        gap,
+        max(0.0, float(np.nextafter(gap, -np.inf))),
+        float(np.nextafter(gap, np.inf)),
+        float(np.nextafter(0.1, 1.0)),
+        float(np.nextafter(0.1, -1.0)),
+        0.30000000000000004,
+        0.0,
+    ]))
+    return np.array(x), np.array(y), eps
+
+
+class TestSweepProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_default_equals_flow_and_linprog(self, inst):
+        x, y, eps = inst
+        p, q = ScoreSample(x), ScoreSample(y)
+        res = lp_distance(p, q, eps)
+        assert res.matched_units == lp_distance(p, q, eps, method="flow").matched_units
+        assert res.rho == pytest.approx(lp_rho_linprog(x, y, eps), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_certificate_unequal_sizes(self, inst):
+        x, y, eps = inst
+        res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
+        check_certificate(res, np.sort(x), np.sort(y), eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances())
+    def test_symmetric_unequal_sizes(self, inst):
+        x, y, eps = inst
+        p, q = ScoreSample(x), ScoreSample(y)
+        assert lp_distance(p, q, eps).rho == lp_distance(q, p, eps).rho
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(equal_sizes=True))
+    def test_equal_sizes_certificate_is_a_permutation(self, inst):
+        # With n == m every source fills exactly one target whole.
+        x, y, eps = inst
+        res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
+        check_certificate(res, np.sort(x), np.sort(y), eps)
+        assert all(units == res.n for _, _, units in res.certificate)
+        assert res.matched_units == lp_distance(
+            ScoreSample(x), ScoreSample(y), eps, method="flow"
+        ).matched_units
+
+
+class TestExtremeScores:
+    def test_no_overflow_warnings(self):
+        big = ScoreSample([-1e308, 0.0, 1e308])
+        pair = ScoreSample([-1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lp_distance(big, pair, 1.0)
+            far = winf_within(pair, ScoreSample([1e308, 1e308]), 1.0)
+            near = winf_within(pair, pair, 0.0)
+        assert res.rho == pytest.approx(1 / 3, abs=1e-15)
+        check_certificate(res, big.scores, pair.scores, 1.0)
+        assert not far
+        assert near
+
+
+class TestWinfWithinUnequal:
+    def test_agrees_with_flow(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n, m = rng.integers(1, 12, size=2)
+            if n == m:
+                m += 1
+            p = ScoreSample(rng.normal(size=n))
+            q = ScoreSample(rng.normal(loc=rng.uniform(-0.5, 0.5), size=m))
+            eps = float(rng.uniform(0, 3))
+            flow = lp_distance(p, q, eps, method="flow")
+            assert winf_within(p, q, eps) == (flow.matched_units == n * m)
+
+    def test_large_unequal_sizes(self):
+        rng = np.random.default_rng(23)
+        n, m = 1500, 1600
+        x = np.sort(rng.uniform(0, 1, n))
+        y = np.sort(rng.uniform(0, 1, m))
+        # The monotone coupling attains the sup-norm distance; its pairs of
+        # order statistics change only at levels k / (n*m) with k a multiple
+        # of n or m.
+        k = np.union1d(np.arange(m, n * m + 1, m), np.arange(n, n * m + 1, n))
+        gap = float(np.max(np.abs(x[(k - 1) // m] - y[(k - 1) // n])))
+        p, q = ScoreSample(x), ScoreSample(y)
+        assert winf_within(p, q, gap)
+        assert not winf_within(p, q, float(np.nextafter(gap, 0.0)))
