@@ -26,6 +26,7 @@ from .robust import (
     PredictionSet,
     adjusted_beta,
     coverage_lower_bound,
+    lp_threshold,
     prediction_set,
     robust_threshold,
     tv_threshold,
@@ -106,6 +107,7 @@ __all__ = [
     "fg_threshold",
     "lp_distance",
     "lp_profile",
+    "lp_threshold",
     "perturb_draws",
     "perturb_sample",
     "prediction_set",

@@ -8,8 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSample, ThresholdResult, conformal_quantile, quantile
-from .robust import _level_at_most_one
+from .core import (
+    ScoreSample,
+    ThresholdResult,
+    check_alpha,
+    conformal_quantile,
+    level_at_most_one,
+    quantile,
+)
 
 __all__ = [
     "WeightedScores",
@@ -115,11 +121,10 @@ def chi2_threshold(sample: ScoreSample, alpha: float, rho_chi2: float) -> Thresh
     the quantile at ``g_inv(g(corrected level))``, which undoes the coverage
     map after the correction.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     n = sample.n
     inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
-    if not _level_at_most_one(inner):
+    if not level_at_most_one(inner):
         return ThresholdResult(threshold=None, level_used=inner)
     inner = min(inner, 1.0)
     alpha_n = 1.0 - chi2_g(inner, rho_chi2)
@@ -156,8 +161,7 @@ def _weighted_quantile(ws: WeightedScores, level: float) -> ThresholdResult:
 
 def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
     """Covariate-shift threshold: ``(1 - alpha)``-quantile of the weighted scores."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     return _weighted_quantile(ws, 1.0 - alpha)
 
 
@@ -169,15 +173,14 @@ def rscp_threshold(
     ``sample`` must already contain the externally computed smoothed scores;
     this function only applies the quantile rule.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     if not (np.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be a finite nonnegative real, got {delta!r}")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be a finite positive real, got {sigma!r}")
     n = sample.n
     level = (1.0 - alpha) * (2 + n) / (1 + n)
-    if not _level_at_most_one(level):
+    if not level_at_most_one(level):
         return ThresholdResult(threshold=None, level_used=level)
     level = min(level, 1.0)
     return ThresholdResult(
@@ -187,8 +190,7 @@ def rscp_threshold(
 
 def fg_threshold(ws: WeightedScores, alpha: float, rho_chi2: float) -> ThresholdResult:
     """Fine-grained threshold: weighted quantile at level ``g_inv(1 - alpha)``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)
     if level <= 0.0:
         raise ValueError(f"degenerate weighted level {level!r} for alpha={alpha!r}")

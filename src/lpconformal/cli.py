@@ -14,6 +14,7 @@ from pathlib import Path
 from .baselines import fg_threshold, weighted_threshold
 from .estimation import default_epsilon_grid, estimate_lp_params
 from .harness import (
+    METHOD_NAMES,
     FileFormatError,
     MethodSpec,
     compare,
@@ -240,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", help="score CSV, one score per line")
     p.add_argument("--weights", help="weighted-score CSV with header score,weight")
     p.add_argument("--has-header", action="store_true", help="score file has a header line")
-    p.add_argument("--method", default="lp",
-                   choices=["sc", "lp", "tv", "winf", "chi2", "weighted", "rscp", "fg"])
+    p.add_argument("--method", default="lp", choices=METHOD_NAMES)
     _add_common_method_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_calibrate)
@@ -257,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("evaluate", help="coverage/efficiency of one method over splits")
-    p.add_argument("--method", required=True,
-                   choices=["sc", "lp", "tv", "winf", "chi2", "weighted", "rscp", "fg"])
+    p.add_argument("--method", required=True, choices=METHOD_NAMES)
     _add_common_method_flags(p)
     _add_eval_flags(p)
     p.set_defaults(func=_cmd_evaluate)

@@ -19,7 +19,10 @@ __all__ = [
     "ScoreSample",
     "ThresholdResult",
     "cdf",
+    "check_alpha",
+    "check_epsilon",
     "conformal_quantile",
+    "level_at_most_one",
     "quantile",
     "snapped_ceil",
     "snapped_floor",
@@ -28,6 +31,26 @@ __all__ = [
 # Relative tolerance used to absorb floating-point round-off when derived
 # quantile levels land, mathematically, on an order-statistic boundary.
 LEVEL_REL_TOL = 1e-12
+
+
+def level_at_most_one(level: float) -> bool:
+    """Whether a derived quantile level is at most one, up to ``LEVEL_REL_TOL``.
+
+    Absorbs round-off at the boundary: ``beta + rho == 1`` must stay finite.
+    """
+    return level <= 1.0 + LEVEL_REL_TOL
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the miscoverage ``alpha`` lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless ``epsilon`` is a finite nonnegative real."""
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
 
 
 class InfeasibleLevelError(ValueError):
@@ -153,8 +176,7 @@ def conformal_quantile(sample: ScoreSample, alpha: float) -> ThresholdResult:
     that index exceeds ``n`` (small samples), the classical threshold is
     unbounded and the tagged marker is returned instead of an infinity.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     n = sample.n
     k = snapped_ceil((1.0 - alpha) * (n + 1))
     level = k / n

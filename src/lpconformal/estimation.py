@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InfeasibleLevelError, ScoreSample, quantile
-from .lp_metric import lp_distance, validate_epsilon_grid
-from .robust import _level_at_most_one, adjusted_beta
+from .core import InfeasibleLevelError, ScoreSample, check_alpha
+from .lp_metric import LPParams, lp_distance, validate_epsilon_grid
+from .robust import adjusted_beta, worst_case_quantile
 
 __all__ = [
     "EstimationResult",
@@ -74,16 +74,16 @@ def estimate_lp_params(
 
     For each grid epsilon: ``rho`` is the exact transport discrepancy, the
     miscoverage is adjusted via :func:`lpconformal.robust.adjusted_beta` on
-    ``calib_b``'s size, and the candidate threshold is the quantile of
-    ``calib_b`` at ``1 - beta + rho`` plus epsilon. Points whose adjustment
-    fails or whose level exceeds one are traced as infeasible and skipped.
+    ``calib_b``'s size, and the candidate threshold is the worst-case
+    ``(1 - beta)``-quantile of ``calib_b`` over the ``(epsilon, rho)`` ball,
+    as in :func:`lpconformal.robust.lp_threshold`. Points whose adjustment
+    fails or whose threshold is unbounded are traced as infeasible and skipped.
     Ties in the threshold break toward the smallest epsilon.
 
     Raises :class:`NoFeasibleGridError` if no grid point is feasible.
     """
     grid = validate_epsilon_grid(epsilon_grid)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     n_b = calib_b.n
     trace: list[GridPoint] = []
     best: GridPoint | None = None
@@ -96,13 +96,12 @@ def estimate_lp_params(
                 GridPoint(eps, rho, None, None, False, "coverage adjustment infeasible")
             )
             continue
-        level = 1.0 - beta + rho
-        if not _level_at_most_one(level):
+        q = worst_case_quantile(calib_b, 1.0 - beta, LPParams(eps, rho)).threshold
+        if q is None:
             trace.append(
                 GridPoint(eps, rho, beta, None, False, "quantile level above one")
             )
             continue
-        q = quantile(calib_b, min(level, 1.0)) + eps
         point = GridPoint(eps, rho, beta, q, True)
         trace.append(point)
         if best is None or q < best.q:

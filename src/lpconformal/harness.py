@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreSample, ThresholdResult
+from .core import ScoreSample, ThresholdResult, check_alpha
 from .lp_metric import LPParams
-from .robust import (
-    _bound_at_level,
-    adjusted_beta,
-    tv_threshold,
-    winf_threshold,
-    worst_case_quantile,
-)
+from .robust import lp_threshold, tv_threshold, winf_threshold
 from .baselines import (
     WeightedScores,
     chi2_threshold,
@@ -34,11 +28,12 @@ from .baselines import (
     sc_threshold,
     weighted_threshold,
 )
-from .shiftlab import PerturbationSpec, PointMass, _clamp_displacement, _draw_law
+from .shiftlab import PerturbationSpec, PointMass, perturb_rows
 
 __all__ = [
     "EvalReport",
     "FileFormatError",
+    "METHOD_NAMES",
     "MethodSpec",
     "REPORT_SCHEMA_VERSION",
     "ScoreMatrix",
@@ -118,17 +113,16 @@ class MethodSpec:
     def threshold(
         self, calib: ScoreSample, alpha: float, row_weights: np.ndarray | None = None
     ) -> ThresholdResult:
-        """Calibrate this method's threshold on a calibration sample."""
+        """Calibrate this method's threshold on a calibration sample.
+
+        ``row_weights`` (weighted methods only) must be aligned with
+        ``calib.scores``, which are sorted ascending: entry ``i`` is the
+        weight of the ``i``-th smallest calibration score.
+        """
         if self.name == "sc":
             return sc_threshold(calib, alpha)
         if self.name == "lp":
-            # Coverage-adjusted robust threshold: guarantees 1 - alpha.
-            beta = adjusted_beta(calib.n, alpha, self.rho)
-            result = worst_case_quantile(calib, 1.0 - beta, LPParams(self.epsilon, self.rho))
-            if not result.is_unbounded:
-                bound = _bound_at_level(calib.n, result.level_used, self.rho)
-                result = replace(result, coverage_bound=bound)
-            return result
+            return lp_threshold(calib, alpha, LPParams(self.epsilon, self.rho))
         if self.name == "tv":
             return tv_threshold(calib, alpha, self.rho)
         if self.name == "winf":
@@ -250,34 +244,6 @@ def split(
     return calib, test
 
 
-def _perturb_rows(
-    scores: np.ndarray,
-    true_labels: np.ndarray,
-    spec: PerturbationSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Score-space surrogate for test-time corruption.
-
-    The local component displaces each row's true-label score within
-    [-epsilon, epsilon]; the global component redraws the whole score
-    profile of a ``rho`` fraction of rows from the global law. The induced
-    true-label score distribution is a member of the nominal ball around the
-    clean one.
-    """
-    n_rows, n_labels = scores.shape
-    out = scores.copy()
-    corrupt = rng.random(n_rows) < spec.rho
-    noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
-    keep = np.nonzero(~corrupt)[0]
-    cols = true_labels[keep]
-    original = out[keep, cols]
-    out[keep, cols] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
-    n_corrupt = int(corrupt.sum())
-    if n_corrupt:
-        out[corrupt] = _draw_law(spec.global_law, rng, (n_corrupt, n_labels))
-    return out
-
-
 def evaluate(
     matrix: ScoreMatrix,
     method: MethodSpec,
@@ -298,16 +264,22 @@ def evaluate(
     split, or drawn once for the whole matrix when ``redraw_per_split`` is
     false.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     if n_splits < 1:
         raise ValueError(f"need at least one split, got {n_splits!r}")
     if k_test < 1:
         raise ValueError(f"need at least one test row, got {k_test!r}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
+    if method.weights is not None and method.weights.shape != (matrix.n_rows,):
+        raise ValueError(
+            f"method weights have {method.weights.size} entries for "
+            f"{matrix.n_rows} matrix rows; need one per row"
+        )
     fixed_perturbed: np.ndarray | None = None
     if perturbation is not None and not redraw_per_split:
         rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
-        fixed_perturbed = _perturb_rows(
+        fixed_perturbed = perturb_rows(
             matrix.scores, matrix.true_labels, perturbation, rng
         )
     results = []
@@ -315,16 +287,20 @@ def evaluate(
         calib_idx, test_idx = _split_indices(
             matrix.n_rows, n_calib, k_test, [base_seed, j, 0]
         )
-        calib = ScoreSample(matrix.scores[calib_idx, matrix.true_labels[calib_idx]])
+        calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
+        calib = ScoreSample(calib_raw)
         test_scores = matrix.scores[test_idx]
         test_labels = matrix.true_labels[test_idx]
         if perturbation is not None:
             if redraw_per_split:
                 rng = np.random.default_rng([int(perturbation.seed), base_seed, j, 1])
-                test_scores = _perturb_rows(test_scores, test_labels, perturbation, rng)
+                test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
             else:
                 test_scores = fixed_perturbed[test_idx]
-        row_weights = method.weights[calib_idx] if method.weights is not None else None
+        row_weights = None
+        if method.weights is not None:
+            # Pair each weight with its row's score in calib's sorted order.
+            row_weights = method.weights[calib_idx[np.argsort(calib_raw, kind="stable")]]
         try:
             thr = method.threshold(calib, alpha, row_weights)
         except ValueError as exc:

@@ -27,13 +27,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ScoreSample
+from .core import ScoreSample, check_epsilon
 
 __all__ = [
     "LPParams",
     "TransportResult",
     "lp_distance",
     "lp_profile",
+    "solve_flow",
     "tv_distance",
     "winf_within",
 ]
@@ -47,8 +48,7 @@ class LPParams:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
 
@@ -127,7 +127,7 @@ class _Dinic:
         return total
 
 
-def _solve_flow(
+def solve_flow(
     n: int, m: int, edges_per_source: Sequence[Iterable[int]]
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Exact transport on the ``n*m`` integer scaling.
@@ -265,8 +265,7 @@ def lp_distance(
     TransportResult
         ``rho`` is the exact optimum; the certificate realizes it.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
+    check_epsilon(epsilon)
     x, y = p.scores, q.scores
     n, m = p.n, q.n
     if method not in ("auto", "greedy", "flow"):
@@ -276,7 +275,7 @@ def lp_distance(
     if method == "flow":
         with np.errstate(over="ignore"):
             edges = [np.nonzero(np.abs(xi - y) <= epsilon)[0].tolist() for xi in x]
-        matched, plan = _solve_flow(n, m, edges)
+        matched, plan = solve_flow(n, m, edges)
     else:
         matched, plan = _sweep(x.tolist(), y.tolist(), float(epsilon))
     return _result_from_units(n, m, matched, plan)
@@ -295,8 +294,7 @@ def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
     ``O(n + m)`` sweep of :func:`lp_distance` and checks that the
     threshold-cost discrepancy at ``epsilon`` is zero.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
+    check_epsilon(epsilon)
     if p.n == q.n:
         # An overflowing gap is inf, which correctly exceeds any finite epsilon.
         with np.errstate(over="ignore"):

@@ -16,11 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    LEVEL_REL_TOL,
     InfeasibleLevelError,
     ScoreSample,
     ThresholdResult,
     cdf,
+    check_alpha,
+    level_at_most_one,
     quantile,
     snapped_ceil,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "PredictionSet",
     "adjusted_beta",
     "coverage_lower_bound",
+    "lp_threshold",
     "prediction_set",
     "robust_threshold",
     "tv_threshold",
@@ -51,11 +53,6 @@ class PredictionSet:
     threshold: float | None
 
 
-def _level_at_most_one(level: float) -> bool:
-    # Absorbs round-off at the boundary: beta + rho == 1 must stay finite.
-    return level <= 1.0 + LEVEL_REL_TOL
-
-
 def worst_case_quantile(
     sample: ScoreSample, beta: float, params: LPParams
 ) -> ThresholdResult:
@@ -69,7 +66,7 @@ def worst_case_quantile(
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
     level = beta + params.rho
-    if not _level_at_most_one(level):
+    if not level_at_most_one(level):
         return ThresholdResult(threshold=None, level_used=level)
     level = min(level, 1.0)
     value = quantile(sample, level) + params.epsilon
@@ -91,8 +88,7 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     """
     if n < 1:
         raise ValueError(f"calibration size must be positive, got {n!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
     k = snapped_ceil(n * (1.0 - alpha + rho))
@@ -108,8 +104,7 @@ def robust_threshold(
     the finite-sample coverage bound attached (omitted in the degenerate
     ``rho == 1`` case, where the threshold is unbounded anyway).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     result = worst_case_quantile(sample, 1.0 - alpha, params)
     bound = coverage_lower_bound(sample.n, alpha, params.rho) if params.rho < 1.0 else None
     return replace(result, coverage_bound=bound)
@@ -125,8 +120,7 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     """
     if n < 1:
         raise ValueError(f"calibration size must be positive, got {n!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
     beta = alpha + (alpha - rho - 2.0) / n
@@ -138,59 +132,27 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     return beta
 
 
-def _bound_at_level(n: int, level: float, rho: float) -> float:
-    # Finite-sample bound for a threshold taken at quantile `level`.
-    k = snapped_ceil(n * level)
-    return max(0.0, min(1.0, k / (n + 1) - rho))
+def lp_threshold(sample: ScoreSample, alpha: float, params: LPParams) -> ThresholdResult:
+    """Coverage-adjusted robust threshold that certifies ``1 - alpha``.
+
+    The robust threshold at the miscoverage from :func:`adjusted_beta`, so
+    the attached coverage bound is at least ``1 - alpha`` whenever the
+    threshold is finite; the bound is dropped when it is unbounded. Raises
+    :class:`InfeasibleLevelError` when the sample is too small to certify
+    ``1 - alpha`` at this ``rho``.
+    """
+    result = robust_threshold(sample, adjusted_beta(sample.n, alpha, params.rho), params)
+    return replace(result, coverage_bound=None) if result.is_unbounded else result
 
 
 def tv_threshold(sample: ScoreSample, alpha: float, rho: float) -> ThresholdResult:
-    """Purely-global (``epsilon = 0``) threshold with ``1 - alpha`` coverage.
-
-    Uses the quantile level ``1 - ((alpha - rho) * (n + 1) - 2) / n``, which
-    equals the robust threshold at the adjusted miscoverage from
-    :func:`adjusted_beta` with ``epsilon = 0``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
-    n = sample.n
-    level = 1.0 - ((alpha - rho) * (n + 1) - 2.0) / n
-    if level <= 0.0 or not _level_at_most_one(level):
-        raise InfeasibleLevelError(
-            f"threshold level {level!r} falls outside (0, 1] for n={n}, "
-            f"alpha={alpha!r}, rho={rho!r}"
-        )
-    level = min(level, 1.0)
-    return ThresholdResult(
-        threshold=quantile(sample, level),
-        level_used=level,
-        coverage_bound=_bound_at_level(n, level, rho),
-    )
+    """Purely-global (``epsilon = 0``) case of :func:`lp_threshold`."""
+    return lp_threshold(sample, alpha, LPParams(0.0, rho))
 
 
 def winf_threshold(sample: ScoreSample, alpha: float, epsilon: float) -> ThresholdResult:
-    """Purely-local (``rho = 0``) threshold with ``1 - alpha`` coverage.
-
-    The quantile at level ``1 - (alpha * (n + 1) - 2) / n`` plus ``epsilon``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
-    n = sample.n
-    level = 1.0 - (alpha * (n + 1) - 2.0) / n
-    if level <= 0.0 or not _level_at_most_one(level):
-        raise InfeasibleLevelError(
-            f"threshold level {level!r} falls outside (0, 1] for n={n}, alpha={alpha!r}"
-        )
-    level = min(level, 1.0)
-    return ThresholdResult(
-        threshold=quantile(sample, level) + epsilon,
-        level_used=level,
-        coverage_bound=_bound_at_level(n, level, 0.0),
-    )
+    """Purely-local (``rho = 0``) case of :func:`lp_threshold`."""
+    return lp_threshold(sample, alpha, LPParams(epsilon, 0.0))
 
 
 def prediction_set(label_scores, threshold: ThresholdResult) -> PredictionSet:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSample, cdf, snapped_ceil, snapped_floor
-from .lp_metric import LPParams, _solve_flow, lp_distance
+from .core import ScoreSample, cdf, check_epsilon, snapped_ceil, snapped_floor
+from .lp_metric import LPParams, lp_distance, solve_flow
 
 __all__ = [
     "PerturbationDraw",
@@ -22,6 +22,7 @@ __all__ = [
     "PointMass",
     "Uniform",
     "perturb_draws",
+    "perturb_rows",
     "perturb_sample",
     "propagate_params",
     "pushforward_check",
@@ -88,8 +89,7 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be a finite nonnegative real, got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
         if self.local_law is not None:
@@ -154,6 +154,34 @@ def perturb_draws(base: ScoreSample, spec: PerturbationSpec) -> PerturbationDraw
 def perturb_sample(base: ScoreSample, spec: PerturbationSpec) -> ScoreSample:
     """Corrupt ``base`` according to ``spec``; the result is a valid ball member."""
     return ScoreSample(perturb_draws(base, spec).values)
+
+
+def perturb_rows(
+    scores: np.ndarray,
+    true_labels: np.ndarray,
+    spec: PerturbationSpec,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Score-space surrogate for test-time corruption of a score matrix.
+
+    The local component displaces each row's true-label score within
+    [-epsilon, epsilon]; the global component redraws the whole score
+    profile of a ``rho`` fraction of rows from the global law. The induced
+    true-label score distribution is a member of the nominal ball around the
+    clean one. Draw order: replacement mask, local noise, global draws.
+    """
+    n_rows, n_labels = scores.shape
+    out = scores.copy()
+    corrupt = rng.random(n_rows) < spec.rho
+    noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
+    keep = np.nonzero(~corrupt)[0]
+    cols = true_labels[keep]
+    original = out[keep, cols]
+    out[keep, cols] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
+    n_corrupt = int(corrupt.sum())
+    if n_corrupt:
+        out[corrupt] = _draw_law(spec.global_law, rng, (n_corrupt, n_labels))
+    return out
 
 
 def _shifted_scores(base: ScoreSample, eps: float) -> np.ndarray:
@@ -279,14 +307,13 @@ def pushforward_check(
         )
     if max(n, m) > _PUSHFORWARD_MAX_SIZE:
         raise ValueError(f"clouds larger than {_PUSHFORWARD_MAX_SIZE} points are not supported")
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
+    check_epsilon(epsilon)
     if not (np.isfinite(k_lipschitz) and k_lipschitz > 0.0):
         raise ValueError(f"Lipschitz constant must be finite and positive, got {k_lipschitz!r}")
     dists = np.linalg.norm(p[:, None, :] - q[None, :, :], ord=norm_ord, axis=2)
     admissible = dists <= epsilon
     edges = [np.nonzero(admissible[i])[0].tolist() for i in range(n)]
-    matched_data, _ = _solve_flow(n, m, edges)
+    matched_data, _ = solve_flow(n, m, edges)
     score_res = lp_distance(scores_p, scores_q, k_lipschitz * epsilon)
     unmatched_score = n * m - score_res.matched_units
     unmatched_data = n * m - matched_data

@@ -173,6 +173,26 @@ class TestEvaluateAndCompare:
         assert code == 2
 
 
+class TestArgumentErrors:
+    def test_negative_seed_exit_2(self, matrix_file, capsys):
+        code = main([
+            "evaluate", "--matrix", str(matrix_file), "--method", "sc",
+            "--splits", "2", "--n-calib", "100", "--k-test", "50", "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    def test_tv_unbounded_exit_0(self, scores_file, capsys):
+        # rho above the adjusted miscoverage: unbounded, as for lp.
+        code = main([
+            "calibrate", "--scores", str(scores_file), "--method", "tv",
+            "--alpha", "0.1", "--rho", "0.095",
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unbounded"] and payload["coverage_bound"] is None
+
+
 class TestSimulate:
     def test_writes_scores_and_sidecar(self, scores_file, tmp_path):
         out = tmp_path / "perturbed.csv"

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import ScoreSample, cdf, conformal_quantile, quantile
+from lpconformal.core import check_alpha, check_epsilon, level_at_most_one
 
 
 def quantile_scan_oracle(scores, beta):
@@ -160,3 +161,22 @@ class TestConformalQuantile:
         res = conformal_quantile(s, alpha)
         if not res.is_unbounded:
             assert res.threshold >= quantile(s, 1 - alpha)
+
+
+class TestValidators:
+    def test_check_alpha(self):
+        check_alpha(0.5)
+        for bad in (0.0, 1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
+                check_alpha(bad)
+
+    def test_check_epsilon(self):
+        check_epsilon(0.0)
+        for bad in (-1e-300, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real, got"):
+                check_epsilon(bad)
+
+    def test_level_at_most_one_absorbs_round_off(self):
+        assert level_at_most_one(0.9 + 0.1)
+        assert level_at_most_one(1.0 + 1e-13)
+        assert not level_at_most_one(1.0 + 1e-9)

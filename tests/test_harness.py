@@ -5,6 +5,7 @@ import pytest
 
 from lpconformal import (
     MethodSpec,
+    WeightedScores,
     PerturbationSpec,
     PointMass,
     ScoreMatrix,
@@ -16,6 +17,7 @@ from lpconformal import (
     read_scores,
     read_weighted_scores,
     split,
+    weighted_threshold,
 )
 from lpconformal.harness import FileFormatError, write_report_csv
 from lpconformal.robust import adjusted_beta
@@ -240,3 +242,36 @@ class TestFileIngestion:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "method,split,coverage,mean_set_size"
         assert len(lines) == 4
+
+
+class TestEvaluateInputs:
+    def test_weights_follow_their_rows(self):
+        # Each row's weight is a function of its true-label score, so a split
+        # evaluated by hand with correctly paired weights is the reference.
+        m = synthetic_matrix(np.random.default_rng(12), rows=120, labels=3)
+        true_scores = m.scores[np.arange(m.n_rows), m.true_labels]
+        def weigh(v):
+            return np.exp(-3.0 * v)
+
+        method = MethodSpec("weighted", weights=weigh(true_scores))
+        report = evaluate(m, method, 0.2, n_splits=10, n_calib=40, k_test=30, base_seed=4)
+        for j, got in enumerate(report.per_split):
+            calib, test = split(m, 40, 30, [4, j, 0])
+            ws = WeightedScores(calib.scores, weigh(calib.scores), 1.0)
+            thr = weighted_threshold(ws, 0.2)
+            cutoff = np.inf if thr.is_unbounded else thr.threshold
+            member = test.scores <= cutoff
+            covered = member[np.arange(test.n_rows), test.true_labels].mean()
+            assert got.coverage == covered
+            assert got.mean_set_size == member.sum(axis=1).mean()
+
+    def test_weights_length_mismatch(self):
+        m = synthetic_matrix(np.random.default_rng(13), rows=50)
+        method = MethodSpec("weighted", weights=np.ones(49))
+        with pytest.raises(ValueError, match="49 .*50"):
+            evaluate(m, method, 0.1, n_splits=2, n_calib=20, k_test=10, base_seed=0)
+
+    def test_negative_seed(self):
+        m = synthetic_matrix(np.random.default_rng(14), rows=50)
+        with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got -1"):
+            evaluate(m, MethodSpec("sc"), 0.1, n_splits=2, n_calib=20, k_test=10, base_seed=-1)

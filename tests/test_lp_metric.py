@@ -345,3 +345,14 @@ class TestWinfWithinUnequal:
         p, q = ScoreSample(x), ScoreSample(y)
         assert winf_within(p, q, gap)
         assert not winf_within(p, q, float(np.nextafter(gap, 0.0)))
+
+
+class TestProfileMonotone:
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), st.lists(st.floats(0.0, 7.0), min_size=2, max_size=8, unique=True))
+    def test_rho_nonincreasing_in_epsilon(self, inst, extra):
+        # A wider radius admits every edge a narrower one did.
+        x, y, eps = inst
+        grid = sorted(set(extra) | {eps})
+        rhos = [rho for _, rho in lp_profile(ScoreSample(x), ScoreSample(y), grid)]
+        assert all(b <= a for a, b in zip(rhos, rhos[1:]))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpconformal import (
     InfeasibleLevelError,
@@ -9,6 +11,7 @@ from lpconformal import (
     ScoreSample,
     adjusted_beta,
     coverage_lower_bound,
+    lp_threshold,
     prediction_set,
     quantile,
     robust_threshold,
@@ -17,6 +20,7 @@ from lpconformal import (
     worst_case_coverage,
     worst_case_quantile,
 )
+from lpconformal.core import snapped_ceil
 
 
 class TestWorstCaseQuantile:
@@ -264,3 +268,57 @@ class TestPredictionSet:
 
         ps = prediction_set([0.2, 0.9, 0.4], ThresholdResult(0.1, 0.5))
         assert ps.member_labels == frozenset()
+
+
+class TestLpThreshold:
+    def test_tv_winf_select_closed_form_order_statistics(self):
+        # The paper's closed-form levels pick the same order statistic, with
+        # the same coverage bound, as the adjusted rule at epsilon = 0 / rho = 0.
+        def bound_at(n, level, rho):
+            return max(0.0, min(1.0, snapped_ceil(n * level) / (n + 1) - rho))
+
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 500:
+            n = int(rng.integers(30, 3000))
+            alpha = float(rng.uniform(0.02, 0.4))
+            rho = float(rng.uniform(0.0, alpha))
+            eps = float(rng.uniform(0.0, 1.0))
+            tv_level = 1.0 - ((alpha - rho) * (n + 1) - 2.0) / n
+            wf_level = 1.0 - (alpha * (n + 1) - 2.0) / n
+            if tv_level > 1.0 or wf_level > 1.0:
+                continue
+            raw = rng.integers(0, 20, size=n) * 0.1 if checked % 2 else rng.normal(size=n)
+            s = ScoreSample(raw)
+            tv = tv_threshold(s, alpha, rho)
+            assert tv.threshold == quantile(s, tv_level)
+            assert tv.coverage_bound == bound_at(n, tv_level, rho)
+            wf = winf_threshold(s, alpha, eps)
+            assert wf.threshold == quantile(s, wf_level) + eps
+            assert wf.coverage_bound == bound_at(n, wf_level, 0.0)
+            checked += 1
+
+    def test_tv_unbounded_when_rho_exceeds_adjusted_beta(self):
+        s = ScoreSample(np.arange(1, 101, dtype=float))
+        assert adjusted_beta(100, 0.1, 0.09) < 0.09
+        res = tv_threshold(s, 0.1, 0.09)
+        assert res.is_unbounded and res.coverage_bound is None
+        assert res == lp_threshold(s, 0.1, LPParams(0.0, 0.09))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=300),
+        st.floats(0.01, 0.6),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 0.6),
+    )
+    def test_bound_certifies_one_minus_alpha(self, scores, alpha, eps, rho):
+        s = ScoreSample(scores)
+        try:
+            res = lp_threshold(s, alpha, LPParams(eps, rho))
+        except InfeasibleLevelError:
+            return
+        if res.is_unbounded:
+            assert res.coverage_bound is None
+        else:
+            assert res.coverage_bound >= 1.0 - alpha

@@ -1,0 +1,45 @@
+"""Structural rules for the package source.
+
+No module imports another module's ``_private`` names, and the CLI offers
+exactly the method names the harness knows.
+"""
+
+import argparse
+import ast
+from pathlib import Path
+
+import pytest
+
+from lpconformal.cli import build_parser
+from lpconformal.harness import METHOD_NAMES
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lpconformal").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("lpconformal"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_sources_found():
+    assert {"cli.py", "harness.py", "robust.py"} <= {p.name for p in SOURCES}
+
+
+def _method_choices(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices[command]._actions if a.dest == "method")
+    return tuple(method.choices)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+def test_method_choices_are_harness_method_names(command):
+    assert _method_choices(command) == METHOD_NAMES
