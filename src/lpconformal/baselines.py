@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,12 +94,18 @@ def chi2_g_inv(tau: float, rho_chi2: float) -> float:
     """Largest ``beta`` in [0, 1] with ``chi2_g(beta, rho_chi2) <= tau``.
 
     Computed by bisection; ``chi2_g`` is nondecreasing in ``beta`` (asserted
-    by property tests rather than assumed blindly).
+    by property tests rather than assumed blindly). Results are memoised,
+    since repeated calibrations ask for the same few levels.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
     if not (np.isfinite(rho_chi2) and rho_chi2 >= 0.0):
         raise ValueError(f"rho_chi2 must be a finite nonnegative real, got {rho_chi2!r}")
+    return _chi2_g_inv(float(tau), float(rho_chi2))
+
+
+@lru_cache(maxsize=256)
+def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
     if chi2_g(1.0, rho_chi2) <= tau:
         return 1.0
     lo, hi = 0.0, 1.0

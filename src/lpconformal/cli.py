@@ -136,19 +136,17 @@ def _method_from_args(name: str, args) -> MethodSpec:
     )
 
 
+def _split_kwargs(args) -> dict:
+    """The split, seed and perturbation arguments of ``evaluate`` and ``compare``."""
+    return dict(alpha=args.alpha, n_splits=args.splits, n_calib=args.n_calib,
+                k_test=args.k_test, base_seed=args.seed,
+                perturbation=_perturbation_from_args(args),
+                redraw_per_split=not args.fixed_perturbation)
+
+
 def _cmd_evaluate(args) -> int:
     matrix = read_matrix(args.matrix)
-    report = evaluate(
-        matrix,
-        _method_from_args(args.method, args),
-        args.alpha,
-        args.splits,
-        args.n_calib,
-        args.k_test,
-        args.seed,
-        perturbation=_perturbation_from_args(args),
-        redraw_per_split=not args.fixed_perturbation,
-    )
+    report = evaluate(matrix, _method_from_args(args.method, args), **_split_kwargs(args))
     _emit(report.to_dict(), args.out)
     if args.csv:
         write_report_csv([report], args.csv)
@@ -158,17 +156,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     matrix = read_matrix(args.matrix)
     names = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    reports = compare(
-        matrix,
-        [_method_from_args(name, args) for name in names],
-        args.alpha,
-        args.splits,
-        args.n_calib,
-        args.k_test,
-        args.seed,
-        perturbation=_perturbation_from_args(args),
-        redraw_per_split=not args.fixed_perturbation,
-    )
+    methods = [_method_from_args(name, args) for name in names]
+    reports = compare(matrix, methods, **_split_kwargs(args))
     _emit({"reports": [r.to_dict() for r in reports]}, args.out)
     if args.csv:
         write_report_csv(reports, args.csv)

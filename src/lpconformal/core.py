@@ -21,6 +21,7 @@ __all__ = [
     "cdf",
     "check_alpha",
     "check_epsilon",
+    "check_rho",
     "conformal_quantile",
     "level_at_most_one",
     "quantile",
@@ -53,6 +54,12 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
 
 
+def check_rho(rho: float) -> None:
+    """Raise ``ValueError`` unless the global mass budget ``rho`` lies in [0, 1]."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+
+
 class InfeasibleLevelError(ValueError):
     """A derived quantile level fell outside (0, 1]."""
 
@@ -72,10 +79,7 @@ def snapped_ceil(value: float) -> int:
 
 def snapped_floor(value: float) -> int:
     """Floor with the same near-integer snapping as :func:`snapped_ceil`."""
-    nearest = round(value)
-    if abs(value - nearest) <= LEVEL_REL_TOL * max(1.0, abs(value)):
-        return int(nearest)
-    return int(math.floor(value))
+    return -snapped_ceil(-value)
 
 
 class ScoreSample:

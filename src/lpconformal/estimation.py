@@ -10,6 +10,7 @@ set that is still certified for the observed shift.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,9 +108,9 @@ def estimate_lp_params(
         if best is None or q < best.q:
             best = point
     if best is None:
-        raise NoFeasibleGridError(
-            "no feasible ambiguity set: every grid point failed the coverage adjustment"
-        )
+        counts = Counter(p.reason for p in trace)
+        raise NoFeasibleGridError("no feasible ambiguity set: " + "; ".join(
+            f"{k} of {len(trace)} grid points: {reason}" for reason, k in counts.items()))
     return EstimationResult(
         epsilon=best.epsilon,
         rho=best.rho,

@@ -255,83 +255,11 @@ def evaluate(
     perturbation: PerturbationSpec | None = None,
     redraw_per_split: bool = True,
 ) -> EvalReport:
-    """Coverage and efficiency of one method over repeated splits.
-
-    Each split draws a calibration/test partition keyed by
-    ``(base_seed, split index)``, so splits are reproducible independently
-    of evaluation order, and shared across methods given the same seed.
-    Perturbations apply to test rows only; by default they are redrawn per
-    split, or drawn once for the whole matrix when ``redraw_per_split`` is
-    false.
-    """
-    check_alpha(alpha)
-    if n_splits < 1:
-        raise ValueError(f"need at least one split, got {n_splits!r}")
-    if k_test < 1:
-        raise ValueError(f"need at least one test row, got {k_test!r}")
-    if base_seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
-    if method.weights is not None and method.weights.shape != (matrix.n_rows,):
-        raise ValueError(
-            f"method weights have {method.weights.size} entries for "
-            f"{matrix.n_rows} matrix rows; need one per row"
-        )
-    fixed_perturbed: np.ndarray | None = None
-    if perturbation is not None and not redraw_per_split:
-        rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
-        fixed_perturbed = perturb_rows(
-            matrix.scores, matrix.true_labels, perturbation, rng
-        )
-    results = []
-    for j in range(n_splits):
-        calib_idx, test_idx = _split_indices(
-            matrix.n_rows, n_calib, k_test, [base_seed, j, 0]
-        )
-        calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
-        calib = ScoreSample(calib_raw)
-        test_scores = matrix.scores[test_idx]
-        test_labels = matrix.true_labels[test_idx]
-        if perturbation is not None:
-            if redraw_per_split:
-                rng = np.random.default_rng([int(perturbation.seed), base_seed, j, 1])
-                test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
-            else:
-                test_scores = fixed_perturbed[test_idx]
-        row_weights = None
-        if method.weights is not None:
-            # Pair each weight with its row's score in calib's sorted order.
-            row_weights = method.weights[calib_idx[np.argsort(calib_raw, kind="stable")]]
-        try:
-            thr = method.threshold(calib, alpha, row_weights)
-        except ValueError as exc:
-            raise type(exc)(f"split {j}: {exc}") from exc
-        cutoff = np.inf if thr.is_unbounded else thr.threshold
-        member = test_scores <= cutoff
-        covered = int(member[np.arange(test_labels.size), test_labels].sum())
-        results.append(
-            SplitResult(
-                coverage=covered / k_test,
-                mean_set_size=float(member.sum(axis=1).mean()),
-            )
-        )
-    coverages = np.array([r.coverage for r in results])
-    sizes = np.array([r.mean_set_size for r in results])
-    ddof = 1 if n_splits > 1 else 0
-    return EvalReport(
-        method=method.name,
-        alpha=alpha,
-        n_splits=n_splits,
-        n_calib=n_calib,
-        k_test=k_test,
-        base_seed=base_seed,
-        params=method.params_dict(),
-        perturbation=None if perturbation is None else perturbation_dict(perturbation),
-        per_split=tuple(results),
-        coverage_mean=float(coverages.mean()),
-        coverage_std=float(coverages.std(ddof=ddof)),
-        set_size_mean=float(sizes.mean()),
-        set_size_std=float(sizes.std(ddof=ddof)),
-    )
+    """Coverage and efficiency of one method: :func:`compare` with one method."""
+    return compare(
+        matrix, [method], alpha, n_splits, n_calib, k_test, base_seed,
+        perturbation=perturbation, redraw_per_split=redraw_per_split,
+    )[0]
 
 
 def compare(
@@ -345,14 +273,91 @@ def compare(
     perturbation: PerturbationSpec | None = None,
     redraw_per_split: bool = True,
 ) -> list[EvalReport]:
-    """Evaluate several methods on identical splits (paired reports)."""
-    return [
-        evaluate(
-            matrix, m, alpha, n_splits, n_calib, k_test, base_seed,
-            perturbation=perturbation, redraw_per_split=redraw_per_split,
-        )
-        for m in methods
-    ]
+    """Coverage and efficiency of several methods on identical splits.
+
+    Each split draws a calibration/test partition keyed by
+    ``(base_seed, split index)``, so splits are reproducible independently
+    of evaluation order. Perturbations apply to test rows only; by default
+    they are redrawn per split, or drawn once for the whole matrix when
+    ``redraw_per_split`` is false. Each split and perturbation is drawn once
+    and shared by every method, so the reports are paired. Arguments are
+    checked before any split runs. A threshold error is re-raised naming its
+    split; when several methods fail, the first one in list order wins.
+    """
+    methods = list(methods)
+    if not methods:
+        return []
+    check_alpha(alpha)
+    if n_splits < 1:
+        raise ValueError(f"need at least one split, got {n_splits!r}")
+    if k_test < 1:
+        raise ValueError(f"need at least one test row, got {k_test!r}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
+    for method in methods:
+        if method.weights is not None and method.weights.shape != (matrix.n_rows,):
+            raise ValueError(
+                f"method weights have {method.weights.size} entries for "
+                f"{matrix.n_rows} matrix rows; need one per row"
+            )
+    fixed_perturbed: np.ndarray | None = None
+    if perturbation is not None and not redraw_per_split:
+        rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
+        fixed_perturbed = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
+    results: list[list[SplitResult]] = [[] for _ in methods]
+    failures: dict[int, tuple[ValueError, ValueError]] = {}
+    for j in range(n_splits):
+        calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [base_seed, j, 0])
+        calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
+        calib = ScoreSample(calib_raw)
+        # The row of each of calib's sorted scores, to pair per-row weights.
+        calib_rows = calib_idx[np.argsort(calib_raw, kind="stable")]
+        test_scores = matrix.scores[test_idx]
+        test_labels = matrix.true_labels[test_idx]
+        if fixed_perturbed is not None:
+            test_scores = fixed_perturbed[test_idx]
+        elif perturbation is not None:
+            rng = np.random.default_rng([int(perturbation.seed), base_seed, j, 1])
+            test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
+        true_scores = test_scores[np.arange(k_test), test_labels]
+        for i, method in enumerate(methods):
+            if i in failures:
+                continue
+            weights = None if method.weights is None else method.weights[calib_rows]
+            try:
+                thr = method.threshold(calib, alpha, weights)
+            except ValueError as exc:
+                failures[i] = (type(exc)(f"split {j}: {exc}"), exc)
+                continue
+            cutoff = np.inf if thr.is_unbounded else thr.threshold
+            results[i].append(SplitResult(
+                coverage=int(np.count_nonzero(true_scores <= cutoff)) / k_test,
+                mean_set_size=int(np.count_nonzero(test_scores <= cutoff)) / k_test,
+            ))
+        if 0 in failures:  # the first method's error takes precedence
+            break
+    if failures:
+        error, cause = failures[min(failures)]
+        raise error from cause
+    ddof = 1 if n_splits > 1 else 0
+    config = dict(alpha=alpha, n_splits=n_splits, n_calib=n_calib, k_test=k_test,
+                  base_seed=base_seed)
+    reports = []
+    for method, per_split in zip(methods, results):
+        coverages = np.array([r.coverage for r in per_split])
+        sizes = np.array([r.mean_set_size for r in per_split])
+        reports.append(EvalReport(
+            method=method.name,
+            params=method.params_dict(),
+            perturbation=None if perturbation is None else perturbation_dict(perturbation),
+            per_split=tuple(per_split),
+            coverage_mean=float(coverages.mean()),
+            coverage_std=float(coverages.std(ddof=ddof)),
+            set_size_mean=float(sizes.mean()),
+            set_size_std=float(sizes.std(ddof=ddof)),
+            **config,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

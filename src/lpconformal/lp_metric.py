@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ScoreSample, check_epsilon
+from .core import ScoreSample, check_epsilon, check_rho
 
 __all__ = [
     "LPParams",
@@ -49,8 +49,7 @@ class LPParams:
 
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
+        check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -227,21 +226,6 @@ def _sweep(
     return matched, plan
 
 
-def _result_from_units(
-    n: int, m: int, matched_units: int, plan: list[tuple[int, int, int]]
-) -> TransportResult:
-    total = n * m
-    rho = (total - matched_units) / total
-    return TransportResult(
-        rho=rho,
-        matched_mass=1.0 - rho,
-        n=n,
-        m=m,
-        matched_units=matched_units,
-        certificate=_complete_plan(n, m, plan),
-    )
-
-
 def lp_distance(
     p: ScoreSample, q: ScoreSample, epsilon: float, method: str = "auto"
 ) -> TransportResult:
@@ -278,7 +262,9 @@ def lp_distance(
         matched, plan = solve_flow(n, m, edges)
     else:
         matched, plan = _sweep(x.tolist(), y.tolist(), float(epsilon))
-    return _result_from_units(n, m, matched, plan)
+    rho = (n * m - matched) / (n * m)
+    return TransportResult(rho=rho, matched_mass=1.0 - rho, n=n, m=m, matched_units=matched,
+                           certificate=_complete_plan(n, m, plan))
 
 
 def tv_distance(p: ScoreSample, q: ScoreSample) -> float:

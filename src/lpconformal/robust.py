@@ -21,6 +21,7 @@ from .core import (
     ThresholdResult,
     cdf,
     check_alpha,
+    check_rho,
     level_at_most_one,
     quantile,
     snapped_ceil,
@@ -89,7 +90,8 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     if n < 1:
         raise ValueError(f"calibration size must be positive, got {n!r}")
     check_alpha(alpha)
-    if not 0.0 <= rho < 1.0:
+    check_rho(rho)
+    if rho == 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
     k = snapped_ceil(n * (1.0 - alpha + rho))
     return max(0.0, min(1.0, k / (n + 1) - rho))
@@ -121,8 +123,7 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     if n < 1:
         raise ValueError(f"calibration size must be positive, got {n!r}")
     check_alpha(alpha)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+    check_rho(rho)
     beta = alpha + (alpha - rho - 2.0) / n
     if beta <= 0.0:
         raise InfeasibleLevelError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSample, cdf, check_epsilon, snapped_ceil, snapped_floor
+from .core import ScoreSample, cdf, check_epsilon, check_rho, snapped_ceil, snapped_floor
 from .lp_metric import LPParams, lp_distance, solve_flow
 
 __all__ = [
@@ -90,8 +90,7 @@ class PerturbationSpec:
 
     def __post_init__(self) -> None:
         check_epsilon(self.epsilon)
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
+        check_rho(self.rho)
         if self.local_law is not None:
             lo, hi = _law_support(self.local_law)
             if lo < -self.epsilon or hi > self.epsilon:

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import ScoreSample, cdf, conformal_quantile, quantile
-from lpconformal.core import check_alpha, check_epsilon, level_at_most_one
+from lpconformal.core import check_alpha, check_epsilon, check_rho, level_at_most_one
 
 
 def quantile_scan_oracle(scores, beta):
@@ -175,6 +175,29 @@ class TestValidators:
         for bad in (-1e-300, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real, got"):
                 check_epsilon(bad)
+
+    def test_check_rho(self):
+        for good in (0.0, -0.0, 0.5, 1.0):
+            check_rho(good)
+        for bad in (float("nan"), np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -1.0, 1.5):
+            with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\], got"):
+                check_rho(bad)
+
+    def test_rho_validated_by_every_caller(self):
+        from lpconformal import LPParams, PerturbationSpec, adjusted_beta, coverage_lower_bound
+
+        for bad in (float("nan"), np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)):
+            for call in (
+                lambda: LPParams(0.0, bad),
+                lambda: PerturbationSpec(0.0, bad),
+                lambda: adjusted_beta(100, 0.1, bad),
+                lambda: coverage_lower_bound(100, 0.1, bad),
+            ):
+                with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\], got"):
+                    call()
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\), got 1.0"):
+            coverage_lower_bound(100, 0.1, 1.0)
+        assert coverage_lower_bound(100, 0.1, -0.0) == coverage_lower_bound(100, 0.1, 0.0)
 
     def test_level_at_most_one_absorbs_round_off(self):
         assert level_at_most_one(0.9 + 0.1)

@@ -57,6 +57,26 @@ class TestEstimate:
         with pytest.raises(NoFeasibleGridError):
             estimate_lp_params(s, s, s, [0.1], 0.1)
 
+    def test_infeasible_message_names_the_traced_reason(self):
+        # Every grid point has rho = 1: the adjustment succeeds but the
+        # worst-case quantile level exceeds one.
+        calib = ScoreSample(np.arange(500.0))
+        test = ScoreSample(np.arange(500.0) + 1e6)
+        grid = default_epsilon_grid(calib)
+        with pytest.raises(NoFeasibleGridError) as info:
+            estimate_lp_params(calib, calib, test, grid, 0.1)
+        assert str(info.value) == (
+            "no feasible ambiguity set: 20 of 20 grid points: quantile level above one"
+        )
+
+    def test_infeasible_message_counts_each_reason(self):
+        s = ScoreSample(np.arange(10.0))
+        with pytest.raises(NoFeasibleGridError) as info:
+            estimate_lp_params(s, s, s, [0.1, 0.2], 0.1)
+        assert str(info.value) == (
+            "no feasible ambiguity set: 2 of 2 grid points: coverage adjustment infeasible"
+        )
+
     def test_trace_rows_recompute_exactly(self):
         rng = np.random.default_rng(2)
         calib_a = ScoreSample(rng.normal(size=200))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpconformal import (
     MethodSpec,
@@ -9,6 +11,7 @@ from lpconformal import (
     PerturbationSpec,
     PointMass,
     ScoreMatrix,
+    ScoreSample,
     compare,
     conformal_quantile,
     evaluate,
@@ -19,8 +22,18 @@ from lpconformal import (
     split,
     weighted_threshold,
 )
-from lpconformal.harness import FileFormatError, write_report_csv
+from lpconformal import harness
+from lpconformal.core import check_alpha
+from lpconformal.harness import (
+    METHOD_NAMES,
+    EvalReport,
+    FileFormatError,
+    SplitResult,
+    perturbation_dict,
+    write_report_csv,
+)
 from lpconformal.robust import adjusted_beta
+from lpconformal.shiftlab import perturb_rows
 
 
 def synthetic_matrix(rng, rows=600, labels=5, sep=2.0):
@@ -275,3 +288,187 @@ class TestEvaluateInputs:
         m = synthetic_matrix(np.random.default_rng(14), rows=50)
         with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got -1"):
             evaluate(m, MethodSpec("sc"), 0.1, n_splits=2, n_calib=20, k_test=10, base_seed=-1)
+
+
+def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_seed,
+                      perturbation=None, redraw_per_split=True):
+    """Slow reference: one method at a time, redrawing every split and
+    perturbation, with the checks, keys, draw order and error wrapping of
+    the original per-method evaluation loop."""
+    check_alpha(alpha)
+    if n_splits < 1:
+        raise ValueError(f"need at least one split, got {n_splits!r}")
+    if k_test < 1:
+        raise ValueError(f"need at least one test row, got {k_test!r}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
+    if method.weights is not None and method.weights.shape != (matrix.n_rows,):
+        raise ValueError(
+            f"method weights have {method.weights.size} entries for "
+            f"{matrix.n_rows} matrix rows; need one per row"
+        )
+    fixed_perturbed = None
+    if perturbation is not None and not redraw_per_split:
+        rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
+        fixed_perturbed = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
+    results = []
+    for j in range(n_splits):
+        if n_calib < 1 or k_test < 0:
+            raise ValueError("need n_calib >= 1 and k_test >= 0")
+        if n_calib + k_test > matrix.n_rows:
+            raise ValueError(
+                f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"
+            )
+        perm = np.random.default_rng([base_seed, j, 0]).permutation(matrix.n_rows)
+        calib_idx, test_idx = perm[:n_calib], perm[n_calib:n_calib + k_test]
+        calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
+        calib = ScoreSample(calib_raw)
+        test_scores = matrix.scores[test_idx]
+        test_labels = matrix.true_labels[test_idx]
+        if perturbation is not None:
+            if redraw_per_split:
+                rng = np.random.default_rng([int(perturbation.seed), base_seed, j, 1])
+                test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
+            else:
+                test_scores = fixed_perturbed[test_idx]
+        row_weights = None
+        if method.weights is not None:
+            row_weights = method.weights[calib_idx[np.argsort(calib_raw, kind="stable")]]
+        try:
+            thr = method.threshold(calib, alpha, row_weights)
+        except ValueError as exc:
+            raise type(exc)(f"split {j}: {exc}") from exc
+        cutoff = np.inf if thr.is_unbounded else thr.threshold
+        member = test_scores <= cutoff
+        covered = int(member[np.arange(test_labels.size), test_labels].sum())
+        results.append(SplitResult(covered / k_test, float(member.sum(axis=1).mean())))
+    coverages = np.array([r.coverage for r in results])
+    sizes = np.array([r.mean_set_size for r in results])
+    ddof = 1 if n_splits > 1 else 0
+    return EvalReport(
+        method=method.name, alpha=alpha, n_splits=n_splits, n_calib=n_calib,
+        k_test=k_test, base_seed=base_seed, params=method.params_dict(),
+        perturbation=None if perturbation is None else perturbation_dict(perturbation),
+        per_split=tuple(results),
+        coverage_mean=float(coverages.mean()), coverage_std=float(coverages.std(ddof=ddof)),
+        set_size_mean=float(sizes.mean()), set_size_std=float(sizes.std(ddof=ddof)),
+    )
+
+
+def all_methods(weights=None):
+    params = dict(epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0,
+                  test_weight=1.5, weights=weights)
+    return [MethodSpec(name, **params) for name in METHOD_NAMES]
+
+
+def oracle_outcome(matrix, methods, *args, **kwargs):
+    """JSON reports of the per-method oracle, or the first error it raises."""
+    try:
+        return [per_method_oracle(matrix, m, *args, **kwargs).to_json() for m in methods]
+    except ValueError as exc:
+        return exc
+
+
+def compare_outcome(matrix, methods, *args, **kwargs):
+    try:
+        return [r.to_json() for r in compare(matrix, methods, *args, **kwargs)]
+    except ValueError as exc:
+        return exc
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert type(got.__cause__) is type(want.__cause__)
+        assert str(got.__cause__) == str(want.__cause__)
+    else:
+        assert got == want
+
+
+class TestSharedSplits:
+    # Scores on a 0.1 lattice, so test scores often tie with the threshold.
+    _base = synthetic_matrix(np.random.default_rng(30), rows=260, labels=5)
+    MATRIX = ScoreMatrix(np.round(_base.scores, 1), _base.true_labels)
+    SHIFT = PerturbationSpec(epsilon=0.1, rho=0.1, global_law=PointMass(40.0), seed=2)
+
+    @pytest.mark.parametrize("n_splits", [1, 7])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "per_row"])
+    @pytest.mark.parametrize("mode", ["none", "per_split", "fixed"])
+    def test_byte_identical_to_per_method_oracle(self, mode, weighted, n_splits):
+        m = self.MATRIX
+        weights = None
+        if weighted:
+            weights = np.exp(-m.scores[np.arange(m.n_rows), m.true_labels])
+        kwargs = dict(
+            perturbation=None if mode == "none" else self.SHIFT,
+            redraw_per_split=mode != "fixed",
+        )
+        args = (0.1, n_splits, 120, 90, 17)
+        methods = all_methods(weights)
+        want = oracle_outcome(m, methods, *args, **kwargs)
+        assert isinstance(want, list) and len(want) == len(METHOD_NAMES)
+        assert compare_outcome(m, methods, *args, **kwargs) == want
+        for method, report in zip(methods, want):
+            assert evaluate(m, method, *args, **kwargs).to_json() == report
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations(range(len(METHOD_NAMES))), st.booleans())
+    def test_invariant_to_method_order(self, order, fixed):
+        methods = all_methods()
+        kwargs = dict(perturbation=self.SHIFT, redraw_per_split=not fixed)
+        base = compare(self.MATRIX, methods, 0.1, 4, 100, 80, 3, **kwargs)
+        permuted = compare(self.MATRIX, [methods[i] for i in order], 0.1, 4, 100, 80, 3, **kwargs)
+        assert [r.to_json() for r in permuted] == [base[i].to_json() for i in order]
+
+    def _fails_from_split_3(self):
+        """Weighted method whose weights are valid until a row with a zero
+        weight first enters calibration (8 rows, seed 5) at split 3."""
+        n_rows = self.MATRIX.n_rows
+        calib = [np.random.default_rng([5, j, 0]).permutation(n_rows)[:8] for j in range(4)]
+        seen = set(np.concatenate(calib[:3]).tolist())
+        weights = np.ones(n_rows)
+        weights[next(r for r in calib[3].tolist() if r not in seen)] = 0.0
+        return MethodSpec("weighted", weights=weights)
+
+    def test_error_of_first_method_in_order_wins(self):
+        m = self.MATRIX
+        late = self._fails_from_split_3()
+        early = MethodSpec("lp")  # n_calib = 8 is too small at alpha 0.1: fails at split 0
+        args = (0.1, 6, 8, 20, 5)
+        cases = (([late, early], 3), ([early, late], 0), ([MethodSpec("sc"), early, late], 0))
+        for methods, split_no in cases:
+            got = compare_outcome(m, methods, *args)
+            assert isinstance(got, ValueError)
+            assert str(got).startswith(f"split {split_no}: ")
+            same_outcome(got, oracle_outcome(m, methods, *args))
+        with pytest.raises(ValueError, match="split 3: weights must be finite"):
+            evaluate(m, late, *args)
+
+    @pytest.mark.parametrize("redraw, expected", [(True, 5), (False, 1)])
+    def test_each_perturbation_drawn_once_for_all_methods(self, monkeypatch, redraw, expected):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return perturb_rows(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "perturb_rows", counting)
+        reports = compare(self.MATRIX, all_methods(), 0.1, 5, 100, 80, 3,
+                          perturbation=self.SHIFT, redraw_per_split=redraw)
+        assert len(reports) == len(METHOD_NAMES)
+        assert len(calls) == expected
+
+    def test_arguments_checked_before_any_split(self, monkeypatch):
+        def no_split(*args, **kwargs):
+            raise AssertionError("a split was drawn")
+
+        monkeypatch.setattr(harness, "_split_indices", no_split)
+        # The first method would fail at split 0; the last one's weights are
+        # checked first.
+        methods = [MethodSpec("lp"), MethodSpec("weighted", weights=np.ones(3))]
+        with pytest.raises(ValueError, match="3 entries for 260 matrix rows"):
+            compare(self.MATRIX, methods, 0.1, 2, 8, 20, 0)
+        for bad in (dict(alpha=1.0), dict(n_splits=0), dict(k_test=0), dict(base_seed=-1)):
+            kwargs = {**dict(alpha=0.1, n_splits=2, n_calib=8, k_test=20, base_seed=0), **bad}
+            with pytest.raises(ValueError):
+                compare(self.MATRIX, [MethodSpec("sc")], **kwargs)

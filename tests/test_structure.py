@@ -1,7 +1,8 @@
 """Structural rules for the package source.
 
-No module imports another module's ``_private`` names, and the CLI offers
-exactly the method names the harness knows.
+No module imports another module's ``_private`` names, the CLI offers
+exactly the method names the harness knows, and ``harness.evaluate`` holds no
+split loop of its own beside ``compare``.
 """
 
 import argparse
@@ -43,3 +44,18 @@ def _method_choices(command):
 @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
 def test_method_choices_are_harness_method_names(command):
     assert _method_choices(command) == METHOD_NAMES
+
+
+def test_evaluate_has_no_loop():
+    path = next(p for p in SOURCES if p.name == "harness.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    evaluate = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "evaluate"
+    )
+    loops = [
+        f"line {node.lineno}: {type(node).__name__}"
+        for node in ast.walk(evaluate)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert not loops, f"harness.evaluate loops on its own: {loops}"
