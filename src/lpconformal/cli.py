@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .baselines import fg_threshold, weighted_threshold
@@ -108,17 +109,7 @@ def _cmd_estimate(args) -> int:
         "rho": result.rho,
         "beta": result.beta,
         "q": result.q,
-        "grid_trace": [
-            {
-                "epsilon": p.epsilon,
-                "rho": p.rho,
-                "beta": p.beta,
-                "q": p.q,
-                "feasible": p.feasible,
-                "reason": p.reason,
-            }
-            for p in result.grid_trace
-        ],
+        "grid_trace": [asdict(p) for p in result.grid_trace],
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -156,6 +147,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     matrix = read_matrix(args.matrix)
     names = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+    if not names:
+        raise ValueError(f"--methods names no method, got {args.methods!r}")
     methods = [_method_from_args(name, args) for name in names]
     reports = compare(matrix, methods, **_split_kwargs(args))
     _emit({"reports": [r.to_dict() for r in reports]}, args.out)

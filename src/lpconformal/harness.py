@@ -65,7 +65,10 @@ class ScoreMatrix:
 
     def __init__(self, scores, true_labels) -> None:
         s = np.asarray(scores, dtype=float)
-        t = np.asarray(true_labels, dtype=int)
+        try:
+            t = np.asarray(true_labels, dtype=int)
+        except OverflowError as exc:
+            raise ValueError("true labels must index a matrix column") from exc
         if s.ndim != 2 or s.shape[1] == 0:
             raise ValueError("score matrix must be 2-d with at least one label column")
         if not np.all(np.isfinite(s)):
@@ -285,8 +288,6 @@ def compare(
     split; when several methods fail, the first one in list order wins.
     """
     methods = list(methods)
-    if not methods:
-        return []
     check_alpha(alpha)
     if n_splits < 1:
         raise ValueError(f"need at least one split, got {n_splits!r}")
@@ -300,6 +301,8 @@ def compare(
                 f"method weights have {method.weights.size} entries for "
                 f"{matrix.n_rows} matrix rows; need one per row"
             )
+    if not methods:
+        return []
     fixed_perturbed: np.ndarray | None = None
     if perturbation is not None and not redraw_per_split:
         rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
@@ -364,83 +367,90 @@ def compare(
 # File ingestion
 
 
+def _records(path):
+    """Yield ``(line, fields)`` for each non-blank CSV record of ``path``.
+
+    ``line`` numbers the records from 1, blank ones included. Every format's
+    header, where it has one, is the first record yielded. A file that is not
+    UTF-8 text or not well-formed CSV raises :class:`FileFormatError`.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for line, fields in enumerate(csv.reader(fh), start=1):
+                if len(fields) > 1 or (fields and fields[0].strip()):
+                    yield line, fields
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _build(path, kind, *args):
+    """``kind(*args)``, with its ``ValueError`` re-raised as a file error."""
+    try:
+        return kind(*args)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def read_scores(path, has_header: bool = False) -> ScoreSample:
     """Parse a one-score-per-line CSV file into a sample.
 
     Blank lines are skipped; with ``has_header`` the first non-blank line is
     the header.
     """
+    records = _records(path)
+    if has_header:
+        next(records, None)
     values = []
-    skip_header = has_header
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if skip_header:
-                skip_header = False
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: not a score: {row[0]!r}") from exc
-    try:
-        return ScoreSample(values)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    for line, fields in records:
+        try:
+            values.append(float(fields[0]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{line}: not a score: {fields[0]!r}") from exc
+    return _build(path, ScoreSample, values)
 
 
 def read_weighted_scores(path, test_weight: float) -> WeightedScores:
-    """Parse a CSV with header ``score,weight`` into weighted scores."""
+    """Parse a CSV with header ``score,weight`` into weighted scores.
+
+    A bad ``test_weight`` raises ``ValueError``, not :class:`FileFormatError`.
+    """
+    records = _records(path)
+    _, header = next(records, (None, None))
+    if header is None or [c.strip().lower() for c in header[:2]] != ["score", "weight"]:
+        raise FileFormatError(f"{path}: expected header 'score,weight'")
     scores, weights = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["score", "weight"]:
-            raise FileFormatError(f"{path}: expected header 'score,weight'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise FileFormatError(f"{path}:{lineno}: expected two columns")
-            try:
-                scores.append(float(row[0]))
-                weights.append(float(row[1]))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad number in {row!r}") from exc
-    try:
-        return WeightedScores(scores, weights, test_weight)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    for line, fields in records:
+        if len(fields) < 2:
+            raise FileFormatError(f"{path}:{line}: expected two columns")
+        try:
+            scores.append(float(fields[0]))
+            weights.append(float(fields[1]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
+    # The file is checked on its own first, so a bad test weight is no file error.
+    ws = _build(path, WeightedScores, scores, weights, 1.0)
+    return WeightedScores(ws.scores, ws.weights, test_weight)
 
 
 def read_matrix(path) -> ScoreMatrix:
     """Parse a score-matrix CSV with header ``true_label,s_0,...,s_{L-1}``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "true_label":
-            raise FileFormatError(f"{path}: expected header starting with 'true_label'")
-        n_labels = len(header) - 1
-        if n_labels < 1:
-            raise FileFormatError(f"{path}: header names no score columns")
-        labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != n_labels + 1:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected {n_labels + 1} fields, got {len(row)}"
-                )
-            try:
-                labels.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad number in {row!r}") from exc
-    try:
-        return ScoreMatrix(rows, labels)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    records = _records(path)
+    _, header = next(records, (None, None))
+    if header is None or header[0].strip().lower() != "true_label":
+        raise FileFormatError(f"{path}: expected header starting with 'true_label'")
+    width = len(header)
+    if width < 2:
+        raise FileFormatError(f"{path}: header names no score columns")
+    labels, rows = [], []
+    for line, fields in records:
+        if len(fields) != width:
+            raise FileFormatError(f"{path}:{line}: expected {width} fields, got {len(fields)}")
+        try:
+            labels.append(int(fields[0]))
+            rows.append([float(v) for v in fields[1:]])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
+    return _build(path, ScoreMatrix, rows, labels)
 
 
 def write_report_csv(reports: Sequence[EvalReport], path) -> None:

@@ -204,6 +204,23 @@ def _rank_band(n: int, lo_level: float, hi_level: float, rho: float) -> tuple[in
     return i_lo, i_hi
 
 
+def _band_member(base: ScoreSample, params: LPParams, k: int, levels) -> ScoreSample:
+    """The ``epsilon`` shift of ``base`` with, for ``rho > 0``, the atoms of
+    the level band ``levels()`` moved to its upper quantile (plus ``epsilon``)."""
+    shifted = _shifted_scores(base, params.epsilon)
+    if params.rho == 0.0:
+        return ScoreSample(shifted)
+    if 1.0 / k > params.rho:
+        raise ValueError(f"need 1/k <= rho, got k={k}, rho={params.rho!r}")
+    n = base.n
+    lo_level, hi_level = levels()
+    i_lo, i_hi = _rank_band(n, lo_level, hi_level, params.rho)
+    target = min(max(snapped_ceil(n * hi_level), 1), n)
+    out = shifted.copy()
+    out[i_lo:i_hi] = shifted[target - 1]
+    return ScoreSample(out)
+
+
 def wc_quantile_family(
     base: ScoreSample, beta: float, params: LPParams, k: int
 ) -> ScoreSample:
@@ -220,19 +237,7 @@ def wc_quantile_family(
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if beta + params.rho > 1.0 + 1e-12:
         raise ValueError(f"beta + rho must be at most one, got {beta + params.rho!r}")
-    shifted = _shifted_scores(base, params.epsilon)
-    if params.rho == 0.0:
-        return ScoreSample(shifted)
-    if 1.0 / k > params.rho:
-        raise ValueError(f"need 1/k <= rho, got k={k}, rho={params.rho!r}")
-    n = base.n
-    lo_level = beta - 1.0 / k
-    hi_level = lo_level + params.rho
-    i_lo, i_hi = _rank_band(n, lo_level, hi_level, params.rho)
-    target = min(max(snapped_ceil(n * hi_level), 1), n)
-    out = shifted.copy()
-    out[i_lo:i_hi] = shifted[target - 1]
-    return ScoreSample(out)
+    return _band_member(base, params, k, lambda: (beta - 1.0 / k, beta - 1.0 / k + params.rho))
 
 
 def wc_coverage_family(
@@ -249,20 +254,12 @@ def wc_coverage_family(
         raise ValueError(f"q must be finite, got {q!r}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    shifted = _shifted_scores(base, params.epsilon)
-    if params.rho == 0.0:
-        return ScoreSample(shifted)
-    if 1.0 / k > params.rho:
-        raise ValueError(f"need 1/k <= rho, got k={k}, rho={params.rho!r}")
-    n = base.n
-    f0 = cdf(base, q - params.epsilon)
-    lo_level = f0 - params.rho + 1.0 / k
-    hi_level = f0 + 1.0 / k
-    i_lo, i_hi = _rank_band(n, lo_level, hi_level, params.rho)
-    target = min(max(snapped_ceil(n * hi_level), 1), n)
-    out = shifted.copy()
-    out[i_lo:i_hi] = shifted[target - 1]
-    return ScoreSample(out)
+
+    def levels() -> tuple[float, float]:
+        f0 = cdf(base, q - params.epsilon)
+        return f0 - params.rho + 1.0 / k, f0 + 1.0 / k
+
+    return _band_member(base, params, k, levels)
 
 
 def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:

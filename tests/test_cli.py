@@ -193,6 +193,62 @@ class TestArgumentErrors:
         assert payload["unbounded"] and payload["coverage_bound"] is None
 
 
+    def test_bad_test_weight_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("score,weight\n" + "".join(f"{v / 50},1.0\n" for v in range(50)))
+        for method in ("weighted", "fg"):
+            code = main([
+                "calibrate", "--weights", str(path), "--method", method, "--test-weight", "-1",
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == "error: test weight must be finite and positive, got -1.0\n"
+
+    @pytest.mark.parametrize("methods", [",", " , ,", ""])
+    def test_compare_without_methods_exit_2(self, matrix_file, capsys, methods):
+        code = main([
+            "compare", "--matrix", str(matrix_file), "--methods", methods,
+            "--splits", "2", "--n-calib", "100", "--k-test", "50",
+        ])
+        assert code == 2
+        assert "--methods names no method" in capsys.readouterr().err
+
+
+class TestMalformedFiles:
+    """Inputs that once ended in a traceback or in the wrong exit code."""
+
+    MATRIX = "true_label,s_0,s_1\n0,0.1,0.9\n1,0.8,0.2\n0,0.3,0.7\n"
+    EVALUATE = ["evaluate", "--method", "sc", "--n-calib", "2", "--k-test", "1", "--splits", "2"]
+    WEIGHTS = "score,weight\n" + "".join(f"{v / 20},1.0\n" for v in range(20))
+
+    def test_blank_first_line_exit_0(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("\n" + self.MATRIX)
+        assert main(self.EVALUATE + ["--matrix", str(m)]) == 0
+        w = tmp_path / "w.csv"
+        w.write_text(" \n" + self.WEIGHTS)
+        assert main(["calibrate", "--method", "weighted", "--weights", str(w)]) == 0
+
+    @pytest.mark.parametrize("body, message", [
+        (MATRIX.encode().replace(b"0.8", b"0.\xff8"), "can't decode byte 0xff"),
+        (MATRIX.encode() + b'0,"' + b"7" * 200_000 + b'",0.5\n', "field larger than field limit"),
+        (MATRIX.encode() + b"99999999999999999999,0.1,0.2\n", "true labels must index"),
+    ], ids=["not-utf8", "oversized-field", "huge-label"])
+    def test_unreadable_matrix_exit_3(self, tmp_path, capsys, body, message):
+        m = tmp_path / "m.csv"
+        m.write_bytes(body)
+        assert main(self.EVALUATE + ["--matrix", str(m)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {m}: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body", [b"0.5\n\xff\n", b'"' + b"7" * 200_000 + b'"\n'])
+    def test_unreadable_scores_and_weights_exit_3(self, tmp_path, body):
+        path = tmp_path / "f.csv"
+        path.write_bytes(body)
+        assert main(["calibrate", "--method", "sc", "--scores", str(path)]) == 3
+        assert main(["calibrate", "--method", "weighted", "--weights", str(path)]) == 3
+
+
 class TestSimulate:
     def test_writes_scores_and_sidecar(self, scores_file, tmp_path):
         out = tmp_path / "perturbed.csv"

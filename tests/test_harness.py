@@ -1,5 +1,7 @@
 """Tests for splits, evaluation, comparison, and file ingestion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,13 @@ class TestCompare:
         m = synthetic_matrix(rng, rows=100)
         assert compare(m, [], 0.1, 3, 50, 40, base_seed=0) == []
 
+    def test_empty_method_list_still_checks_arguments(self):
+        m = synthetic_matrix(np.random.default_rng(14), rows=100)
+        with pytest.raises(ValueError, match="alpha"):
+            compare(m, [], 5.0, 3, 50, 40, base_seed=0)
+        with pytest.raises(ValueError, match="at least one split"):
+            compare(m, [], 0.1, 0, 50, 40, base_seed=0)
+
     def test_paired_splits_under_perturbation(self):
         rng = np.random.default_rng(15)
         m = synthetic_matrix(rng, rows=900, labels=8)
@@ -245,6 +254,69 @@ class TestFileIngestion:
         path.write_text("true_label,s_0,s_1\n0,0.1\n")
         with pytest.raises(FileFormatError):
             read_matrix(path)
+
+    def test_header_after_blank_line_in_every_format(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("\n \nscore,weight\n0.5,2.0\n\n0.25,1.0\n")
+        ws = read_weighted_scores(path, 3.0)
+        assert ws.scores.tolist() == [0.5, 0.25] and ws.weights.tolist() == [2.0, 1.0]
+        path.write_text("\nscore,weight\n0.5\n")
+        with pytest.raises(FileFormatError, match=r"w\.csv:3: expected two columns"):
+            read_weighted_scores(path, 1.0)
+        path = tmp_path / "m.csv"
+        path.write_text("\ntrue_label,s_0,s_1\n0,0.1,0.9\n1,0.8,0.2\n")
+        m = read_matrix(path)
+        assert m.true_labels.tolist() == [0, 1]
+        assert m.scores.tolist() == [[0.1, 0.9], [0.8, 0.2]]
+        path.write_text("\ntrue_label,s_0,s_1\n0,0.1\n")
+        with pytest.raises(FileFormatError, match=r"m\.csv:3: expected 3 fields, got 2"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+    def test_no_header_in_blank_file(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="expected header 'score,weight'"):
+            read_weighted_scores(path, 1.0)
+        with pytest.raises(FileFormatError, match="expected header starting with 'true_label'"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("reader", [
+        read_scores,
+        lambda path: read_weighted_scores(path, 1.0),
+        read_matrix,
+    ], ids=["scores", "weights", "matrix"])
+    @pytest.mark.parametrize("body, message", [
+        (b"0.5\n0.\xff5\n", "can't decode byte 0xff"),
+        (b'"' + b"7" * 200_000 + b'"\n', "field larger than field limit"),
+    ], ids=["not-utf8", "oversized-field"])
+    def test_unreadable_file_is_a_file_error(self, tmp_path, reader, body, message):
+        path = tmp_path / "f.csv"
+        path.write_bytes(body)
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: .*{message}"):
+            reader(path)
+
+    def test_label_beyond_int64(self, tmp_path):
+        with pytest.raises(ValueError, match="true labels must index a matrix column"):
+            ScoreMatrix([[0.1, 0.2]], [99999999999999999999])
+        with pytest.raises(ValueError, match="true labels must index a matrix column"):
+            ScoreMatrix([[0.1, 0.2]], [-(2**63) - 1])
+        path = tmp_path / "m.csv"
+        path.write_text("true_label,s_0,s_1\n99999999999999999999,0.1,0.9\n")
+        with pytest.raises(FileFormatError, match=r"m\.csv: true labels must index a matrix column"):
+            read_matrix(path)
+
+    def test_bad_test_weight_is_not_a_file_error(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("score,weight\n0.5,2.0\n")
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="test weight must be finite and positive") as info:
+                read_weighted_scores(path, bad)
+            assert not isinstance(info.value, FileFormatError)
+            assert str(path) not in str(info.value)
+        path.write_text("score,weight\n0.5,-2.0\n")
+        with pytest.raises(FileFormatError, match="weights must be finite and strictly positive"):
+            read_weighted_scores(path, -1.0)
 
     def test_report_csv(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -1,8 +1,9 @@
 """Structural rules for the package source.
 
 No module imports another module's ``_private`` names, the CLI offers
-exactly the method names the harness knows, and ``harness.evaluate`` holds no
-split loop of its own beside ``compare``.
+exactly the method names the harness knows, ``harness.evaluate`` holds no
+split loop of its own beside ``compare``, and one reader parses every CSV
+input.
 """
 
 import argparse
@@ -59,3 +60,13 @@ def test_evaluate_has_no_loop():
         if isinstance(node, (ast.For, ast.While, ast.comprehension))
     ]
     assert not loops, f"harness.evaluate loops on its own: {loops}"
+
+
+def test_one_csv_reader():
+    calls = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        for lineno, text in enumerate(path.read_text().splitlines(), start=1)
+        for _ in range(text.count("csv.reader("))
+    ]
+    assert len(calls) == 1, f"csv.reader( should appear once, found at {calls}"
