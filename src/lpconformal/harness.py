@@ -371,10 +371,11 @@ def _records(path):
     """Yield ``(line, fields)`` for each non-blank CSV record of ``path``.
 
     ``line`` numbers the records from 1, blank ones included. Every format's
-    header, where it has one, is the first record yielded. A file that is not
-    UTF-8 text or not well-formed CSV raises :class:`FileFormatError`.
+    header, where it has one, is the first record yielded. A leading UTF-8
+    byte-order mark is dropped. A file that is not UTF-8 text or not
+    well-formed CSV raises :class:`FileFormatError`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             for line, fields in enumerate(csv.reader(fh), start=1):
                 if len(fields) > 1 or (fields and fields[0].strip()):

@@ -14,6 +14,10 @@ the earliest source with supply is optimal (Glover 1967), which gives one
 ``O(n + m)`` sweep for any sample sizes. A Dinic max-flow on the dense
 admissibility predicate is kept as an independent reference.
 
+A solve counts matched units only. The optimal coupling that certifies
+``rho`` is built on first access to ``TransportResult.certificate``, by
+re-running the same sweep with its fills recorded.
+
 All ``|x - y| <= eps`` comparisons are exact on the given doubles; no
 tolerance slack is applied. Callers constructing shifted samples should keep
 in mind that ``(x + eps) - x`` can exceed ``eps`` by one ulp in floating
@@ -22,7 +26,8 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,6 +67,11 @@ class TransportResult:
     units (mass ``1/n``) and column sums equal ``n`` units (mass ``1/m``)
     exactly. Edges between atoms farther apart than the threshold carry
     exactly ``n*m - matched_units`` units, so the plan's cost is ``rho``.
+
+    The certificate is built on first access and then cached: the solve
+    keeps its two samples and threshold (or, on the flow path, its matched
+    plan) so that callers needing only ``rho`` never pay for the coupling.
+    It takes no part in ``repr`` or ``==``.
     """
 
     rho: float
@@ -69,7 +79,19 @@ class TransportResult:
     n: int
     m: int
     matched_units: int
-    certificate: tuple[tuple[int, int, int], ...]
+    _p: ScoreSample = field(repr=False, compare=False)
+    _q: ScoreSample = field(repr=False, compare=False)
+    _epsilon: float = field(repr=False, compare=False)
+    _plan: list[tuple[int, int, int]] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def certificate(self) -> tuple[tuple[int, int, int], ...]:
+        """The optimal coupling, built on first access and then cached."""
+        plan = self._plan
+        if plan is None:
+            plan = []
+            _sweep(self._p.scores.tolist(), self._q.scores.tolist(), self._epsilon, plan)
+        return _complete_plan(self.n, self.m, plan)
 
 
 class _Dinic:
@@ -190,19 +212,20 @@ def _complete_plan(
 
 
 def _sweep(
-    x: list[float], y: list[float], eps: float
-) -> tuple[int, list[tuple[int, int, int]]]:
+    x: list[float], y: list[float], eps: float,
+    plan: list[tuple[int, int, int]] | None = None,
+) -> int:
     """Maximum matched units on the ``n*m`` scaling for sorted samples.
 
     Targets are visited in ascending order. Sources lying more than ``eps``
     to the left of the target can match no later target and are dropped;
     the target is then filled from the earliest source that still has
     supply, while the exact test ``abs(x_i - y_j) <= eps`` holds. A partly
-    used source is carried forward to the next target.
+    used source is carried forward to the next target. Each fill is
+    appended to ``plan`` as ``(i, j, units)`` when a list is given.
     """
     n, m = len(x), len(y)
     x = x + [float("inf")]  # sentinel: never dropped, never admissible
-    plan = []
     matched = 0
     i = 0
     xi = x[0]
@@ -215,7 +238,8 @@ def _sweep(
         demand = n
         while demand and abs(xi - yj) <= eps:
             units = left if left < demand else demand
-            plan.append((i, j, units))
+            if plan is not None:
+                plan.append((i, j, units))
             demand -= units
             left -= units
             if not left:
@@ -223,7 +247,7 @@ def _sweep(
                 xi = x[i]
                 left = m
         matched += n - demand
-    return matched, plan
+    return matched
 
 
 def lp_distance(
@@ -256,15 +280,16 @@ def lp_distance(
         raise ValueError(f"unknown method {method!r}")
     if method == "greedy" and n != m:
         raise ValueError("greedy path requires equal sample sizes")
+    plan = None
     if method == "flow":
         with np.errstate(over="ignore"):
             edges = [np.nonzero(np.abs(xi - y) <= epsilon)[0].tolist() for xi in x]
         matched, plan = solve_flow(n, m, edges)
     else:
-        matched, plan = _sweep(x.tolist(), y.tolist(), float(epsilon))
+        matched = _sweep(x.tolist(), y.tolist(), float(epsilon))
     rho = (n * m - matched) / (n * m)
     return TransportResult(rho=rho, matched_mass=1.0 - rho, n=n, m=m, matched_units=matched,
-                           certificate=_complete_plan(n, m, plan))
+                           _p=p, _q=q, _epsilon=float(epsilon), _plan=plan)
 
 
 def tv_distance(p: ScoreSample, q: ScoreSample) -> float:

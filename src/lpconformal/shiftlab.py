@@ -54,6 +54,10 @@ class Uniform:
             raise ValueError("uniform bounds must be finite")
         if self.low > self.high:
             raise ValueError(f"uniform bounds out of order: [{self.low!r}, {self.high!r}]")
+        if not np.isfinite(float(self.high) - float(self.low)):
+            raise ValueError(
+                f"uniform bounds [{self.low!r}, {self.high!r}] are too far apart to sample"
+            )
 
 
 Law = PointMass | Uniform

@@ -204,6 +204,22 @@ class TestArgumentErrors:
             err = capsys.readouterr().err
             assert err == "error: test weight must be finite and positive, got -1.0\n"
 
+    def test_huge_shift_radius_exit_2(self, scores_file, matrix_file, tmp_path, capsys):
+        code = main([
+            "simulate", "--scores", str(scores_file), "--epsilon", "1e308", "--rho", "0.1",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        message = "error: uniform bounds [-1e+308, 1e+308] are too far apart to sample\n"
+        assert capsys.readouterr().err == message
+        code = main([
+            "evaluate", "--matrix", str(matrix_file), "--method", "sc", "--splits", "2",
+            "--n-calib", "100", "--k-test", "50",
+            "--perturb-epsilon", "1e308", "--perturb-rho", "0.1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("methods", [",", " , ,", ""])
     def test_compare_without_methods_exit_2(self, matrix_file, capsys, methods):
         code = main([

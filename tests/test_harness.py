@@ -1,5 +1,6 @@
 """Tests for splits, evaluation, comparison, and file ingestion."""
 
+import codecs
 import re
 
 import numpy as np
@@ -241,6 +242,36 @@ class TestFileIngestion:
         path.write_text("0.5,2.0\n")
         with pytest.raises(FileFormatError):
             read_weighted_scores(path, 1.0)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_score_byte_order_mark(self, tmp_path, header):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (b"score\n" if header else b"") + b"0.5\r\n0.25\n")
+        assert read_scores(path, has_header=header).scores.tolist() == [0.25, 0.5]
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_weighted_byte_order_mark(self, tmp_path, header):
+        path = tmp_path / "w.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (b"score,weight\n" if header else b"") + b"0.5,2.0\n")
+        if header:
+            ws = read_weighted_scores(path, 1.0)
+            assert ws.scores.tolist() == [0.5] and ws.weights.tolist() == [2.0]
+        else:
+            with pytest.raises(FileFormatError, match=r"w\.csv: expected header 'score,weight'$"):
+                read_weighted_scores(path, 1.0)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_matrix_byte_order_mark(self, tmp_path, header):
+        path = tmp_path / "m.csv"
+        header_line = b"true_label,s_0,s_1\n" if header else b""
+        path.write_bytes(codecs.BOM_UTF8 + header_line + b"1,0.8,0.2\n")
+        if header:
+            m = read_matrix(path)
+            assert m.true_labels.tolist() == [1] and m.n_labels == 2
+        else:
+            message = r"m\.csv: expected header starting with 'true_label'$"
+            with pytest.raises(FileFormatError, match=message):
+                read_matrix(path)
 
     def test_matrix_roundtrip(self, tmp_path):
         path = tmp_path / "m.csv"

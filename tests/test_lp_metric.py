@@ -6,6 +6,7 @@ transport polytope for the general case.
 """
 
 import itertools
+import pickle
 import warnings
 
 import numpy as np
@@ -14,8 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from lpconformal import ScoreSample, cdf, lp_distance, lp_profile, tv_distance, winf_within
-from lpconformal.lp_metric import LPParams
+from lpconformal import (
+    ScoreSample,
+    cdf,
+    estimate_lp_params,
+    lp_distance,
+    lp_profile,
+    tv_distance,
+    winf_within,
+)
+from lpconformal import lp_metric
+from lpconformal.lp_metric import LPParams, solve_flow
 
 
 def lp_rho_linprog(x, y, eps):
@@ -356,3 +366,109 @@ class TestProfileMonotone:
         grid = sorted(set(extra) | {eps})
         rhos = [rho for _, rho in lp_profile(ScoreSample(x), ScoreSample(y), grid)]
         assert all(b <= a for a, b in zip(rhos, rhos[1:]))
+
+
+def eager_sweep_plan(x, y, eps):
+    """The sorted sweep with every fill recorded, as the solver once built it."""
+    n, m = len(x), len(y)
+    x = x + [float("inf")]
+    plan = []
+    i = 0
+    xi = x[0]
+    left = m
+    for j, yj in enumerate(y):
+        while xi < yj and abs(xi - yj) > eps:
+            i += 1
+            xi = x[i]
+            left = m
+        demand = n
+        while demand and abs(xi - yj) <= eps:
+            units = left if left < demand else demand
+            plan.append((i, j, units))
+            demand -= units
+            left -= units
+            if not left:
+                i += 1
+                xi = x[i]
+                left = m
+    return plan
+
+
+def eager_complete(n, m, plan):
+    """Leftover supply paired with leftover demand in index order, then sorted."""
+    supply = [m] * n
+    demand = [n] * m
+    for i, j, units in plan:
+        supply[i] -= units
+        demand[j] -= units
+    full = list(plan)
+    i = j = 0
+    while i < n and j < m:
+        if supply[i] == 0:
+            i += 1
+        elif demand[j] == 0:
+            j += 1
+        else:
+            units = min(supply[i], demand[j])
+            full.append((i, j, units))
+            supply[i] -= units
+            demand[j] -= units
+    return tuple(sorted(full))
+
+
+class TestLazyCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(instances(), instances(equal_sizes=True)))
+    def test_equals_eager_construction(self, inst):
+        x, y, eps = inst
+        p, q = ScoreSample(x), ScoreSample(y)
+        n, m = p.n, q.n
+        sweep = eager_sweep_plan(p.scores.tolist(), q.scores.tolist(), float(eps))
+        assert lp_distance(p, q, eps).certificate == eager_complete(n, m, sweep)
+        with np.errstate(over="ignore"):
+            edges = [np.nonzero(np.abs(xi - q.scores) <= eps)[0].tolist() for xi in p.scores]
+        _, flow = solve_flow(n, m, edges)
+        assert lp_distance(p, q, eps, method="flow").certificate == eager_complete(n, m, flow)
+
+    def test_second_access_returns_the_same_object(self):
+        res = lp_distance(ScoreSample([0.0, 1.0, 2.0]), ScoreSample([0.5, 3.0]), 0.6)
+        assert res.certificate is res.certificate
+
+    @pytest.mark.parametrize("method", ["auto", "flow"])
+    def test_pickle_round_trip_before_and_after_access(self, method):
+        p = ScoreSample([0.0, 0.1, 0.2, 0.7])
+        q = ScoreSample([0.05, 0.3, 0.9])
+        expected = lp_distance(p, q, 0.1, method=method).certificate
+        res = lp_distance(p, q, 0.1, method=method)
+        fresh = pickle.loads(pickle.dumps(res))
+        assert fresh == res
+        assert fresh.certificate == expected
+        assert res.certificate == expected
+        read = pickle.loads(pickle.dumps(res))
+        assert "certificate" in read.__dict__
+        assert read == res
+        assert read.certificate == expected
+
+    def test_not_in_repr_or_equality(self):
+        p, q = ScoreSample([0.0, 1.0, 2.0]), ScoreSample([1.0, 2.0, 3.0])
+        a, b = lp_distance(p, q, 0.0), lp_distance(q, p, 0.0)
+        assert a.certificate != b.certificate
+        assert a == b
+        assert "certificate" not in repr(a)
+
+    def test_rho_only_callers_build_no_certificate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certificate built")
+
+        monkeypatch.setattr(lp_metric, "_complete_plan", refuse)
+        rng = np.random.default_rng(29)
+        calib_a = ScoreSample(rng.normal(size=300))
+        calib_b = ScoreSample(rng.normal(size=300))
+        test = ScoreSample(rng.normal(0.2, 1.0, size=250))
+        estimate_lp_params(calib_a, calib_b, test, [0.05, 0.1, 0.2], 0.1)
+        lp_profile(calib_a, test, [0.0, 0.1])
+        tv_distance(calib_a, test)
+        winf_within(calib_a, test, 5.0)
+        res = lp_distance(calib_a, test, 0.1)
+        with pytest.raises(AssertionError, match="certificate built"):
+            res.certificate

@@ -34,6 +34,13 @@ class TestPerturbationSpec:
         with pytest.raises(ValueError):
             PerturbationSpec(epsilon=0.1, rho=0.0, local_law=PointMass(0.2))
 
+    def test_uniform_rejects_an_unsampleable_width(self):
+        with pytest.raises(ValueError, match=r"uniform bounds \[-1e\+308, 1e\+308\]"):
+            Uniform(-1e308, 1e308)
+        spec = PerturbationSpec(epsilon=1e308, rho=0.1)
+        with pytest.raises(ValueError, match="too far apart to sample"):
+            perturb_sample(ScoreSample([0.0, 1.0]), spec)
+
     def test_default_local_law(self):
         spec = PerturbationSpec(epsilon=0.3, rho=0.1)
         law = spec.resolved_local_law()
