@@ -58,7 +58,6 @@ from .shiftlab import (
     perturb_draws,
     perturb_sample,
     propagate_params,
-    pushforward_check,
     wc_coverage_family,
     wc_quantile_family,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "perturb_sample",
     "prediction_set",
     "propagate_params",
-    "pushforward_check",
     "quantile",
     "read_matrix",
     "read_scores",

@@ -135,14 +135,20 @@ class ThresholdResult:
 
     ``threshold is None`` marks the unbounded regime: the calibration sample
     cannot certify any finite threshold, and prediction sets must include
-    every label. In that case ``level_used`` records the requested (out of
-    range) level. ``coverage_bound`` carries a finite-sample coverage lower
+    every label. In that case ``level_used`` records the requested level,
+    out of range unless the threshold overflowed: a non-finite threshold,
+    such as a quantile plus a radius past the largest double, is stored as
+    ``None``. ``coverage_bound`` carries a finite-sample coverage lower
     bound when one applies.
     """
 
     threshold: float | None
     level_used: float
     coverage_bound: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            object.__setattr__(self, "threshold", None)
 
     @property
     def is_unbounded(self) -> bool:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InfeasibleLevelError, ScoreSample, check_alpha
+from .core import InfeasibleLevelError, ScoreSample, check_alpha, level_at_most_one
 from .lp_metric import LPParams, lp_distance, validate_epsilon_grid
 from .robust import adjusted_beta, worst_case_quantile
 
@@ -78,7 +78,8 @@ def estimate_lp_params(
     ``calib_b``'s size, and the candidate threshold is the worst-case
     ``(1 - beta)``-quantile of ``calib_b`` over the ``(epsilon, rho)`` ball,
     as in :func:`lpconformal.robust.lp_threshold`. Points whose adjustment
-    fails or whose threshold is unbounded are traced as infeasible and skipped.
+    fails or whose threshold is unbounded (its level is above one, or it
+    overflows) are traced as infeasible and skipped.
     Ties in the threshold break toward the smallest epsilon.
 
     Raises :class:`NoFeasibleGridError` if no grid point is feasible.
@@ -97,11 +98,12 @@ def estimate_lp_params(
                 GridPoint(eps, rho, None, None, False, "coverage adjustment infeasible")
             )
             continue
-        q = worst_case_quantile(calib_b, 1.0 - beta, LPParams(eps, rho)).threshold
+        result = worst_case_quantile(calib_b, 1.0 - beta, LPParams(eps, rho))
+        q = result.threshold
         if q is None:
-            trace.append(
-                GridPoint(eps, rho, beta, None, False, "quantile level above one")
-            )
+            reason = ("threshold overflows" if level_at_most_one(result.level_used)
+                      else "quantile level above one")
+            trace.append(GridPoint(eps, rho, beta, None, False, reason))
             continue
         point = GridPoint(eps, rho, beta, q, True)
         trace.append(point)

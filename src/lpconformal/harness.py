@@ -65,6 +65,9 @@ class ScoreMatrix:
 
     def __init__(self, scores, true_labels) -> None:
         s = np.asarray(scores, dtype=float)
+        labels = np.asarray(true_labels)
+        if labels.dtype.kind == "f" and not np.all(labels == np.floor(labels)):
+            raise ValueError("true labels must be integers")
         try:
             t = np.asarray(true_labels, dtype=int)
         except OverflowError as exc:

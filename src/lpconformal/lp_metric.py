@@ -11,8 +11,7 @@ The value is computed exactly on the common ``n * m`` integer scaling
 are sorted, so admissible partners form intervals that advance together; on
 such convex bipartite graphs, filling each target in ascending order from
 the earliest source with supply is optimal (Glover 1967), which gives one
-``O(n + m)`` sweep for any sample sizes. A Dinic max-flow on the dense
-admissibility predicate is kept as an independent reference.
+``O(n + m)`` sweep for any sample sizes.
 
 A solve counts matched units only. The optimal coupling that certifies
 ``rho`` is built on first access to ``TransportResult.certificate``, by
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "TransportResult",
     "lp_distance",
     "lp_profile",
-    "solve_flow",
     "tv_distance",
     "winf_within",
 ]
@@ -69,8 +67,8 @@ class TransportResult:
     exactly ``n*m - matched_units`` units, so the plan's cost is ``rho``.
 
     The certificate is built on first access and then cached: the solve
-    keeps its two samples and threshold (or, on the flow path, its matched
-    plan) so that callers needing only ``rho`` never pay for the coupling.
+    keeps its two samples and threshold so that callers needing only
+    ``rho`` never pay for the coupling.
     It takes no part in ``repr`` or ``==``.
     """
 
@@ -82,101 +80,13 @@ class TransportResult:
     _p: ScoreSample = field(repr=False, compare=False)
     _q: ScoreSample = field(repr=False, compare=False)
     _epsilon: float = field(repr=False, compare=False)
-    _plan: list[tuple[int, int, int]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def certificate(self) -> tuple[tuple[int, int, int], ...]:
         """The optimal coupling, built on first access and then cached."""
-        plan = self._plan
-        if plan is None:
-            plan = []
-            _sweep(self._p.scores.tolist(), self._q.scores.tolist(), self._epsilon, plan)
+        plan: list[tuple[int, int, int]] = []
+        _sweep(self._p.scores.tolist(), self._q.scores.tolist(), self._epsilon, plan)
         return _complete_plan(self.n, self.m, plan)
-
-
-class _Dinic:
-    """Max flow on small integer-capacity graphs (BFS level graph + blocking DFS)."""
-
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        self.adj: list[list[list[int]]] = [[] for _ in range(num_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> list[int]:
-        # edge record: [to, capacity, index of reverse edge record]
-        fwd = [v, cap, len(self.adj[v])]
-        rev = [u, 0, len(self.adj[u])]
-        self.adj[u].append(fwd)
-        self.adj[v].append(rev)
-        return fwd
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.num_nodes
-        self.level[s] = 0
-        queue = [s]
-        for u in queue:
-            for to, cap, _ in self.adj[u]:
-                if cap > 0 and self.level[to] < 0:
-                    self.level[to] = self.level[u] + 1
-                    queue.append(to)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        adj_u = self.adj[u]
-        while self.it[u] < len(adj_u):
-            edge = adj_u[self.it[u]]
-            to, cap, rev = edge
-            if cap > 0 and self.level[to] == self.level[u] + 1:
-                flow = self._dfs(to, t, min(pushed, cap))
-                if flow > 0:
-                    edge[1] -= flow
-                    self.adj[to][rev][1] += flow
-                    return flow
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.num_nodes
-            while True:
-                pushed = self._dfs(s, t, 1 << 62)
-                if pushed == 0:
-                    break
-                total += pushed
-        return total
-
-
-def solve_flow(
-    n: int, m: int, edges_per_source: Sequence[Iterable[int]]
-) -> tuple[int, list[tuple[int, int, int]]]:
-    """Exact transport on the ``n*m`` integer scaling.
-
-    Source ``i`` supplies ``m`` units, sink ``j`` absorbs ``n`` units, and
-    only the listed admissible edges may carry flow. Returns the matched
-    units and the positive flows as ``(i, j, units)`` triples.
-    """
-    source = n + m
-    sink = n + m + 1
-    net = _Dinic(n + m + 2)
-    for i in range(n):
-        net.add_edge(source, i, m)
-    inner: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    cap = min(n, m)
-    for i, targets in enumerate(edges_per_source):
-        for j in targets:
-            inner[i].append((j, net.add_edge(i, n + j, cap)))
-    for j in range(m):
-        net.add_edge(n + j, sink, n)
-    matched = net.max_flow(source, sink)
-    plan = [
-        (i, j, cap - edge[1])
-        for i in range(n)
-        for j, edge in inner[i]
-        if cap - edge[1] > 0
-    ]
-    return matched, plan
 
 
 def _complete_plan(
@@ -250,9 +160,7 @@ def _sweep(
     return matched
 
 
-def lp_distance(
-    p: ScoreSample, q: ScoreSample, epsilon: float, method: str = "auto"
-) -> TransportResult:
+def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResult:
     """Exact minimal mass that must move farther than ``epsilon`` between samples.
 
     Parameters
@@ -263,33 +171,19 @@ def lp_distance(
     epsilon : float
         Nonnegative match radius; atoms within ``epsilon`` (inclusive) may be
         coupled at zero cost.
-    method : str
-        ``"auto"`` and ``"greedy"`` run the ``O(n + m)`` sorted sweep
-        (``"greedy"`` additionally requires equal sizes); ``"flow"`` runs the
-        Dinic max-flow reference on the dense admissibility predicate.
 
     Returns
     -------
     TransportResult
-        ``rho`` is the exact optimum; the certificate realizes it.
+        ``rho`` is the exact optimum, from one ``O(n + m)`` sorted sweep; the
+        certificate realizes it.
     """
     check_epsilon(epsilon)
-    x, y = p.scores, q.scores
     n, m = p.n, q.n
-    if method not in ("auto", "greedy", "flow"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "greedy" and n != m:
-        raise ValueError("greedy path requires equal sample sizes")
-    plan = None
-    if method == "flow":
-        with np.errstate(over="ignore"):
-            edges = [np.nonzero(np.abs(xi - y) <= epsilon)[0].tolist() for xi in x]
-        matched, plan = solve_flow(n, m, edges)
-    else:
-        matched = _sweep(x.tolist(), y.tolist(), float(epsilon))
+    matched = _sweep(p.scores.tolist(), q.scores.tolist(), float(epsilon))
     rho = (n * m - matched) / (n * m)
     return TransportResult(rho=rho, matched_mass=1.0 - rho, n=n, m=m, matched_units=matched,
-                           _p=p, _q=q, _epsilon=float(epsilon), _plan=plan)
+                           _p=p, _q=q, _epsilon=float(epsilon))
 
 
 def tv_distance(p: ScoreSample, q: ScoreSample) -> float:

@@ -1,10 +1,9 @@
 """Constructive machinery around the ambiguity ball.
 
-Three kinds of objects live here: a sampler that realizes the
-local-displacement-plus-global-replacement representation of ball members, the
-extremal rank-band families that approach the worst-case quantile and
-coverage, and the empirical check that a Lipschitz score map carries a
-data-space ball into the corresponding score-space ball.
+Two kinds of objects live here: a sampler that realizes the
+local-displacement-plus-global-replacement representation of ball members, and
+the extremal rank-band families that approach the worst-case quantile and
+coverage.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ScoreSample, cdf, check_epsilon, check_rho, snapped_ceil, snapped_floor
-from .lp_metric import LPParams, lp_distance, solve_flow
+from .lp_metric import LPParams
 
 __all__ = [
     "PerturbationDraw",
@@ -25,7 +24,6 @@ __all__ = [
     "perturb_rows",
     "perturb_sample",
     "propagate_params",
-    "pushforward_check",
     "wc_coverage_family",
     "wc_quantile_family",
 ]
@@ -271,50 +269,3 @@ def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:
     if not (np.isfinite(k_lipschitz) and k_lipschitz > 0.0):
         raise ValueError(f"Lipschitz constant must be finite and positive, got {k_lipschitz!r}")
     return LPParams(k_lipschitz * params.epsilon, params.rho)
-
-
-_PUSHFORWARD_MAX_SIZE = 2000
-
-
-def pushforward_check(
-    points_p,
-    points_q,
-    scores_p: ScoreSample,
-    scores_q: ScoreSample,
-    epsilon: float,
-    k_lipschitz: float = 1.0,
-    norm_ord: float = 2,
-) -> bool:
-    """Empirical inclusion check for score-space propagation.
-
-    Solves the exact transport problem twice: in data space with admissible
-    pairs ``||z1 - z2|| <= epsilon`` (dense cost matrix), and in score space
-    at radius ``k_lipschitz * epsilon``. Returns ``True`` when the
-    score-space discrepancy does not exceed the data-space one, which a
-    ``k_lipschitz``-Lipschitz score map guarantees.
-
-    A verification tool for moderate sizes (at most 2000 points per cloud).
-    """
-    p = np.atleast_2d(np.asarray(points_p, dtype=float))
-    q = np.atleast_2d(np.asarray(points_q, dtype=float))
-    if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
-        raise ValueError("point clouds must be 2-d arrays with matching dimension")
-    n, m = p.shape[0], q.shape[0]
-    if n != scores_p.n or m != scores_q.n:
-        raise ValueError(
-            f"cloud sizes ({n}, {m}) do not match score sample sizes "
-            f"({scores_p.n}, {scores_q.n})"
-        )
-    if max(n, m) > _PUSHFORWARD_MAX_SIZE:
-        raise ValueError(f"clouds larger than {_PUSHFORWARD_MAX_SIZE} points are not supported")
-    check_epsilon(epsilon)
-    if not (np.isfinite(k_lipschitz) and k_lipschitz > 0.0):
-        raise ValueError(f"Lipschitz constant must be finite and positive, got {k_lipschitz!r}")
-    dists = np.linalg.norm(p[:, None, :] - q[None, :, :], ord=norm_ord, axis=2)
-    admissible = dists <= epsilon
-    edges = [np.nonzero(admissible[i])[0].tolist() for i in range(n)]
-    matched_data, _ = solve_flow(n, m, edges)
-    score_res = lp_distance(scores_p, scores_q, k_lipschitz * epsilon)
-    unmatched_score = n * m - score_res.matched_units
-    unmatched_data = n * m - matched_data
-    return unmatched_score <= unmatched_data

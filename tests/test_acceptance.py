@@ -26,7 +26,6 @@ from lpconformal import (
     evaluate,
     lp_distance,
     perturb_sample,
-    pushforward_check,
     quantile,
     tv_threshold,
     wc_coverage_family,
@@ -37,6 +36,7 @@ from lpconformal import (
 )
 from lpconformal.core import InfeasibleLevelError
 
+from oracles import pushforward_check, transport_matched_units
 from test_baselines import chi2_g_grid_oracle
 from test_lp_metric import lp_rho_linprog
 from test_shiftlab import random_max_affine
@@ -47,7 +47,7 @@ def _report(number, name):
 
 
 def test_criterion_01_lp_distance_oracle_equivalence():
-    """Flow solver vs brute-force linear optimization; greedy vs flow."""
+    """Sweep solver vs brute-force linear optimization and vs a max-flow oracle."""
     t0 = time.monotonic()
     rng = np.random.default_rng(101)
     for _ in range(500):
@@ -55,7 +55,7 @@ def test_criterion_01_lp_distance_oracle_equivalence():
         x = rng.uniform(-2, 2, n)
         y = rng.uniform(-2, 2, m)
         eps = float(rng.uniform(0, 2.5))
-        got = lp_distance(ScoreSample(x), ScoreSample(y), eps, method="flow").rho
+        got = lp_distance(ScoreSample(x), ScoreSample(y), eps).rho
         assert got == pytest.approx(lp_rho_linprog(x, y, eps), abs=1e-12)
     for i in range(500):
         rng = np.random.default_rng(7000 + i)
@@ -63,10 +63,8 @@ def test_criterion_01_lp_distance_oracle_equivalence():
         x = rng.normal(size=n)
         y = rng.normal(loc=rng.uniform(-1.5, 1.5), size=n)
         eps = float(rng.uniform(0, 2))
-        p, q = ScoreSample(x), ScoreSample(y)
-        greedy = lp_distance(p, q, eps, method="greedy")
-        flow = lp_distance(p, q, eps, method="flow")
-        assert greedy.matched_units == flow.matched_units
+        got = lp_distance(ScoreSample(x), ScoreSample(y), eps).matched_units
+        assert got == transport_matched_units(x, y, eps)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"criterion 1 took {elapsed:.1f}s"
     _report(1, "lp distance oracle equivalence")

@@ -229,6 +229,14 @@ class TestRscpThreshold:
         res = rscp_threshold(ScoreSample(np.arange(1.0, 11.0)), 0.001, 0.0, 1.0)
         assert res.is_unbounded
 
+    def test_threshold_overflow_unbounded(self):
+        # delta / sigma = 1e308 pushes a quantile near 1.6e308 past the largest double.
+        s = ScoreSample(np.linspace(1.6e308, 1.7e308, 50))
+        res = rscp_threshold(s, 0.1, 1.0, 1e-308)
+        assert res.is_unbounded
+        assert res.level_used <= 1.0
+        assert not rscp_threshold(s, 0.1, 1.0, 1e8).is_unbounded
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             rscp_threshold(ScoreSample([1.0]), 0.1, 0.1, 0.0)

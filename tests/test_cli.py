@@ -230,6 +230,50 @@ class TestArgumentErrors:
         assert "--methods names no method" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the non-standard constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"not valid JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOverflowingThreshold:
+    """A threshold past the largest double is reported unbounded, never as Infinity."""
+
+    @pytest.fixture
+    def huge_scores(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in np.linspace(1.6e308, 1.7e308, 200)))
+        return path
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "lp", "--epsilon", "1e308"],
+        ["--method", "winf", "--epsilon", "1e308"],
+        ["--method", "rscp", "--delta", "1", "--sigma", "1e-308"],
+    ], ids=["lp", "winf", "rscp"])
+    def test_calibrate(self, huge_scores, capsys, flags):
+        assert main(["calibrate", "--scores", str(huge_scores), *flags]) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["threshold"] is None and payload["unbounded"] is True
+        assert payload["coverage_bound"] is None
+
+    def test_estimate(self, huge_scores, capsys):
+        files = ["--calib-a", str(huge_scores), "--calib-b", str(huge_scores),
+                 "--test", str(huge_scores)]
+        assert main(["estimate", *files, "--grid", "0.5,1e308"]) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["epsilon"] == 0.5
+        over = payload["grid_trace"][1]
+        assert (over["q"], over["feasible"], over["reason"]) == (
+            None, False, "threshold overflows"
+        )
+        assert main(["estimate", *files, "--grid", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no feasible ambiguity set: 1 of 1 grid points: threshold overflows\n"
+        )
+
+
 class TestMalformedFiles:
     """Inputs that once ended in a traceback or in the wrong exit code."""
 

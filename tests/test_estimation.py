@@ -77,6 +77,20 @@ class TestEstimate:
             "no feasible ambiguity set: 2 of 2 grid points: coverage adjustment infeasible"
         )
 
+    def test_overflowing_threshold_is_traced_infeasible(self):
+        s = ScoreSample(np.linspace(1.6e308, 1.7e308, 400))
+        res = estimate_lp_params(s, s, s, [0.5, 1e308], 0.1)
+        assert res.epsilon == 0.5 and np.isfinite(res.q)
+        over = res.grid_trace[1]
+        assert (over.rho, over.q, over.feasible, over.reason) == (
+            0.0, None, False, "threshold overflows"
+        )
+        with pytest.raises(NoFeasibleGridError) as info:
+            estimate_lp_params(s, s, s, [1e308], 0.1)
+        assert str(info.value) == (
+            "no feasible ambiguity set: 1 of 1 grid points: threshold overflows"
+        )
+
     def test_trace_rows_recompute_exactly(self):
         rng = np.random.default_rng(2)
         calib_a = ScoreSample(rng.normal(size=200))

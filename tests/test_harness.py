@@ -53,8 +53,16 @@ class TestScoreMatrix:
             ScoreMatrix(np.zeros((2, 2)), [0, 5])
         with pytest.raises(ValueError):
             ScoreMatrix(np.array([[np.inf, 0.0]]), [0])
+        for labels in ([0.7, 1.9], [1.0, 0.5], np.array([np.nan, 0.0])):
+            with pytest.raises(ValueError, match="^true labels must be integers$"):
+                ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], labels)
         m = ScoreMatrix([[0.1, 0.2], [0.3, 0.4]], [1, 0])
         assert m.n_rows == 2 and m.n_labels == 2
+
+    @pytest.mark.parametrize("labels", [[1.0, 0.0], np.array([1, 0]), np.array([1, 0], np.uint8)])
+    def test_integral_labels_accepted(self, labels):
+        m = ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], labels)
+        assert m.true_labels.tolist() == [1, 0]
 
 
 class TestSplit:

@@ -1,8 +1,9 @@
 """Tests for the exact threshold-cost transport distance.
 
-Two independent oracles back the solver: exhaustive search over permutation
-couplings for equal sizes, and linear programming over the integer-scaled
-transport polytope for the general case.
+Three independent oracles back the solver: exhaustive search over
+permutation couplings for equal sizes, linear programming over the
+integer-scaled transport polytope for small cases, and the scipy max-flow
+oracle of ``oracles.py`` on the same integer scaling for larger ones.
 """
 
 import itertools
@@ -25,7 +26,9 @@ from lpconformal import (
     winf_within,
 )
 from lpconformal import lp_metric
-from lpconformal.lp_metric import LPParams, solve_flow
+from lpconformal.lp_metric import LPParams
+
+from oracles import transport_matched_units
 
 
 def lp_rho_linprog(x, y, eps):
@@ -165,7 +168,7 @@ class TestSolverAgainstOracles:
             x = rng.uniform(-2, 2, n)
             y = rng.uniform(-2, 2, m)
             eps = rng.uniform(0, 2.5)
-            res = lp_distance(ScoreSample(x), ScoreSample(y), eps, method="flow")
+            res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
             assert res.rho == pytest.approx(lp_rho_linprog(x, y, eps), abs=1e-12)
             check_certificate(res, np.sort(x), np.sort(y), eps)
 
@@ -188,10 +191,8 @@ class TestSolverAgainstOracles:
             x = rng.normal(size=n)
             y = rng.normal(loc=rng.uniform(-1, 1), size=n)
             eps = float(rng.uniform(0, 2))
-            p, q = ScoreSample(x), ScoreSample(y)
-            greedy = lp_distance(p, q, eps, method="greedy")
-            flow = lp_distance(p, q, eps, method="flow")
-            assert greedy.matched_units == flow.matched_units
+            res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
+            assert res.matched_units == transport_matched_units(x, y, eps)
 
 
 class TestProperties:
@@ -227,10 +228,6 @@ class TestProperties:
         s = ScoreSample([1.0])
         with pytest.raises(ValueError):
             lp_distance(s, s, -0.1)
-
-    def test_greedy_requires_equal_sizes(self):
-        with pytest.raises(ValueError):
-            lp_distance(ScoreSample([1.0]), ScoreSample([1.0, 2.0]), 0.1, method="greedy")
 
     def test_rho_plus_matched_mass_is_one(self):
         res = lp_distance(ScoreSample([0.0, 0.0, 1.0]), ScoreSample([0.0, 2.0, 2.0]), 0.0)
@@ -284,7 +281,7 @@ class TestSweepProperties:
         x, y, eps = inst
         p, q = ScoreSample(x), ScoreSample(y)
         res = lp_distance(p, q, eps)
-        assert res.matched_units == lp_distance(p, q, eps, method="flow").matched_units
+        assert res.matched_units == transport_matched_units(x, y, eps)
         assert res.rho == pytest.approx(lp_rho_linprog(x, y, eps), abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -309,9 +306,7 @@ class TestSweepProperties:
         res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
         check_certificate(res, np.sort(x), np.sort(y), eps)
         assert all(units == res.n for _, _, units in res.certificate)
-        assert res.matched_units == lp_distance(
-            ScoreSample(x), ScoreSample(y), eps, method="flow"
-        ).matched_units
+        assert res.matched_units == transport_matched_units(x, y, eps)
 
 
 class TestExtremeScores:
@@ -339,8 +334,8 @@ class TestWinfWithinUnequal:
             p = ScoreSample(rng.normal(size=n))
             q = ScoreSample(rng.normal(loc=rng.uniform(-0.5, 0.5), size=m))
             eps = float(rng.uniform(0, 3))
-            flow = lp_distance(p, q, eps, method="flow")
-            assert winf_within(p, q, eps) == (flow.matched_units == n * m)
+            matched = transport_matched_units(p.scores, q.scores, eps)
+            assert winf_within(p, q, eps) == (matched == n * m)
 
     def test_large_unequal_sizes(self):
         rng = np.random.default_rng(23)
@@ -425,21 +420,16 @@ class TestLazyCertificate:
         n, m = p.n, q.n
         sweep = eager_sweep_plan(p.scores.tolist(), q.scores.tolist(), float(eps))
         assert lp_distance(p, q, eps).certificate == eager_complete(n, m, sweep)
-        with np.errstate(over="ignore"):
-            edges = [np.nonzero(np.abs(xi - q.scores) <= eps)[0].tolist() for xi in p.scores]
-        _, flow = solve_flow(n, m, edges)
-        assert lp_distance(p, q, eps, method="flow").certificate == eager_complete(n, m, flow)
 
     def test_second_access_returns_the_same_object(self):
         res = lp_distance(ScoreSample([0.0, 1.0, 2.0]), ScoreSample([0.5, 3.0]), 0.6)
         assert res.certificate is res.certificate
 
-    @pytest.mark.parametrize("method", ["auto", "flow"])
-    def test_pickle_round_trip_before_and_after_access(self, method):
+    def test_pickle_round_trip_before_and_after_access(self):
         p = ScoreSample([0.0, 0.1, 0.2, 0.7])
         q = ScoreSample([0.05, 0.3, 0.9])
-        expected = lp_distance(p, q, 0.1, method=method).certificate
-        res = lp_distance(p, q, 0.1, method=method)
+        expected = lp_distance(p, q, 0.1).certificate
+        res = lp_distance(p, q, 0.1)
         fresh = pickle.loads(pickle.dumps(res))
         assert fresh == res
         assert fresh.certificate == expected

@@ -9,6 +9,7 @@ from lpconformal import (
     InfeasibleLevelError,
     LPParams,
     ScoreSample,
+    ThresholdResult,
     adjusted_beta,
     coverage_lower_bound,
     lp_threshold,
@@ -322,3 +323,29 @@ class TestLpThreshold:
             assert res.coverage_bound is None
         else:
             assert res.coverage_bound >= 1.0 - alpha
+
+
+class TestOverflowingThreshold:
+    """A threshold past the largest double is the unbounded regime, not infinity."""
+
+    HUGE = ScoreSample(np.linspace(1.6e308, 1.7e308, 50))
+
+    def test_non_finite_threshold_is_stored_as_unbounded(self):
+        for value in (np.inf, -np.inf, np.nan):
+            res = ThresholdResult(threshold=value, level_used=0.9)
+            assert res.threshold is None and res.is_unbounded
+        assert ThresholdResult(threshold=1e308, level_used=0.9).threshold == 1e308
+
+    def test_worst_case_quantile_keeps_its_in_range_level(self):
+        res = worst_case_quantile(self.HUGE, 0.9, LPParams(1e308, 0.0))
+        assert res.is_unbounded
+        assert res.level_used == 0.9
+
+    def test_lp_and_winf_drop_the_coverage_bound(self):
+        for res in (
+            lp_threshold(self.HUGE, 0.1, LPParams(1e308, 0.05)),
+            winf_threshold(self.HUGE, 0.1, 1e308),
+        ):
+            assert res.is_unbounded and res.coverage_bound is None
+        finite = lp_threshold(self.HUGE, 0.1, LPParams(1e300, 0.05))
+        assert not finite.is_unbounded and finite.coverage_bound >= 0.9

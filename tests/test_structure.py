@@ -2,16 +2,19 @@
 
 No module imports another module's ``_private`` names, the CLI offers
 exactly the method names the harness knows, ``harness.evaluate`` holds no
-split loop of its own beside ``compare``, and one reader parses every CSV
-input.
+split loop of its own beside ``compare``, one reader parses every CSV
+input, and one transport solver runs with numpy as the only third-party
+dependency.
 """
 
 import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+from lpconformal import lp_distance
 from lpconformal.cli import build_parser
 from lpconformal.harness import METHOD_NAMES
 
@@ -70,3 +73,22 @@ def test_one_csv_reader():
         for _ in range(text.count("csv.reader("))
     ]
     assert len(calls) == 1, f"csv.reader( should appear once, found at {calls}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    imported = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+    scipy = [name for name in imported if name.split(".")[0] == "scipy"]
+    assert not scipy, f"{path.name} imports {scipy}"
+
+
+def test_lp_distance_has_no_method_switch():
+    assert list(inspect.signature(lp_distance).parameters) == ["p", "q", "epsilon"]
+
+
+@pytest.mark.parametrize("name", ["_Dinic", "solve_flow", "pushforward_check"])
+def test_reference_solvers_not_in_src(name):
+    found = [p.name for p in SOURCES if name in p.read_text()]
+    assert not found, f"{name} appears in {found}"
