@@ -10,8 +10,11 @@ runs with the same configuration.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
+import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,8 +69,12 @@ class ScoreMatrix:
     def __init__(self, scores, true_labels) -> None:
         s = np.asarray(scores, dtype=float)
         labels = np.asarray(true_labels)
-        if labels.dtype.kind == "f" and not np.all(labels == np.floor(labels)):
-            raise ValueError("true labels must be integers")
+        if labels.dtype.kind == "f":
+            if not np.all(labels == np.floor(labels)):
+                raise ValueError("true labels must be integers")
+            # Checked before the cast, which turns these into garbage with a warning.
+            if not np.all(np.abs(labels) < 2.0**63):
+                raise ValueError("true labels must index a matrix column")
         try:
             t = np.asarray(true_labels, dtype=int)
         except OverflowError as exc:
@@ -395,6 +402,65 @@ def _build(path, kind, *args):
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+def _loadtxt(path, header_line, build, **options):
+    """``build(*columns)`` for the data records of ``path``, read by one ``np.loadtxt``.
+
+    ``options`` give a structured ``dtype``, whose fields become the
+    contiguous ``columns``, and the ``usecols`` it reads. ``header_line`` is
+    the header's record number, or 0 for a file without one.
+
+    Returns None whenever numpy's result could differ from the caller's
+    ``_records`` parser, which then reads the file: that parser alone reports
+    errors, and it reads every token that ``int()`` and ``float()`` read.
+    numpy reads a subset of those tokens to the same bits, except in the
+    cases below, which all return None:
+
+    - ``path`` is not a regular file. A pipe can be read only once, by the
+      ``_records`` parser.
+    - The header is not on line 1. ``skiprows`` counts lines, blank ones
+      included, where the header is the first non-blank record.
+    - A byte is not ASCII (a leading byte-order mark aside). numpy reads many
+      non-ASCII characters as integer digits: numpy 2.4 reads the label "Ǿ"
+      as 462, where ``int()`` raises.
+    - A byte is a double quote. ``csv`` joins a quoted field across commas and
+      lines, and a quote in a column ``usecols`` skips does not make numpy fail.
+    - A byte is one of the separators 0x1C-0x1F. numpy strips them around a
+      number as whitespace; ``int()`` and ``float()`` do not.
+    - A line may be longer than ``csv.field_size_limit()``: some aligned block
+      of half that many bytes holds no newline. numpy reads a field that long,
+      where ``csv`` raises.
+    - ``np.loadtxt`` raises: a bad or out-of-range number, a row of the wrong
+      width, a whitespace-only line, or a token only Python reads, such as
+      ``1_0`` or ``١``.
+    - ``np.loadtxt`` warns. It warns on a file without data records, and
+      numpy before 2.0 reads a label ``1.0`` as an integer with a warning.
+    - ``build`` raises ``ValueError``, so that the message names the file.
+    """
+    if not os.path.isfile(path) or header_line not in (0, 1):
+        return None
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    half = max(csv.field_size_limit() // 2, 1)
+    if (
+        not data.isascii()
+        or any(byte in data for byte in b'"\x1c\x1d\x1e\x1f')
+        or any(data.find(b"\n", k, k + half) < 0 for k in range(0, len(data) - half + 1, half))
+    ):
+        return None
+    del data  # not held while numpy parses, which would raise peak memory
+    try:
+        # numpy opens a path through its DataSource layer, which costs about
+        # as much as parsing a 200-line file, so it gets an open file.
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt(
+                fh, delimiter=",", comments=None, skiprows=header_line, ndmin=1, **options
+            )
+        return build(*(np.ascontiguousarray(parsed[name]) for name in parsed.dtype.names))
+    except (ValueError, Warning):
+        return None
+
+
 def read_scores(path, has_header: bool = False) -> ScoreSample:
     """Parse a one-score-per-line CSV file into a sample.
 
@@ -402,8 +468,11 @@ def read_scores(path, has_header: bool = False) -> ScoreSample:
     the header.
     """
     records = _records(path)
-    if has_header:
-        next(records, None)
+    header_line = next(records, (None,))[0] if has_header else 0
+    sample = _loadtxt(path, header_line, ScoreSample, dtype=[("score", float)], usecols=0)
+    if sample is not None:
+        records.close()
+        return sample
     values = []
     for line, fields in records:
         try:
@@ -419,32 +488,45 @@ def read_weighted_scores(path, test_weight: float) -> WeightedScores:
     A bad ``test_weight`` raises ``ValueError``, not :class:`FileFormatError`.
     """
     records = _records(path)
-    _, header = next(records, (None, None))
+    header_line, header = next(records, (None, None))
     if header is None or [c.strip().lower() for c in header[:2]] != ["score", "weight"]:
         raise FileFormatError(f"{path}: expected header 'score,weight'")
-    scores, weights = [], []
-    for line, fields in records:
-        if len(fields) < 2:
-            raise FileFormatError(f"{path}:{line}: expected two columns")
-        try:
-            scores.append(float(fields[0]))
-            weights.append(float(fields[1]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
-    # The file is checked on its own first, so a bad test weight is no file error.
-    ws = _build(path, WeightedScores, scores, weights, 1.0)
+    ws = _loadtxt(
+        path, header_line, lambda scores, weights: WeightedScores(scores, weights, 1.0),
+        dtype=[("score", float), ("weight", float)], usecols=(0, 1),
+    )
+    if ws is None:
+        scores, weights = [], []
+        for line, fields in records:
+            if len(fields) < 2:
+                raise FileFormatError(f"{path}:{line}: expected two columns")
+            try:
+                scores.append(float(fields[0]))
+                weights.append(float(fields[1]))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
+        # The file is checked on its own first, so a bad test weight is no file error.
+        ws = _build(path, WeightedScores, scores, weights, 1.0)
+    records.close()
     return WeightedScores(ws.scores, ws.weights, test_weight)
 
 
 def read_matrix(path) -> ScoreMatrix:
     """Parse a score-matrix CSV with header ``true_label,s_0,...,s_{L-1}``."""
     records = _records(path)
-    _, header = next(records, (None, None))
+    header_line, header = next(records, (None, None))
     if header is None or header[0].strip().lower() != "true_label":
         raise FileFormatError(f"{path}: expected header starting with 'true_label'")
     width = len(header)
     if width < 2:
         raise FileFormatError(f"{path}: header names no score columns")
+    matrix = _loadtxt(
+        path, header_line, lambda labels, scores: ScoreMatrix(scores, labels),
+        dtype=[("label", int), ("scores", float, (width - 1,))],
+    )
+    if matrix is not None:
+        records.close()
+        return matrix
     labels, rows = [], []
     for line, fields in records:
         if len(fields) != width:

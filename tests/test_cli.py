@@ -292,14 +292,31 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("body, message", [
         (MATRIX.encode().replace(b"0.8", b"0.\xff8"), "can't decode byte 0xff"),
         (MATRIX.encode() + b'0,"' + b"7" * 200_000 + b'",0.5\n', "field larger than field limit"),
+        (MATRIX.encode() + b"0," + b"0" * 200_000 + b"1.5,0.5\n", "field larger than field limit"),
         (MATRIX.encode() + b"99999999999999999999,0.1,0.2\n", "true labels must index"),
-    ], ids=["not-utf8", "oversized-field", "huge-label"])
+    ], ids=["not-utf8", "oversized-field", "unquoted-oversized-field", "huge-label"])
     def test_unreadable_matrix_exit_3(self, tmp_path, capsys, body, message):
         m = tmp_path / "m.csv"
         m.write_bytes(body)
         assert main(self.EVALUATE + ["--matrix", str(m)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {m}: ") and message in err and err.count("\n") == 1
+
+    BIG = b"0" * 200_000 + b"1.5"
+
+    @pytest.mark.parametrize("flags, body", [
+        (["--method", "sc", "--scores"], b"0.5\n" + BIG + b"\n"),
+        (["--method", "sc", "--scores"], b"0.5," + BIG + b"\n"),
+        (["--method", "weighted", "--weights"], WEIGHTS.encode() + BIG + b",1.0\n"),
+        (["--method", "weighted", "--weights"], WEIGHTS.encode() + b"0.5," + BIG + b"\n"),
+    ], ids=["score", "score-skipped-column", "weight-score", "weight"])
+    def test_unquoted_oversized_number_exit_3(self, tmp_path, capsys, flags, body):
+        path = tmp_path / "f.csv"
+        path.write_bytes(body)
+        assert main(["calibrate", *flags, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "field larger than field limit" in err
 
     @pytest.mark.parametrize("body", [b"0.5\n\xff\n", b'"' + b"7" * 200_000 + b'"\n'])
     def test_unreadable_scores_and_weights_exit_3(self, tmp_path, body):

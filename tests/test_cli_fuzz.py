@@ -1,15 +1,20 @@
-"""Malformed input files through the CLI.
+"""Malformed input files through the CLI and the readers.
 
 Whatever a score, weight or matrix file holds, ``calibrate``, ``estimate`` and
 ``evaluate`` exit 0, 2 or 3, and a failure is one ``error:`` line on stderr.
+Each reader returns the same arrays, or raises the same error, with its
+``np.loadtxt`` fast path as with the ``csv`` parser alone.
 """
 
 import contextlib
 import io
 
+import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from lpconformal import read_matrix, read_scores, read_weighted_scores
 from lpconformal.cli import main
 
 SCORE = st.floats(min_value=-5, max_value=5).map(repr)
@@ -93,3 +98,61 @@ def test_malformed_files_reach_documented_exit_codes(tmp_path_factory, case):
         assert "Traceback" not in err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+def _read_weights(path):
+    ws = read_weighted_scores(path, 1.0)
+    return ws.scores, ws.weights
+
+
+def _read_matrix(path):
+    m = read_matrix(path)
+    return m.scores, m.true_labels
+
+
+READERS = [
+    lambda path: (read_scores(path).scores,),
+    lambda path: (read_scores(path, has_header=True).scores,),
+    _read_weights,
+    _read_matrix,
+]
+
+
+def _outcomes(path):
+    """Each reader's arrays, bit for bit, or its exception type and message."""
+    outcomes = []
+    for reader in READERS:
+        try:
+            arrays = reader(path)
+        except Exception as exc:  # compared, not handled
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append([(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays])
+    return outcomes
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("np.loadtxt is switched off")
+
+
+@st.composite
+def clean_files(draw):
+    """A header on line 1 and well-formed records, with at most one junk line."""
+    _, header, record = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    lines = [header] + draw(st.lists(record, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(JUNK))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode() + b"\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(inputs().map(lambda case: case[1]), clean_files()))
+def test_fast_path_reads_as_the_csv_parser(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "input.csv"
+    path.write_bytes(data)
+    fast = _outcomes(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _refuse)
+        slow = _outcomes(path)
+    event(f"{sum(isinstance(o, list) for o in slow)} of {len(READERS)} readers accept")
+    assert fast == slow

@@ -1,7 +1,11 @@
 """Tests for splits, evaluation, comparison, and file ingestion."""
 
 import codecs
+import contextlib
+import os
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +62,15 @@ class TestScoreMatrix:
                 ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], labels)
         m = ScoreMatrix([[0.1, 0.2], [0.3, 0.4]], [1, 0])
         assert m.n_rows == 2 and m.n_labels == 2
+
+    @pytest.mark.parametrize("label", [np.inf, -np.inf, 1e30, 2.0**63],
+                             ids=["inf", "-inf", "1e30", "2**63"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_labels_beyond_int64_raise_without_warning(self, label, dtype):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^true labels must index a matrix column$"):
+                ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], np.array([label, 0.0], dtype))
 
     @pytest.mark.parametrize("labels", [[1.0, 0.0], np.array([1, 0]), np.array([1, 0], np.uint8)])
     def test_integral_labels_accepted(self, labels):
@@ -356,6 +369,124 @@ class TestFileIngestion:
         path.write_text("score,weight\n0.5,-2.0\n")
         with pytest.raises(FileFormatError, match="weights must be finite and strictly positive"):
             read_weighted_scores(path, -1.0)
+
+    def test_numeric_header_after_blank_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("\n0.5\n1.0\n")
+        assert read_scores(path, has_header=True).scores.tolist() == [1.0]
+
+    @pytest.mark.parametrize("label, expected", [
+        ("1.0", r"m\.csv:2: bad number in \['1\.0',"),
+        ("1e0", r"m\.csv:2: bad number in \['1e0',"),
+        ("1_0", 10),
+        ("١", 1),
+        ("Ǿ", r"m\.csv:2: bad number in \['Ǿ',"),
+        ("\x1c1", r"m\.csv:2: bad number in \['\\x1c1',"),
+        (str(2**63), r"m\.csv: true labels must index a matrix column$"),
+    ], ids=["1.0", "1e0", "underscore", "arabic-digit", "non-digit", "separator", "2**63"])
+    def test_matrix_label_tokens(self, tmp_path, label, expected):
+        # Wide enough that numpy 2.4, which reads "Ǿ" as the integer 462,
+        # would find it a valid label.
+        path = tmp_path / "m.csv"
+        width = 500
+        header = "true_label," + ",".join(f"s_{j}" for j in range(width))
+        row = ",".join(["0.5"] * width)
+        path.write_text(f"{header}\n{label},{row}\n0,{row}\n", encoding="utf-8")
+        if isinstance(expected, int):
+            assert read_matrix(path).true_labels.tolist() == [expected, 0]
+        else:
+            with pytest.raises(FileFormatError, match=expected):
+                read_matrix(path)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0.5\n \n\t\n0.25\n", [0.25, 0.5]),
+        ("0.5\r0.25\r", [0.25, 0.5]),
+        ("0.5,#x\n0.25\n", [0.25, 0.5]),
+        ('0.5,"x\n0.6,"\n0.25\n', [0.25, 0.5]),
+        ("0.5\n", [0.5]),
+        ("0.5\n#0.25\n", r"f\.csv:2: not a score: '#0\.25'$"),
+        ("0.5\n\x1c0.25\n", r"f\.csv:2: not a score: '\\x1c0\.25'$"),
+    ], ids=["whitespace-lines", "cr-only", "hash-skipped-column", "quote-skipped-column",
+            "one-row", "hash", "separator"])
+    def test_score_file_edge_cases(self, tmp_path, text, expected):
+        path = tmp_path / "f.csv"
+        path.write_text(text, newline="")
+        if isinstance(expected, list):
+            assert read_scores(path).scores.tolist() == expected
+        else:
+            with pytest.raises(FileFormatError, match=expected):
+                read_scores(path)
+
+    @pytest.mark.parametrize("rows", [
+        ["0,0.1,0.9", " ", "\t", "1,0.8,0.2"],
+        ["0,0.1,0.9", "1,0.8,0.2"],
+    ], ids=["whitespace-lines", "two-rows"])
+    @pytest.mark.parametrize("newline", ["\n", "\r"], ids=["lf", "cr-only"])
+    def test_matrix_and_weight_edge_cases(self, tmp_path, rows, newline):
+        path = tmp_path / "m.csv"
+        path.write_text(newline.join(["true_label,s_0,s_1", *rows]) + newline, newline="")
+        m = read_matrix(path)
+        assert m.true_labels.tolist() == [0, 1]
+        assert m.scores.tolist() == [[0.1, 0.9], [0.8, 0.2]]
+        path.write_text(newline.join(["score,weight", *rows]) + newline, newline="")
+        ws = read_weighted_scores(path, 1.0)
+        assert ws.scores.tolist() == [0.0, 1.0] and ws.weights.tolist() == [0.1, 0.8]
+
+    def test_one_row_files(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("true_label,s_0,s_1\n1,0.8,0.2\n")
+        m = read_matrix(path)
+        assert m.scores.shape == (1, 2) and m.true_labels.tolist() == [1]
+        path.write_text("score,weight\n0.5,2.0\n")
+        ws = read_weighted_scores(path, 1.0)
+        assert ws.scores.tolist() == [0.5] and ws.weights.tolist() == [2.0]
+        path.write_text("score\n0.5\n")
+        assert read_scores(path, has_header=True).scores.tolist() == [0.5]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("reader, text", [
+        (read_scores, "0.5\n0.25\n"),
+        (lambda path: read_scores(path, has_header=True), "score\n0.5\n0.25\n"),
+        (lambda path: read_weighted_scores(path, 1.0), "score,weight\n0.25,1.0\n0.5,2.0\n"),
+        (read_matrix, "true_label,s_0,s_1\n0,0.25,0.9\n1,0.5,0.2\n"),
+    ], ids=["scores", "scores-header", "weights", "matrix"])
+    def test_named_pipe_is_read_once(self, tmp_path, reader, text):
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        done = threading.Event()
+
+        def write():
+            with open(path, "w") as fh:
+                fh.write(text)
+            # A reader that opens the pipe again waits for a writer forever:
+            # open and close one, so that it reads an empty file instead.
+            while not done.wait(1):
+                with contextlib.suppress(OSError):
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            result = reader(path)
+        finally:
+            done.set()
+            writer.join(10)
+        assert not writer.is_alive()
+        regular = tmp_path / "regular.csv"
+        regular.write_text(text)
+        assert np.array_equal(result.scores, reader(regular).scores)
+
+    def test_header_only_files(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("true_label,s_0,s_1\n")
+        with pytest.raises(FileFormatError, match="score matrix must be 2-d"):
+            read_matrix(path)
+        path.write_text("score,weight\n")
+        with pytest.raises(FileFormatError, match="need at least one weighted score"):
+            read_weighted_scores(path, 1.0)
+        path.write_text("score\n")
+        with pytest.raises(FileFormatError, match="a score sample needs at least one score"):
+            read_scores(path, has_header=True)
 
     def test_report_csv(self, tmp_path):
         rng = np.random.default_rng(16)
