@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from .baselines import fg_threshold, weighted_threshold
@@ -267,9 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    Building it takes a few milliseconds, and parsing leaves it unchanged:
+    each call gets a fresh namespace filled from the declared defaults.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileFormatError, OSError) as exc:

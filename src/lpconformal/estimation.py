@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import InfeasibleLevelError, ScoreSample, check_alpha, level_at_most_one
-from .lp_metric import LPParams, lp_distance, validate_epsilon_grid
+from .lp_metric import LPParams, lp_profile, validate_epsilon_grid
 from .robust import adjusted_beta, worst_case_quantile
 
 __all__ = [
@@ -73,7 +73,8 @@ def estimate_lp_params(
     the quantiles. The two calibration batches must come from disjoint draws
     of the same source (the caller's responsibility; values may collide).
 
-    For each grid epsilon: ``rho`` is the exact transport discrepancy, the
+    For each grid epsilon: ``rho`` is the exact transport discrepancy (one
+    :func:`lpconformal.lp_metric.lp_profile` call for the whole grid), the
     miscoverage is adjusted via :func:`lpconformal.robust.adjusted_beta` on
     ``calib_b``'s size, and the candidate threshold is the worst-case
     ``(1 - beta)``-quantile of ``calib_b`` over the ``(epsilon, rho)`` ball,
@@ -89,8 +90,7 @@ def estimate_lp_params(
     n_b = calib_b.n
     trace: list[GridPoint] = []
     best: GridPoint | None = None
-    for eps in grid:
-        rho = lp_distance(calib_a, test, eps).rho
+    for eps, rho in lp_profile(calib_a, test, grid):
         try:
             beta = adjusted_beta(n_b, alpha, rho)
         except InfeasibleLevelError:

@@ -354,3 +354,50 @@ class TestSimulate:
             ]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser; no call may see another's flags."""
+
+    def test_no_value_leaks_between_calls(self, scores_file, tmp_path, capsys):
+        with_header = tmp_path / "with_header.csv"
+        with_header.write_text("score\n" + scores_file.read_text())
+        plain = ["calibrate", "--scores", str(scores_file)]
+        flagged = ["calibrate", "--scores", str(with_header), "--has-header", "--method", "sc",
+                   "--alpha", "0.2", "--epsilon", "0.3", "--rho", "0.05"]
+
+        def run(argv, name):
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        before = run(plain, "before.json")
+        first_flagged = run(flagged, "flagged1.json")
+        after = run(plain, "after.json")
+        assert after == before
+        assert run(flagged, "flagged2.json") == first_flagged
+        payload = json.loads(after)
+        assert (payload["method"], payload["alpha"], payload["epsilon"], payload["rho"]) == (
+            "lp", 0.1, 0.0, 0.0)
+        flagged_payload = json.loads(first_flagged)
+        assert (flagged_payload["method"], flagged_payload["alpha"]) == ("sc", 0.2)
+        assert capsys.readouterr() == ("", "")
+
+    def test_exit_codes_and_stderr_repeat(self, scores_file, tmp_path, capsys):
+        missing = ["calibrate", "--scores", str(tmp_path / "nope.csv"), "--method", "sc"]
+        domain = ["calibrate", "--scores", str(scores_file), "--rho", "1.5"]
+        usage = ["calibrate", "--scores", str(scores_file), "--method", "nope"]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return code, capsys.readouterr()
+
+        first = [outcome(argv) for argv in (missing, domain, usage)]
+        assert [code for code, _ in first] == [3, 2, ("exit", 2)]
+        assert all(out == "" and err for _, (out, err) in first)
+        assert main(["calibrate", "--scores", str(scores_file), "--method", "sc"]) == 0
+        capsys.readouterr()
+        assert [outcome(argv) for argv in (missing, domain, usage)] == first

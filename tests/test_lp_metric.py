@@ -9,6 +9,8 @@ oracle of ``oracles.py`` on the same integer scaling for larger ones.
 import itertools
 import pickle
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +42,8 @@ def lp_rho_linprog(x, y, eps):
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     n, m = x.size, y.size
-    cost = (np.abs(x[:, None] - y[None, :]) > eps).astype(float).ravel()
+    with np.errstate(over="ignore"):
+        cost = (np.abs(x[:, None] - y[None, :]) > eps).astype(float).ravel()
     a_eq = np.zeros((n + m, n * m))
     for i in range(n):
         a_eq[i, i * m : (i + 1) * m] = 1.0
@@ -72,8 +75,9 @@ def check_certificate(result, x, y, eps):
         assert units > 0
         row[i] += units
         col[j] += units
-        if abs(x[i] - y[j]) > eps:
-            crossing += units
+        with np.errstate(over="ignore"):
+            if abs(x[i] - y[j]) > eps:
+                crossing += units
     assert np.all(row == m)
     assert np.all(col == n)
     assert crossing == n * m - result.matched_units
@@ -244,39 +248,65 @@ class TestLPParams:
         assert (p.epsilon, p.rho) == (0.1, 0.5)
 
 
-@st.composite
-def instances(draw, equal_sizes=False):
-    """Small sample pairs with a threshold often on a gap's ulp edge.
+# Atom families for ``instances``. Near 1e15-1e16 the spacing of doubles is
+# 0.125 to 2, so gaps and thresholds sit on few representable values; tiny
+# atoms opposite huge ones make ``x - y`` overflow or lose the tiny atom.
+_MAX_FLOAT = 1.7976931348623157e308
+_ATOMS = {
+    "lattice": st.integers(0, 6).map(lambda k: k * 0.1),
+    "reals": st.floats(-3.0, 3.0, allow_nan=False),
+    "large": st.one_of(
+        st.floats(1e15, 1e16),
+        st.integers(-32, 32).map(lambda k: 1e15 + 0.125 * k),
+        st.integers(-32, 32).map(lambda k: 1e16 + 2.0 * k),
+    ),
+    "extreme": st.sampled_from([
+        -_MAX_FLOAT, -1e308, -1e300, -5e-324, 0.0,
+        5e-324, 2.2e-308, 1e-300, 1.0, 1e300, 1e308, _MAX_FLOAT,
+    ]),
+}
 
-    Half the draws use a 0.1-lattice, where products such as ``3 * 0.1`` are
-    not the decimal values they print as and many atoms tie.
+
+@st.composite
+def instances(draw, equal_sizes=False, max_size=70):
+    """Sample pairs of up to ``max_size`` atoms with a threshold often on a gap's ulp edge.
+
+    The atoms come from one family of ``_ATOMS``: a 0.1-lattice, where
+    products such as ``3 * 0.1`` are not the decimal values they print as
+    and many atoms tie; reals in [-3, 3]; atoms near 1e15-1e16; or tiny and
+    huge atoms together. In half the draws each side repeats a few distinct
+    atoms, giving long tie runs.
     """
-    n = draw(st.integers(1, 7))
-    m = n if equal_sizes else draw(st.integers(1, 7).filter(lambda k: k != n))
-    if draw(st.booleans()):
-        lattice = st.integers(0, 6).map(lambda k: k * 0.1)
-        x = draw(st.lists(lattice, min_size=n, max_size=n))
-        y = draw(st.lists(lattice, min_size=m, max_size=m))
-    else:
-        reals = st.floats(-3.0, 3.0, allow_nan=False)
-        x = draw(st.lists(reals, min_size=n, max_size=n))
-        y = draw(st.lists(reals, min_size=m, max_size=m))
-    gap = abs(draw(st.sampled_from(x)) - draw(st.sampled_from(y)))
+    n = draw(st.integers(1, max_size))
+    m = n if equal_sizes else draw(st.integers(1, max_size).filter(lambda k: k != n))
+    atoms = _ATOMS[draw(st.sampled_from(sorted(_ATOMS)))]
+
+    def side(size):
+        if draw(st.booleans()):
+            # Long tie runs: each byte picks one of at most three atoms.
+            pool = draw(st.lists(atoms, min_size=1, max_size=3))
+            return [pool[b % len(pool)] for b in draw(st.binary(min_size=size, max_size=size))]
+        return draw(st.lists(atoms, min_size=size, max_size=size))
+
+    x, y = side(n), side(m)
+    gap = min(abs(draw(st.sampled_from(x)) - draw(st.sampled_from(y))), _MAX_FLOAT)
     eps = draw(st.sampled_from([
         gap,
         max(0.0, float(np.nextafter(gap, -np.inf))),
-        float(np.nextafter(gap, np.inf)),
+        float(np.nextafter(gap, np.inf)) if gap < _MAX_FLOAT else gap,
         float(np.nextafter(0.1, 1.0)),
         float(np.nextafter(0.1, -1.0)),
         0.30000000000000004,
         0.0,
+        1.0,
+        _MAX_FLOAT,
     ]))
     return np.array(x), np.array(y), eps
 
 
 class TestSweepProperties:
     @settings(max_examples=300, deadline=None)
-    @given(instances())
+    @given(instances(max_size=7))
     def test_default_equals_flow_and_linprog(self, inst):
         x, y, eps = inst
         p, q = ScoreSample(x), ScoreSample(y)
@@ -284,22 +314,29 @@ class TestSweepProperties:
         assert res.matched_units == transport_matched_units(x, y, eps)
         assert res.rho == pytest.approx(lp_rho_linprog(x, y, eps), abs=1e-12)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(instances())
+    def test_matched_units_equal_max_flow(self, inst):
+        x, y, eps = inst
+        res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
+        assert res.matched_units == transport_matched_units(x, y, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instances(max_size=7))
     def test_certificate_unequal_sizes(self, inst):
         x, y, eps = inst
         res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
         check_certificate(res, np.sort(x), np.sort(y), eps)
 
     @settings(max_examples=300, deadline=None)
-    @given(instances())
+    @given(instances(max_size=7))
     def test_symmetric_unequal_sizes(self, inst):
         x, y, eps = inst
         p, q = ScoreSample(x), ScoreSample(y)
         assert lp_distance(p, q, eps).rho == lp_distance(q, p, eps).rho
 
     @settings(max_examples=200, deadline=None)
-    @given(instances(equal_sizes=True))
+    @given(instances(equal_sizes=True, max_size=7))
     def test_equal_sizes_certificate_is_a_permutation(self, inst):
         # With n == m every source fills exactly one target whole.
         x, y, eps = inst
@@ -354,13 +391,41 @@ class TestWinfWithinUnequal:
 
 class TestProfileMonotone:
     @settings(max_examples=200, deadline=None)
-    @given(instances(), st.lists(st.floats(0.0, 7.0), min_size=2, max_size=8, unique=True))
+    @given(instances(max_size=7),
+           st.lists(st.floats(0.0, 7.0), min_size=2, max_size=8, unique=True))
     def test_rho_nonincreasing_in_epsilon(self, inst, extra):
         # A wider radius admits every edge a narrower one did.
         x, y, eps = inst
         grid = sorted(set(extra) | {eps})
         rhos = [rho for _, rho in lp_profile(ScoreSample(x), ScoreSample(y), grid)]
         assert all(b <= a for a, b in zip(rhos, rhos[1:]))
+
+
+class TestProfileMatchesDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(instances(), instances(equal_sizes=True)),
+           st.lists(st.one_of(st.floats(0.0, 7.0), st.floats(0.0, 1e16)),
+                    min_size=1, max_size=8, unique=True),
+           st.integers(1, 300))
+    def test_rho_bit_equal_per_epsilon(self, inst, extra, block_cells):
+        # Small blocks split the grid over several kernel calls.
+        x, y, eps = inst
+        p, q = ScoreSample(x), ScoreSample(y)
+        grid = sorted(set(extra) | {eps})
+        with mock.patch.object(lp_metric, "_BLOCK_CELLS", block_cells):
+            profile = lp_profile(p, q, grid)
+        assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
+
+
+class TestSizeLimit:
+    def test_unit_counts_must_fit_int64(self):
+        # Only the sizes are read before the check.
+        p = SimpleNamespace(n=2**31, scores=None)
+        q = SimpleNamespace(n=2**31, scores=None)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            lp_distance(p, q, 0.1)
+        with pytest.raises(ValueError, match=r"2\*\*62"):
+            lp_profile(p, q, [0.0, 0.1])
 
 
 def eager_sweep_plan(x, y, eps):
@@ -412,7 +477,7 @@ def eager_complete(n, m, plan):
 
 
 class TestLazyCertificate:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.one_of(instances(), instances(equal_sizes=True)))
     def test_equals_eager_construction(self, inst):
         x, y, eps = inst
@@ -462,3 +527,19 @@ class TestLazyCertificate:
         res = lp_distance(calib_a, test, 0.1)
         with pytest.raises(AssertionError, match="certificate built"):
             res.certificate
+
+
+class TestRoundedBoundCorrection:
+    def test_every_rounded_guess_wrong_at_scale(self):
+        # y - eps rounds to 2**-52, above every x, so the searchsorted guess
+        # puts all 20 000 sources too far left of every target; but each exact
+        # y - x rounds to 1.0 <= eps, so every edge is admissible. Stepping the
+        # guesses one source at a time would take n passes here.
+        n = 20_000
+        x = np.linspace(1.15e-16, 2.2e-16, n)
+        y = np.full(n, np.nextafter(1.0, 2.0))
+        p, q = ScoreSample(x), ScoreSample(y)
+        res = lp_distance(p, q, 1.0)
+        plan = eager_sweep_plan(p.scores.tolist(), q.scores.tolist(), 1.0)
+        assert res.matched_units == sum(units for _, _, units in plan) == n * n
+        assert res.certificate == eager_complete(n, n, plan)

@@ -103,3 +103,9 @@ def test_lp_distance_has_no_method_switch():
 def test_reference_solvers_not_in_src(name):
     found = [p.name for p in SOURCES if name in p.read_text()]
     assert not found, f"{name} appears in {found}"
+
+
+def test_no_per_atom_transport_loop():
+    # lp_distance, lp_profile and the certificate share one numpy kernel.
+    found = [p.name for p in SOURCES if "_sweep" in p.read_text()]
+    assert not found, f"_sweep appears in {found}"
