@@ -10,22 +10,27 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    QuantileRule,
     ScoreSample,
     ThresholdResult,
     check_alpha,
     conformal_quantile,
     level_at_most_one,
-    quantile,
+    quantile_index,
 )
 
 __all__ = [
     "WeightedScores",
     "chi2_g",
     "chi2_g_inv",
+    "chi2_rule",
     "chi2_threshold",
+    "fg_rule",
     "fg_threshold",
+    "rscp_rule",
     "rscp_threshold",
     "sc_threshold",
+    "weighted_rule",
     "weighted_threshold",
 ]
 
@@ -55,9 +60,7 @@ class WeightedScores:
             raise ValueError("scores must be finite")
         if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
             raise ValueError("weights must be finite and strictly positive")
-        tw = float(test_weight)
-        if not (np.isfinite(tw) and tw > 0.0):
-            raise ValueError(f"test weight must be finite and positive, got {test_weight!r}")
+        tw = _check_test_weight(test_weight)
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "test_weight", tw)
@@ -65,6 +68,13 @@ class WeightedScores:
     @property
     def n(self) -> int:
         return int(self.scores.size)
+
+
+def _check_test_weight(test_weight) -> float:
+    tw = float(test_weight)
+    if not (np.isfinite(tw) and tw > 0.0):
+        raise ValueError(f"test weight must be finite and positive, got {test_weight!r}")
+    return tw
 
 
 def sc_threshold(sample: ScoreSample, alpha: float) -> ThresholdResult:
@@ -120,6 +130,22 @@ def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
     return lo
 
 
+def chi2_rule(n: int, alpha: float, rho_chi2: float) -> QuantileRule:
+    """:func:`chi2_threshold`'s rule for ``n`` scores."""
+    check_alpha(alpha)
+    inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
+    if not level_at_most_one(inner):
+        return QuantileRule(None, inner)
+    inner = min(inner, 1.0)
+    alpha_n = 1.0 - chi2_g(inner, rho_chi2)
+    level = chi2_g_inv(1.0 - alpha_n, rho_chi2)
+    if level <= 0.0:
+        raise ValueError(
+            f"degenerate chi-square level {level!r} for alpha={alpha!r}, rho={rho_chi2!r}"
+        )
+    return QuantileRule(quantile_index(n, level), level)
+
+
 def chi2_threshold(sample: ScoreSample, alpha: float, rho_chi2: float) -> ThresholdResult:
     """Chi-square robust conformal threshold.
 
@@ -128,48 +154,65 @@ def chi2_threshold(sample: ScoreSample, alpha: float, rho_chi2: float) -> Thresh
     the quantile at ``g_inv(g(corrected level))``, which undoes the coverage
     map after the correction.
     """
-    check_alpha(alpha)
-    n = sample.n
-    inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
-    if not level_at_most_one(inner):
-        return ThresholdResult(threshold=None, level_used=inner)
-    inner = min(inner, 1.0)
-    alpha_n = 1.0 - chi2_g(inner, rho_chi2)
-    level = chi2_g_inv(1.0 - alpha_n, rho_chi2)
-    if level <= 0.0:
-        raise ValueError(
-            f"degenerate chi-square level {level!r} for alpha={alpha!r}, rho={rho_chi2!r}"
-        )
-    return ThresholdResult(threshold=quantile(sample, level), level_used=level)
+    return chi2_rule(sample.n, alpha, rho_chi2).apply(sample.scores)
 
 
-def _weighted_quantile(ws: WeightedScores, level: float) -> ThresholdResult:
-    """Quantile of the weighted empirical distribution with an infinity atom.
+def _weighted_rule(sorted_weights: np.ndarray, total: float, level: float) -> QuantileRule:
+    """Quantile rule of a weighted empirical distribution with an infinity atom.
 
-    Weights (including the test weight) are normalized by their common total;
-    the threshold is the smallest score whose cumulative normalized weight
-    reaches ``level``. If the finite atoms cannot reach ``level`` the
-    infinity atom is needed and the unbounded marker is returned.
+    ``sorted_weights`` are the weights of the scores in ascending score
+    order, and ``total`` is the sum of all weights, the test weight
+    included, summed in the scores' input order. The threshold is the
+    smallest score whose cumulative normalized weight reaches ``level``. If
+    the finite atoms cannot reach ``level`` the infinity atom is needed and
+    the threshold is unbounded.
 
     Cumulative masses are computed as partial raw-weight sums over the total,
     so uniform weights give exact ``k / (n + 1)`` fractions.
     """
     if not 0.0 < level <= 1.0:
         raise ValueError(f"quantile level must be in (0, 1], got {level!r}")
+    cum = np.cumsum(sorted_weights) / total
+    k = int(np.searchsorted(cum, level, side="left")) + 1
+    return QuantileRule(k if k <= sorted_weights.size else None, level)
+
+
+def _weighted_quantile(ws: WeightedScores, level: float) -> ThresholdResult:
     order = np.argsort(ws.scores, kind="stable")
-    sorted_scores = ws.scores[order]
     total = float(np.sum(ws.weights)) + ws.test_weight
-    cum = np.cumsum(ws.weights[order]) / total
-    idx = int(np.searchsorted(cum, level, side="left"))
-    if idx >= ws.n:
-        return ThresholdResult(threshold=None, level_used=level)
-    return ThresholdResult(threshold=float(sorted_scores[idx]), level_used=level)
+    return _weighted_rule(ws.weights[order], total, level).apply(ws.scores[order])
+
+
+def _uniform_weight_rule(n: int, test_weight: float, level: float) -> QuantileRule:
+    # A sum of ones is exact in any order.
+    return _weighted_rule(np.ones(n), n + test_weight, level)
+
+
+def weighted_rule(n: int, alpha: float, test_weight: float) -> QuantileRule:
+    """:func:`weighted_threshold`'s rule for ``n`` scores of weight one each."""
+    tw = _check_test_weight(test_weight)
+    check_alpha(alpha)
+    return _uniform_weight_rule(n, tw, 1.0 - alpha)
 
 
 def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
     """Covariate-shift threshold: ``(1 - alpha)``-quantile of the weighted scores."""
     check_alpha(alpha)
     return _weighted_quantile(ws, 1.0 - alpha)
+
+
+def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
+    """:func:`rscp_threshold`'s rule for ``n`` scores."""
+    check_alpha(alpha)
+    if not (np.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be a finite nonnegative real, got {delta!r}")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be a finite positive real, got {sigma!r}")
+    level = (1.0 - alpha) * (2 + n) / (1 + n)
+    if not level_at_most_one(level):
+        return QuantileRule(None, level)
+    level = min(level, 1.0)
+    return QuantileRule(quantile_index(n, level), level, delta / sigma)
 
 
 def rscp_threshold(
@@ -180,25 +223,23 @@ def rscp_threshold(
     ``sample`` must already contain the externally computed smoothed scores;
     this function only applies the quantile rule.
     """
-    check_alpha(alpha)
-    if not (np.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be a finite nonnegative real, got {delta!r}")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a finite positive real, got {sigma!r}")
-    n = sample.n
-    level = (1.0 - alpha) * (2 + n) / (1 + n)
-    if not level_at_most_one(level):
-        return ThresholdResult(threshold=None, level_used=level)
-    level = min(level, 1.0)
-    return ThresholdResult(
-        threshold=quantile(sample, level) + delta / sigma, level_used=level
-    )
+    return rscp_rule(sample.n, alpha, delta, sigma).apply(sample.scores)
 
 
-def fg_threshold(ws: WeightedScores, alpha: float, rho_chi2: float) -> ThresholdResult:
-    """Fine-grained threshold: weighted quantile at level ``g_inv(1 - alpha)``."""
+def _fg_level(alpha: float, rho_chi2: float) -> float:
     check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)
     if level <= 0.0:
         raise ValueError(f"degenerate weighted level {level!r} for alpha={alpha!r}")
-    return _weighted_quantile(ws, level)
+    return level
+
+
+def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float) -> QuantileRule:
+    """:func:`fg_threshold`'s rule for ``n`` scores of weight one each."""
+    tw = _check_test_weight(test_weight)
+    return _uniform_weight_rule(n, tw, _fg_level(alpha, rho_chi2))
+
+
+def fg_threshold(ws: WeightedScores, alpha: float, rho_chi2: float) -> ThresholdResult:
+    """Fine-grained threshold: weighted quantile at level ``g_inv(1 - alpha)``."""
+    return _weighted_quantile(ws, _fg_level(alpha, rho_chi2))

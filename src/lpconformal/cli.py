@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
     )
     perturbed = perturb_sample(sample, spec)
     out = Path(args.out)
-    out.write_text("".join(f"{float(v)!r}\n" for v in perturbed.scores))
+    out.write_text("".join([f"{v!r}\n" for v in perturbed.scores.tolist()]))
     sidecar = out.with_name(out.stem + "_spec.json")
     sidecar.write_text(
         json.dumps(

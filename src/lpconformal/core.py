@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "LEVEL_REL_TOL",
     "InfeasibleLevelError",
+    "QuantileRule",
     "ScoreSample",
     "ThresholdResult",
     "cdf",
@@ -23,8 +24,10 @@ __all__ = [
     "check_epsilon",
     "check_rho",
     "conformal_quantile",
+    "conformal_rule",
     "level_at_most_one",
     "quantile",
+    "quantile_index",
     "snapped_ceil",
     "snapped_floor",
 ]
@@ -155,6 +158,48 @@ class ThresholdResult:
         return self.threshold is None
 
 
+@dataclass(frozen=True)
+class QuantileRule:
+    """A threshold rule resolved for one calibration size.
+
+    Every rule in the package picks an order statistic of the calibration
+    scores at a level fixed by the sample size and the rule's parameters, and
+    may add an offset such as a shift radius. Resolving that once lets many
+    samples of one size share it. ``index`` is the 1-based order statistic,
+    or ``None`` when the threshold is unbounded. ``coverage_bound`` is
+    attached to finite thresholds only.
+    """
+
+    index: int | None
+    level_used: float
+    # -0.0 is the additive identity: a rule without an offset keeps the sign
+    # of a -0.0 order statistic.
+    offset: float = -0.0
+    coverage_bound: float | None = None
+
+    def apply(self, sorted_scores) -> ThresholdResult:
+        """The threshold on ``sorted_scores``, ascending and of the resolved size.
+
+        A threshold that overflows is unbounded.
+        """
+        if self.index is not None:
+            value = float(sorted_scores[self.index - 1]) + self.offset
+            if math.isfinite(value):
+                return ThresholdResult(value, self.level_used, self.coverage_bound)
+        return ThresholdResult(None, self.level_used)
+
+
+def quantile_index(n: int, beta: float) -> int:
+    """1-based order statistic of the ``beta``-quantile of ``n`` scores.
+
+    Equals ``ceil(beta * n)``, snapped and clamped to [1, n]. Raises
+    ``ValueError`` if ``beta`` is outside (0, 1].
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"quantile level must be in (0, 1], got {beta!r}")
+    return min(max(snapped_ceil(beta * n), 1), n)
+
+
 def quantile(sample: ScoreSample, beta: float) -> float:
     """Empirical ``beta``-quantile: the smallest score s with cdf(s) >= beta.
 
@@ -163,12 +208,7 @@ def quantile(sample: ScoreSample, beta: float) -> float:
 
     Raises ``ValueError`` if ``beta`` is outside (0, 1].
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"quantile level must be in (0, 1], got {beta!r}")
-    n = sample.n
-    k = snapped_ceil(beta * n)
-    k = min(max(k, 1), n)
-    return float(sample.scores[k - 1])
+    return float(sample.scores[quantile_index(sample.n, beta) - 1])
 
 
 def cdf(sample: ScoreSample, q: float) -> float:
@@ -179,6 +219,16 @@ def cdf(sample: ScoreSample, q: float) -> float:
     return count / sample.n
 
 
+def conformal_rule(n: int, alpha: float) -> QuantileRule:
+    """:func:`conformal_quantile`'s rule for ``n`` calibration scores."""
+    check_alpha(alpha)
+    k = snapped_ceil((1.0 - alpha) * (n + 1))
+    level = k / n
+    if k > n:
+        return QuantileRule(None, level)
+    return QuantileRule(quantile_index(n, level), level)
+
+
 def conformal_quantile(sample: ScoreSample, alpha: float) -> ThresholdResult:
     """Split conformal threshold with the finite-sample correction.
 
@@ -186,10 +236,4 @@ def conformal_quantile(sample: ScoreSample, alpha: float) -> ThresholdResult:
     that index exceeds ``n`` (small samples), the classical threshold is
     unbounded and the tagged marker is returned instead of an infinity.
     """
-    check_alpha(alpha)
-    n = sample.n
-    k = snapped_ceil((1.0 - alpha) * (n + 1))
-    level = k / n
-    if k > n:
-        return ThresholdResult(threshold=None, level_used=level)
-    return ThresholdResult(threshold=quantile(sample, level), level_used=level)
+    return conformal_rule(sample.n, alpha).apply(sample.scores)

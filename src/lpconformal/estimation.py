@@ -123,13 +123,22 @@ def estimate_lp_params(
 
 
 def default_epsilon_grid(*samples: ScoreSample, num_points: int = 20) -> list[float]:
-    """Log-spaced grid spanning [0.01, 2] times the pooled interquartile range."""
+    """Log-spaced grid spanning [0.01, 2] times the pooled interquartile range.
+
+    Raises ``ValueError`` when that grid would not be finite, positive and
+    strictly increasing: a zero, overflowing or subnormal range.
+    """
     if not samples:
         raise ValueError("need at least one sample to build a grid")
     pooled = np.concatenate([s.scores for s in samples])
-    iqr = float(np.quantile(pooled, 0.75) - np.quantile(pooled, 0.25))
-    if iqr <= 0.0:
+    # Overflow and underflow are caught by the checks below, not warned about.
+    with np.errstate(all="ignore"):
+        iqr = float(np.quantile(pooled, 0.75) - np.quantile(pooled, 0.25))
+        lo, hi = 0.01 * iqr, 2.0 * iqr
+        grid = np.geomspace(lo, hi, num_points) if 0.0 < lo and hi < np.inf else None
+    if grid is None or not np.all(np.diff(grid) > 0.0):
         raise ValueError(
-            "pooled scores have zero interquartile range; supply an explicit grid"
+            f"the pooled interquartile range {iqr!r} gives no finite, positive, "
+            "increasing epsilon grid; supply an explicit grid (--grid)"
         )
-    return [float(e) for e in np.geomspace(0.01 * iqr, 2.0 * iqr, num_points)]
+    return [float(e) for e in grid]

@@ -20,15 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreSample, ThresholdResult, check_alpha
+from .core import QuantileRule, ScoreSample, ThresholdResult, check_alpha, conformal_rule
 from .lp_metric import LPParams
-from .robust import lp_threshold, tv_threshold, winf_threshold
+from .robust import lp_rule
 from .baselines import (
     WeightedScores,
-    chi2_threshold,
+    chi2_rule,
+    fg_rule,
     fg_threshold,
-    rscp_threshold,
-    sc_threshold,
+    rscp_rule,
+    weighted_rule,
     weighted_threshold,
 )
 from .shiftlab import PerturbationSpec, PointMass, perturb_rows
@@ -123,6 +124,28 @@ class MethodSpec:
         if self.weights is not None:
             object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
+    def rule(self, n: int, alpha: float) -> QuantileRule:
+        """This method's threshold rule resolved for ``n`` calibration scores.
+
+        The weighted methods resolve with every weight one; per-row weights
+        go through :meth:`threshold`.
+        """
+        if self.name == "sc":
+            return conformal_rule(n, alpha)
+        if self.name == "lp":
+            return lp_rule(n, alpha, LPParams(self.epsilon, self.rho))
+        if self.name == "tv":
+            return lp_rule(n, alpha, LPParams(0.0, self.rho))
+        if self.name == "winf":
+            return lp_rule(n, alpha, LPParams(self.epsilon, 0.0))
+        if self.name == "chi2":
+            return chi2_rule(n, alpha, self.rho_chi2)
+        if self.name == "rscp":
+            return rscp_rule(n, alpha, self.delta, self.sigma)
+        if self.name == "weighted":
+            return weighted_rule(n, alpha, self.test_weight)
+        return fg_rule(n, alpha, self.rho_chi2, self.test_weight)
+
     def threshold(
         self, calib: ScoreSample, alpha: float, row_weights: np.ndarray | None = None
     ) -> ThresholdResult:
@@ -132,20 +155,9 @@ class MethodSpec:
         ``calib.scores``, which are sorted ascending: entry ``i`` is the
         weight of the ``i``-th smallest calibration score.
         """
-        if self.name == "sc":
-            return sc_threshold(calib, alpha)
-        if self.name == "lp":
-            return lp_threshold(calib, alpha, LPParams(self.epsilon, self.rho))
-        if self.name == "tv":
-            return tv_threshold(calib, alpha, self.rho)
-        if self.name == "winf":
-            return winf_threshold(calib, alpha, self.epsilon)
-        if self.name == "chi2":
-            return chi2_threshold(calib, alpha, self.rho_chi2)
-        if self.name == "rscp":
-            return rscp_threshold(calib, alpha, self.delta, self.sigma)
-        w = row_weights if row_weights is not None else np.ones(calib.n)
-        ws = WeightedScores(calib.scores, w, self.test_weight)
+        if row_weights is None or self.name not in ("weighted", "fg"):
+            return self.rule(calib.n, alpha).apply(calib.scores)
+        ws = WeightedScores(calib.scores, row_weights, self.test_weight)
         if self.name == "weighted":
             return weighted_threshold(ws, alpha)
         return fg_threshold(ws, alpha, self.rho_chi2)
@@ -293,9 +305,12 @@ def compare(
     of evaluation order. Perturbations apply to test rows only; by default
     they are redrawn per split, or drawn once for the whole matrix when
     ``redraw_per_split`` is false. Each split and perturbation is drawn once
-    and shared by every method, so the reports are paired. Arguments are
-    checked before any split runs. A threshold error is re-raised naming its
-    split; when several methods fail, the first one in list order wins.
+    and shared by every method, so the reports are paired. Every split
+    calibrates on ``n_calib`` scores, so each method's threshold rule is
+    resolved once, at split 0, and later splits only apply it; weighted
+    methods with per-row weights compute their threshold per split. Arguments
+    are checked before any split runs. A threshold error is re-raised naming
+    its split; when several methods fail, the first one in list order wins.
     """
     methods = list(methods)
     check_alpha(alpha)
@@ -319,12 +334,15 @@ def compare(
         fixed_perturbed = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
     results: list[list[SplitResult]] = [[] for _ in methods]
     failures: dict[int, tuple[ValueError, ValueError]] = {}
+    rules: list[QuantileRule | None] = [None] * len(methods)
+    per_row = any(method.weights is not None for method in methods)
     for j in range(n_splits):
         calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [base_seed, j, 0])
         calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
         calib = ScoreSample(calib_raw)
-        # The row of each of calib's sorted scores, to pair per-row weights.
-        calib_rows = calib_idx[np.argsort(calib_raw, kind="stable")]
+        if per_row:
+            # The row of each of calib's sorted scores, to pair per-row weights.
+            calib_rows = calib_idx[np.argsort(calib_raw, kind="stable")]
         test_scores = matrix.scores[test_idx]
         test_labels = matrix.true_labels[test_idx]
         if fixed_perturbed is not None:
@@ -336,9 +354,13 @@ def compare(
         for i, method in enumerate(methods):
             if i in failures:
                 continue
-            weights = None if method.weights is None else method.weights[calib_rows]
             try:
-                thr = method.threshold(calib, alpha, weights)
+                if method.weights is not None:
+                    thr = method.threshold(calib, alpha, method.weights[calib_rows])
+                else:
+                    if j == 0:
+                        rules[i] = method.rule(n_calib, alpha)
+                    thr = rules[i].apply(calib.scores)
             except ValueError as exc:
                 failures[i] = (type(exc)(f"split {j}: {exc}"), exc)
                 continue

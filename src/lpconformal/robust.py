@@ -17,13 +17,14 @@ import numpy as np
 
 from .core import (
     InfeasibleLevelError,
+    QuantileRule,
     ScoreSample,
     ThresholdResult,
     cdf,
     check_alpha,
     check_rho,
     level_at_most_one,
-    quantile,
+    quantile_index,
     snapped_ceil,
 )
 from .lp_metric import LPParams
@@ -32,13 +33,16 @@ __all__ = [
     "PredictionSet",
     "adjusted_beta",
     "coverage_lower_bound",
+    "lp_rule",
     "lp_threshold",
     "prediction_set",
+    "robust_rule",
     "robust_threshold",
     "tv_threshold",
     "winf_threshold",
     "worst_case_coverage",
     "worst_case_quantile",
+    "worst_case_rule",
 ]
 
 
@@ -54,6 +58,17 @@ class PredictionSet:
     threshold: float | None
 
 
+def worst_case_rule(n: int, beta: float, params: LPParams) -> QuantileRule:
+    """:func:`worst_case_quantile`'s rule for ``n`` scores."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
+    level = beta + params.rho
+    if not level_at_most_one(level):
+        return QuantileRule(None, level)
+    level = min(level, 1.0)
+    return QuantileRule(quantile_index(n, level), level, params.epsilon)
+
+
 def worst_case_quantile(
     sample: ScoreSample, beta: float, params: LPParams
 ) -> ThresholdResult:
@@ -64,14 +79,7 @@ def worst_case_quantile(
     be driven arbitrarily high and the unbounded marker is returned, carrying
     the overflowing level for diagnosis.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    level = beta + params.rho
-    if not level_at_most_one(level):
-        return ThresholdResult(threshold=None, level_used=level)
-    level = min(level, 1.0)
-    value = quantile(sample, level) + params.epsilon
-    return ThresholdResult(threshold=value, level_used=level)
+    return worst_case_rule(sample.n, beta, params).apply(sample.scores)
 
 
 def worst_case_coverage(sample: ScoreSample, q: float, params: LPParams) -> float:
@@ -97,19 +105,26 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     return max(0.0, min(1.0, k / (n + 1) - rho))
 
 
+def robust_rule(n: int, alpha: float, params: LPParams) -> QuantileRule:
+    """:func:`robust_threshold`'s rule for ``n`` scores."""
+    check_alpha(alpha)
+    rule = worst_case_rule(n, 1.0 - alpha, params)
+    bound = coverage_lower_bound(n, alpha, params.rho) if params.rho < 1.0 else None
+    return replace(rule, coverage_bound=bound)
+
+
 def robust_threshold(
     sample: ScoreSample, alpha: float, params: LPParams
 ) -> ThresholdResult:
     """Prediction-set threshold that is valid for every ball member.
 
     The worst-case ``(1 - alpha)``-quantile of the calibration sample, with
-    the finite-sample coverage bound attached (omitted in the degenerate
-    ``rho == 1`` case, where the threshold is unbounded anyway).
+    the finite-sample coverage bound attached, also when the threshold is
+    unbounded (omitted in the degenerate ``rho == 1`` case, where the
+    threshold is unbounded anyway).
     """
-    check_alpha(alpha)
-    result = worst_case_quantile(sample, 1.0 - alpha, params)
-    bound = coverage_lower_bound(sample.n, alpha, params.rho) if params.rho < 1.0 else None
-    return replace(result, coverage_bound=bound)
+    rule = robust_rule(sample.n, alpha, params)
+    return replace(rule.apply(sample.scores), coverage_bound=rule.coverage_bound)
 
 
 def adjusted_beta(n: int, alpha: float, rho: float) -> float:
@@ -133,6 +148,11 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     return beta
 
 
+def lp_rule(n: int, alpha: float, params: LPParams) -> QuantileRule:
+    """:func:`lp_threshold`'s rule for ``n`` scores."""
+    return robust_rule(n, adjusted_beta(n, alpha, params.rho), params)
+
+
 def lp_threshold(sample: ScoreSample, alpha: float, params: LPParams) -> ThresholdResult:
     """Coverage-adjusted robust threshold that certifies ``1 - alpha``.
 
@@ -142,8 +162,7 @@ def lp_threshold(sample: ScoreSample, alpha: float, params: LPParams) -> Thresho
     :class:`InfeasibleLevelError` when the sample is too small to certify
     ``1 - alpha`` at this ``rho``.
     """
-    result = robust_threshold(sample, adjusted_beta(sample.n, alpha, params.rho), params)
-    return replace(result, coverage_bound=None) if result.is_unbounded else result
+    return lp_rule(sample.n, alpha, params).apply(sample.scores)
 
 
 def tv_threshold(sample: ScoreSample, alpha: float, rho: float) -> ThresholdResult:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lpconformal import PerturbationSpec, PointMass, perturb_sample, read_scores
 from lpconformal.cli import main
 
 
@@ -121,6 +122,19 @@ class TestEstimate:
             "--has-header", "--grid", "0.1,0.2,0.4", "--out", str(tmp_path / "o.json"),
         ])
         assert code == 0
+
+
+    @pytest.mark.parametrize("values", [
+        "1e308\n-1e308\n1e308\n-1e308\n0\n", "0\n0\n1e-322\n1e-322\n2e-322\n",
+    ], ids=["overflowing", "subnormal"])
+    def test_unusable_default_grid_exit_2(self, tmp_path, capsys, values):
+        path = tmp_path / "s.csv"
+        path.write_text(values)
+        files = ["--calib-a", str(path), "--calib-b", str(path), "--test", str(path)]
+        assert main(["estimate", *files]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the pooled interquartile range ") and err.count("\n") == 1
+        assert "--grid" in err
 
 
 class TestEvaluateAndCompare:
@@ -342,6 +356,18 @@ class TestSimulate:
         assert payload["global_law"] == {"kind": "point", "value": 25.0}
         values = [float(line) for line in out.read_text().split()]
         assert len(values) == 200
+
+    def test_writes_each_perturbed_score_by_repr(self, scores_file, tmp_path):
+        out = tmp_path / "perturbed.csv"
+        assert main([
+            "simulate", "--scores", str(scores_file), "--epsilon", "0.1", "--rho", "0.2",
+            "--local-law", "point", "--local-value", "-0.05", "--global-value", "25.0",
+            "--seed", "11", "--out", str(out),
+        ]) == 0
+        spec = PerturbationSpec(epsilon=0.1, rho=0.2, local_law=PointMass(-0.05),
+                                global_law=PointMass(25.0), seed=11)
+        perturbed = perturb_sample(read_scores(scores_file), spec)
+        assert out.read_text() == "".join(f"{float(v)!r}\n" for v in perturbed.scores)
 
     def test_deterministic_given_seed(self, scores_file, tmp_path):
         outs = []

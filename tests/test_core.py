@@ -1,5 +1,7 @@
 """Tests for empirical quantiles, CDFs, and the conformal quantile."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -146,6 +148,11 @@ class TestConformalQuantile:
         res = conformal_quantile(ScoreSample([1.0, 2.0, 3.0]), 0.1)
         assert res.is_unbounded
         assert res.threshold is None
+
+    def test_negative_zero_keeps_its_sign(self):
+        # A rule without an offset returns the order statistic itself.
+        result = conformal_quantile(ScoreSample([-0.0] * 9 + [1.0]), 0.5)
+        assert math.copysign(1.0, result.threshold) == -1.0
 
     def test_rejects_bad_alpha(self):
         s = ScoreSample([1.0, 2.0])

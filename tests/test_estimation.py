@@ -153,3 +153,16 @@ class TestDefaultGrid:
     def test_constant_scores_rejected(self):
         with pytest.raises(ValueError):
             default_epsilon_grid(ScoreSample([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("scores, iqr", [
+        ([1e308, -1e308, 1e308, -1e308, 0.0], "inf"),
+        ([0.0, 0.0, 1e-322, 1e-322, 2e-322], "1e-322"),
+    ], ids=["overflowing", "subnormal"])
+    def test_unusable_range_rejected_without_numpy_text(self, scores, iqr):
+        # The suite turns warnings into errors, so a numpy warning fails here.
+        with pytest.raises(ValueError) as info:
+            default_epsilon_grid(ScoreSample(scores))
+        assert str(info.value) == (
+            f"the pooled interquartile range {iqr} gives no finite, positive, "
+            "increasing epsilon grid; supply an explicit grid (--grid)"
+        )

@@ -2,10 +2,13 @@
 
 import codecs
 import contextlib
+import json
 import os
 import re
+import sys
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,21 +16,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpconformal import (
+    LPParams,
     MethodSpec,
     WeightedScores,
     PerturbationSpec,
     PointMass,
     ScoreMatrix,
     ScoreSample,
+    chi2_threshold,
     compare,
     conformal_quantile,
     evaluate,
+    fg_threshold,
+    lp_threshold,
     quantile,
     read_matrix,
     read_scores,
     read_weighted_scores,
+    rscp_threshold,
+    sc_threshold,
     split,
+    tv_threshold,
     weighted_threshold,
+    winf_threshold,
 )
 from lpconformal import harness
 from lpconformal.core import check_alpha
@@ -193,6 +204,47 @@ class TestEvaluate:
         # n_calib = 8 makes the coverage adjustment infeasible at alpha 0.1
         with pytest.raises(ValueError, match="split 0"):
             evaluate(m, MethodSpec("lp"), 0.1, 2, 8, 10, base_seed=0)
+
+
+class TestMethodRules:
+    """``MethodSpec.rule`` resolves to the rule of the method's public threshold."""
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-20, 20), min_size=1, max_size=300),
+        st.floats(0.001, 0.999),
+        st.sampled_from([0.0, 0.1, 1e308]),
+        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.sampled_from([0.0, 0.1, 2.0]),
+        st.sampled_from([0.5, 1.0, 1.5, 50.0]),
+    )
+    def test_rule_matches_public_threshold(self, ints, alpha, epsilon, rho, rho_chi2, tw):
+        sample = ScoreSample(np.array(ints) / 4.0)
+        ws = WeightedScores(sample.scores, np.ones(sample.n), tw)
+        params = LPParams(epsilon, rho)
+        public = {
+            "sc": lambda: sc_threshold(sample, alpha),
+            "lp": lambda: lp_threshold(sample, alpha, params),
+            "tv": lambda: tv_threshold(sample, alpha, rho),
+            "winf": lambda: winf_threshold(sample, alpha, epsilon),
+            "chi2": lambda: chi2_threshold(sample, alpha, rho_chi2),
+            "rscp": lambda: rscp_threshold(sample, alpha, 0.05, 2.0),
+            "weighted": lambda: weighted_threshold(ws, alpha),
+            "fg": lambda: fg_threshold(ws, alpha, rho_chi2),
+        }
+        for name in METHOD_NAMES:
+            spec = MethodSpec(name, epsilon=epsilon, rho=rho, rho_chi2=rho_chi2,
+                              delta=0.05, sigma=2.0, test_weight=tw)
+            want = self._outcome(public[name])
+            assert self._outcome(lambda: spec.rule(sample.n, alpha).apply(sample.scores)) == want
+            assert self._outcome(lambda: spec.threshold(sample, alpha)) == want
 
 
 class TestCompare:
@@ -597,9 +649,10 @@ def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_see
     )
 
 
-def all_methods(weights=None):
+def all_methods(weights=None, **overrides):
     params = dict(epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0,
                   test_weight=1.5, weights=weights)
+    params.update(overrides)
     return [MethodSpec(name, **params) for name in METHOD_NAMES]
 
 
@@ -633,25 +686,50 @@ class TestSharedSplits:
     MATRIX = ScoreMatrix(np.round(_base.scores, 1), _base.true_labels)
     SHIFT = PerturbationSpec(epsilon=0.1, rho=0.1, global_law=PointMass(40.0), seed=2)
 
+    # (n_calib, score scale, parameter overrides, methods whose threshold is
+    # unbounded with uniform weights, methods that fail at split 0): the base
+    # case; a calibration size too small for sc, chi2, rscp and the uniform
+    # weighted methods, and for lp to certify its level at all; a radius whose
+    # offset overflows the threshold; and rho = 1, where lp has no coverage
+    # bound.
+    CASES = (
+        (120, 1.0, {}, set(), set()),
+        (7, 1.0, {}, {"sc", "chi2", "rscp", "weighted", "fg"}, {"lp", "tv", "winf"}),
+        (120, 1e300, dict(epsilon=sys.float_info.max), {"lp", "winf"}, set()),
+        (120, 1.0, dict(rho=1.0), {"lp", "tv"}, set()),
+    )
+
     @pytest.mark.parametrize("n_splits", [1, 7])
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "per_row"])
     @pytest.mark.parametrize("mode", ["none", "per_split", "fixed"])
     def test_byte_identical_to_per_method_oracle(self, mode, weighted, n_splits):
-        m = self.MATRIX
-        weights = None
-        if weighted:
-            weights = np.exp(-m.scores[np.arange(m.n_rows), m.true_labels])
+        base = self.MATRIX
+        true_scores = base.scores[np.arange(base.n_rows), base.true_labels]
+        weight_sets = [np.exp(-true_scores)] if weighted else [None, np.ones(base.n_rows)]
         kwargs = dict(
             perturbation=None if mode == "none" else self.SHIFT,
             redraw_per_split=mode != "fixed",
         )
-        args = (0.1, n_splits, 120, 90, 17)
-        methods = all_methods(weights)
-        want = oracle_outcome(m, methods, *args, **kwargs)
-        assert isinstance(want, list) and len(want) == len(METHOD_NAMES)
-        assert compare_outcome(m, methods, *args, **kwargs) == want
-        for method, report in zip(methods, want):
-            assert evaluate(m, method, *args, **kwargs).to_json() == report
+        for n_calib, scale, overrides, unbounded, failing in self.CASES:
+            m = ScoreMatrix(base.scores * scale, base.true_labels)
+            args = (0.1, n_splits, n_calib, 90, 17)
+            for weights in weight_sets:
+                methods = all_methods(weights, **overrides)
+                want = oracle_outcome(m, methods, *args, **kwargs)
+                same_outcome(compare_outcome(m, methods, *args, **kwargs), want)
+                if not failing:
+                    assert isinstance(want, list) and len(want) == len(METHOD_NAMES)
+                for method in methods:
+                    try:
+                        got = [evaluate(m, method, *args, **kwargs).to_json()]
+                    except ValueError as exc:
+                        got = exc
+                    same_outcome(got, oracle_outcome(m, [method], *args, **kwargs))
+                    if method.name in failing:
+                        assert str(got).startswith("split 0: ")
+                    elif method.name in unbounded and weights is None:
+                        sizes = [s["mean_set_size"] for s in json.loads(got[0])["per_split"]]
+                        assert sizes == [m.n_labels] * n_splits
 
     @settings(max_examples=20, deadline=None)
     @given(st.permutations(range(len(METHOD_NAMES))), st.booleans())
@@ -699,6 +777,29 @@ class TestSharedSplits:
                           perturbation=self.SHIFT, redraw_per_split=redraw)
         assert len(reports) == len(METHOD_NAMES)
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("n_splits", [1, 6])
+    def test_each_rule_resolved_once_per_call(self, monkeypatch, n_splits):
+        rules, thresholds = Counter(), Counter()
+        resolve, calibrate = MethodSpec.rule, MethodSpec.threshold
+
+        def counting_rule(method, *args, **kwargs):
+            rules[method.name, method.weights is not None] += 1
+            return resolve(method, *args, **kwargs)
+
+        def counting_threshold(method, *args, **kwargs):
+            thresholds[method.name, method.weights is not None] += 1
+            return calibrate(method, *args, **kwargs)
+
+        monkeypatch.setattr(MethodSpec, "rule", counting_rule)
+        monkeypatch.setattr(MethodSpec, "threshold", counting_threshold)
+        per_row = [MethodSpec(name, weights=np.full(self.MATRIX.n_rows, 2.0))
+                   for name in ("weighted", "fg")]
+        reports = compare(self.MATRIX, all_methods() + per_row, 0.1, n_splits, 100, 80, 3,
+                          perturbation=self.SHIFT)
+        assert len(reports) == len(METHOD_NAMES) + 2
+        assert rules == {(name, False): 1 for name in METHOD_NAMES}
+        assert thresholds == {("weighted", True): n_splits, ("fg", True): n_splits}
 
     def test_arguments_checked_before_any_split(self, monkeypatch):
         def no_split(*args, **kwargs):
