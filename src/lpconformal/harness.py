@@ -300,17 +300,17 @@ def compare(
 ) -> list[EvalReport]:
     """Coverage and efficiency of several methods on identical splits.
 
-    Each split draws a calibration/test partition keyed by
-    ``(base_seed, split index)``, so splits are reproducible independently
-    of evaluation order. Perturbations apply to test rows only; by default
-    they are redrawn per split, or drawn once for the whole matrix when
-    ``redraw_per_split`` is false. Each split and perturbation is drawn once
-    and shared by every method, so the reports are paired. Every split
-    calibrates on ``n_calib`` scores, so each method's threshold rule is
-    resolved once, at split 0, and later splits only apply it; weighted
-    methods with per-row weights compute their threshold per split. Arguments
-    are checked before any split runs. A threshold error is re-raised naming
-    its split; when several methods fail, the first one in list order wins.
+    Split ``j`` draws its calibration/test partition keyed by
+    ``(base_seed, j)``, so splits are reproducible in any evaluation order.
+    Perturbations apply to test rows only: redrawn per split, or drawn once
+    for the whole matrix when ``redraw_per_split`` is false. Each split and
+    perturbation is drawn once and shared by every method, so the reports are
+    paired. Every split calibrates on ``n_calib`` scores, so each method's
+    threshold rule is resolved once, at split 0; weighted methods with per-row
+    weights compute their threshold per split. Methods whose thresholds
+    coincide in a split share that split's coverage and set-size counts.
+    Arguments are checked before any split runs. A threshold error is
+    re-raised naming its split, from the first failing method in list order.
     """
     methods = list(methods)
     check_alpha(alpha)
@@ -328,29 +328,32 @@ def compare(
             )
     if not methods:
         return []
-    fixed_perturbed: np.ndarray | None = None
+    source = matrix.scores
     if perturbation is not None and not redraw_per_split:
         rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
-        fixed_perturbed = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
+        source = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
     results: list[list[SplitResult]] = [[] for _ in methods]
     failures: dict[int, tuple[ValueError, ValueError]] = {}
     rules: list[QuantileRule | None] = [None] * len(methods)
     per_row = any(method.weights is not None for method in methods)
+    # Row r's true-label score is cell r * n_labels + label of the scores in C order.
+    flat_scores = matrix.scores.reshape(-1)
+    true_cells = np.arange(matrix.n_rows) * matrix.n_labels + matrix.true_labels
+    test_cells = np.arange(k_test) * matrix.n_labels
     for j in range(n_splits):
         calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [base_seed, j, 0])
-        calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
+        calib_raw = flat_scores[true_cells[calib_idx]]
         calib = ScoreSample(calib_raw)
         if per_row:
             # The row of each of calib's sorted scores, to pair per-row weights.
             calib_rows = calib_idx[np.argsort(calib_raw, kind="stable")]
-        test_scores = matrix.scores[test_idx]
+        test_scores = np.take(source, test_idx, axis=0)
         test_labels = matrix.true_labels[test_idx]
-        if fixed_perturbed is not None:
-            test_scores = fixed_perturbed[test_idx]
-        elif perturbation is not None:
+        if perturbation is not None and redraw_per_split:
             rng = np.random.default_rng([int(perturbation.seed), base_seed, j, 1])
             test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
-        true_scores = test_scores[np.arange(k_test), test_labels]
+        true_scores = test_scores.reshape(-1)[test_cells + test_labels]
+        counts: dict[float, SplitResult] = {}  # equal cutoffs (-0.0 and 0.0 too) share one count
         for i, method in enumerate(methods):
             if i in failures:
                 continue
@@ -365,10 +368,12 @@ def compare(
                 failures[i] = (type(exc)(f"split {j}: {exc}"), exc)
                 continue
             cutoff = np.inf if thr.is_unbounded else thr.threshold
-            results[i].append(SplitResult(
-                coverage=int(np.count_nonzero(true_scores <= cutoff)) / k_test,
-                mean_set_size=int(np.count_nonzero(test_scores <= cutoff)) / k_test,
-            ))
+            if cutoff not in counts:
+                counts[cutoff] = SplitResult(
+                    coverage=int(np.count_nonzero(true_scores <= cutoff)) / k_test,
+                    mean_set_size=int(np.count_nonzero(test_scores <= cutoff)) / k_test,
+                )
+            results[i].append(counts[cutoff])
         if 0 in failures:  # the first method's error takes precedence
             break
     if failures:

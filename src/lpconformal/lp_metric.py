@@ -261,18 +261,10 @@ def tv_distance(p: ScoreSample, q: ScoreSample) -> float:
 def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
     """Whether the sup-norm transport distance between the samples is <= epsilon.
 
-    For equal sizes this is the exact order-statistic test
-    ``max_i |x_(i) - y_(i)| <= epsilon``; otherwise it falls back to
-    :func:`lp_distance` and checks that the threshold-cost discrepancy at
-    ``epsilon`` is zero.
+    True when :func:`lp_distance` at ``epsilon`` matches every unit; for equal
+    sizes that is the order-statistic test ``max_i |x_(i) - y_(i)| <= epsilon``.
     """
-    check_epsilon(epsilon)
-    if p.n == q.n:
-        # An overflowing gap is inf, which correctly exceeds any finite epsilon.
-        with np.errstate(over="ignore"):
-            return bool(np.all(np.abs(p.scores - q.scores) <= epsilon))
-    res = lp_distance(p, q, epsilon)
-    return res.matched_units == res.n * res.m
+    return lp_distance(p, q, epsilon).matched_units == p.n * q.n
 
 
 def validate_epsilon_grid(epsilon_grid: Sequence[float]) -> list[float]:

@@ -172,16 +172,19 @@ def perturb_rows(
     clean one. Draw order: replacement mask, local noise, global draws.
     """
     n_rows, n_labels = scores.shape
+    # Checked, since the flat cell of a label outside the row lies in another row.
+    if true_labels.size and not 0 <= true_labels.min() <= true_labels.max() < n_labels:
+        raise ValueError("true labels must index a score column")
     out = scores.copy()
+    flat = out.reshape(-1)  # a view: the copy is C-ordered
     corrupt = rng.random(n_rows) < spec.rho
     noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
-    keep = np.nonzero(~corrupt)[0]
-    cols = true_labels[keep]
-    original = out[keep, cols]
-    out[keep, cols] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
-    n_corrupt = int(corrupt.sum())
-    if n_corrupt:
-        out[corrupt] = _draw_law(spec.global_law, rng, (n_corrupt, n_labels))
+    keep = np.flatnonzero(~corrupt)
+    true_cells = keep * n_labels + true_labels[keep]
+    original = flat[true_cells]
+    flat[true_cells] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
+    rows = np.flatnonzero(corrupt)  # with no rows, the empty draw takes nothing from rng
+    out[rows] = _draw_law(spec.global_law, rng, (rows.size, n_labels))
     return out
 
 

@@ -1,11 +1,13 @@
-"""Reference solvers for the tests, independent of the library's transport sweep.
+"""Reference implementations for the tests, independent of the library's fast paths.
 
 The exact transport problem on the ``n*m`` integer scaling is a max-flow:
 source atom ``i`` supplies ``m`` units, target atom ``j`` absorbs ``n``
 units, and only admissible pairs may carry flow. Here it is built as a
 network and handed to ``scipy.sparse.csgraph.maximum_flow``, which works on
 any admissibility pattern, not only the interval structure of one
-dimension that the sorted sweep relies on.
+dimension that the sorted sweep relies on. For equal sizes the sup-norm
+test has a closed form over order statistics, and the row perturbation has
+a plain fancy-indexing form; both are kept here as references.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from lpconformal import ScoreSample, lp_distance
+from lpconformal.shiftlab import _clamp_displacement, _draw_law
 
 
 def max_flow_matched_units(admissible) -> int:
@@ -58,3 +61,36 @@ def pushforward_check(points_p, points_q, scores_p: ScoreSample, scores_q: Score
     dists = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
     matched_data = max_flow_matched_units(dists <= epsilon)
     return lp_distance(scores_p, scores_q, epsilon).matched_units >= matched_data
+
+
+def sorted_gap_within(x, y, eps: float) -> bool:
+    """Equal-size sup-norm test ``max_i |x_(i) - y_(i)| <= eps`` on the sorted samples.
+
+    The monotone coupling is optimal for the sup-norm cost in one dimension.
+    An overflowing gap is inf, which exceeds every finite ``eps``.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    assert x.size == y.size, "the order-statistic test needs equal sizes"
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.abs(x - y) <= eps))
+
+
+def perturb_rows_reference(scores, true_labels, spec, rng):
+    """``shiftlab.perturb_rows`` written with 2-d fancy indexing and a boolean row mask.
+
+    Same draws in the same order: replacement mask, local noise, then the
+    global draws for the replaced rows.
+    """
+    n_rows, n_labels = scores.shape
+    out = scores.copy()
+    corrupt = rng.random(n_rows) < spec.rho
+    noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
+    keep = np.nonzero(~corrupt)[0]
+    cols = true_labels[keep]
+    original = out[keep, cols]
+    out[keep, cols] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
+    n_corrupt = int(corrupt.sum())
+    if n_corrupt:
+        out[corrupt] = _draw_law(spec.global_law, rng, (n_corrupt, n_labels))
+    return out

@@ -740,6 +740,73 @@ class TestSharedSplits:
         permuted = compare(self.MATRIX, [methods[i] for i in order], 0.1, 4, 100, 80, 3, **kwargs)
         assert [r.to_json() for r in permuted] == [base[i].to_json() for i in order]
 
+    @staticmethod
+    def _layouts(m):
+        """``m`` with its scores C-ordered, Fortran-ordered and as a strided slice."""
+        fortran = ScoreMatrix(np.asfortranarray(m.scores), m.true_labels)
+        sliced = ScoreMatrix(np.repeat(m.scores, 2, axis=1)[:, ::2], m.true_labels)
+        assert not (fortran.scores.flags.c_contiguous or sliced.scores.flags.c_contiguous)
+        return [m, fortran, sliced]
+
+    @pytest.mark.parametrize("redraw", [True, False], ids=["per_split", "fixed"])
+    def test_shared_cutoffs_match_per_method_oracle(self, redraw):
+        kwargs = dict(perturbation=self.SHIFT, redraw_per_split=redraw)
+        # With only epsilon and rho set, as in the benchmark, these five
+        # resolve to one order statistic with a zero offset.
+        five = ("sc", "chi2", "weighted", "rscp", "fg")
+        bench = [MethodSpec(name, epsilon=0.1, rho=0.05) for name in METHOD_NAMES]
+        huge = ScoreMatrix(self.MATRIX.scores * 1e300, self.MATRIX.true_labels)
+        # True-label scores are all 0.0 or -0.0, so the sc-like cutoffs are
+        # often -0.0 (a -0.0 order statistic plus the -0.0 offset) while the
+        # robust ones are 0.0 (plus epsilon = 0.0).
+        rng = np.random.default_rng(31)
+        labels = rng.integers(0, 5, 260)
+        zeros = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(260, 5))
+        zeros[np.arange(260), labels] = rng.choice([-0.0, 0.0], size=260)
+        signed = ScoreMatrix(zeros, labels)
+        # (matrix, methods, n_calib, groups of methods sharing every split's counts)
+        cases = (
+            (self.MATRIX, bench, 120, [five]),
+            # The five are all unbounded at n_calib 7; lp, tv and winf fail there.
+            (self.MATRIX, [method for method in bench if method.name in five], 7, [five]),
+            (self.MATRIX, bench, 7, []),
+            # lp and tv are unbounded at rho = 1, winf by overflow.
+            (huge, [MethodSpec(name, epsilon=sys.float_info.max, rho=1.0)
+                    for name in METHOD_NAMES], 120, [five, ("lp", "tv", "winf")]),
+            (signed, [MethodSpec(name, rho=0.05) for name in METHOD_NAMES], 120,
+             [METHOD_NAMES]),
+        )
+        n_splits = 6
+        for matrix, methods, n_calib, groups in cases:
+            args = (0.1, n_splits, n_calib, 90, 17)
+            for m in self._layouts(matrix):
+                got = compare_outcome(m, methods, *args, **kwargs)
+                same_outcome(got, oracle_outcome(m, methods, *args, **kwargs))
+                assert isinstance(got, list) == bool(groups)
+                if not groups:
+                    continue
+                reports = {r.method: r for r in compare(m, methods, *args, **kwargs)}
+                for group in groups:
+                    for j in range(n_splits):
+                        first = reports[group[0]].per_split[j]
+                        assert all(reports[name].per_split[j] is first for name in group)
+        sc = MethodSpec("sc")
+        assert any(np.signbit(sc.threshold(split(signed, 120, 90, [17, j, 0])[0], 0.1).threshold)
+                   for j in range(n_splits))
+
+    @pytest.mark.parametrize("mode", ["none", "per_split", "fixed"])
+    def test_inputs_not_mutated(self, mode):
+        kwargs = dict(
+            perturbation=None if mode == "none" else self.SHIFT,
+            redraw_per_split=mode != "fixed",
+        )
+        weights = np.linspace(0.5, 2.0, self.MATRIX.n_rows)
+        methods = all_methods() + [MethodSpec("fg", weights=weights)]
+        for m in self._layouts(self.MATRIX):
+            saved = [a.tobytes() for a in (m.scores, m.true_labels, weights)]
+            compare(m, methods, 0.1, 4, 100, 80, 3, **kwargs)
+            assert [a.tobytes() for a in (m.scores, m.true_labels, weights)] == saved
+
     def _fails_from_split_3(self):
         """Weighted method whose weights are valid until a row with a zero
         weight first enters calibration (8 rows, seed 5) at split 3."""

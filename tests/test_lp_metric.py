@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -30,7 +30,7 @@ from lpconformal import (
 from lpconformal import lp_metric
 from lpconformal.lp_metric import LPParams
 
-from oracles import transport_matched_units
+from oracles import sorted_gap_within, transport_matched_units
 
 
 def lp_rho_linprog(x, y, eps):
@@ -359,6 +359,22 @@ class TestExtremeScores:
         check_certificate(res, big.scores, pair.scores, 1.0)
         assert not far
         assert near
+
+
+class TestWinfWithinEqual:
+    @settings(max_examples=300, deadline=None)
+    @given(instances(equal_sizes=True))
+    # Gaps that overflow to inf, and a gap of exactly the largest double.
+    @example((np.array([-_MAX_FLOAT, -_MAX_FLOAT]), np.array([_MAX_FLOAT, 0.0]), _MAX_FLOAT))
+    @example((np.array([-1.7e308, 1.7e308]), np.array([1.7e308, 1.7e308]), 1.0))
+    @example((np.array([-_MAX_FLOAT, 0.0]), np.array([0.0, _MAX_FLOAT]), _MAX_FLOAT))
+    @example((np.array([0.1]), np.array([0.3]), 0.19999999999999996))  # an ulp below 0.3 - 0.1
+    def test_equals_order_statistic_test(self, inst):
+        x, y, eps = inst
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = winf_within(ScoreSample(x), ScoreSample(y), eps)
+        assert got == sorted_gap_within(x, y, eps)
 
 
 class TestWinfWithinUnequal:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpconformal import (
     LPParams,
@@ -19,8 +21,9 @@ from lpconformal import (
     wc_quantile_family,
     worst_case_quantile,
 )
+from lpconformal.shiftlab import perturb_rows
 
-from oracles import pushforward_check
+from oracles import perturb_rows_reference, pushforward_check
 
 
 def dyadic_sample(rng, n, scale=4.0):
@@ -103,6 +106,47 @@ class TestPerturbSample:
             realized = draw.replaced.sum() / base.n
             out = ScoreSample(draw.values)
             assert lp_distance(base, out, 0.25).rho <= realized + 1e-12
+
+
+class TestPerturbRows:
+    EPS = 0.25
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 5),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.sampled_from([None, PointMass(0.0), PointMass(-0.25), Uniform(-0.1, 0.25)]),
+        st.sampled_from([PointMass(40.0), PointMass(-0.0), Uniform(-2.0, 3.0)]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_reference(self, rows, labels, rho, local, glob, fortran, seed):
+        draw = np.random.default_rng(seed)
+        # Some lattice scores, so a shift by epsilon is exact or lands on a tie.
+        scores = np.where(draw.random((rows, labels)) < 0.5,
+                          draw.normal(size=(rows, labels)),
+                          draw.integers(-4, 5, (rows, labels)) * self.EPS)
+        if fortran:
+            scores = np.asfortranarray(scores)
+        true_labels = draw.integers(0, labels, rows)
+        saved = scores.tobytes(), true_labels.tobytes()
+        spec = PerturbationSpec(self.EPS, rho, local_law=local, global_law=glob)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = perturb_rows(scores, true_labels, spec, rng)
+        want = perturb_rows_reference(scores, true_labels, spec, ref_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # Both generators end in one state: the same draws, in the same sizes.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (scores.tobytes(), true_labels.tobytes()) == saved
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_columns_rejected(self, label):
+        scores = np.arange(6.0).reshape(2, 3)
+        spec = PerturbationSpec(0.1, 0.0)
+        with pytest.raises(ValueError, match="true labels must index a score column"):
+            perturb_rows(scores, np.array([0, label]), spec, np.random.default_rng(0))
+        assert scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
 
 class TestWcQuantileFamily:
