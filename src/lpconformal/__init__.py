@@ -58,8 +58,6 @@ from .shiftlab import (
     perturb_draws,
     perturb_sample,
     propagate_params,
-    wc_coverage_family,
-    wc_quantile_family,
 )
 from .harness import (
     EvalReport,
@@ -70,7 +68,6 @@ from .harness import (
     read_matrix,
     read_scores,
     read_weighted_scores,
-    split,
 )
 
 __version__ = "0.1.0"
@@ -118,11 +115,8 @@ __all__ = [
     "robust_threshold",
     "rscp_threshold",
     "sc_threshold",
-    "split",
     "tv_distance",
     "tv_threshold",
-    "wc_coverage_family",
-    "wc_quantile_family",
     "weighted_threshold",
     "winf_threshold",
     "winf_within",

@@ -82,6 +82,11 @@ def sc_threshold(sample: ScoreSample, alpha: float) -> ThresholdResult:
     return conformal_quantile(sample, alpha)
 
 
+def _check_rho_chi2(rho_chi2: float) -> None:
+    if not (np.isfinite(rho_chi2) and rho_chi2 >= 0.0):
+        raise ValueError(f"rho_chi2 must be a finite nonnegative real, got {rho_chi2!r}")
+
+
 def chi2_g(beta: float, rho_chi2: float) -> float:
     """Worst-case coverage map of the chi-square divergence ball.
 
@@ -93,8 +98,7 @@ def chi2_g(beta: float, rho_chi2: float) -> float:
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    if not (np.isfinite(rho_chi2) and rho_chi2 >= 0.0):
-        raise ValueError(f"rho_chi2 must be a finite nonnegative real, got {rho_chi2!r}")
+    _check_rho_chi2(rho_chi2)
     if beta in (0.0, 1.0):
         return beta
     return max(0.0, beta - math.sqrt(rho_chi2 * beta * (1.0 - beta)))
@@ -109,8 +113,7 @@ def chi2_g_inv(tau: float, rho_chi2: float) -> float:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
-    if not (np.isfinite(rho_chi2) and rho_chi2 >= 0.0):
-        raise ValueError(f"rho_chi2 must be a finite nonnegative real, got {rho_chi2!r}")
+    _check_rho_chi2(rho_chi2)
     return _chi2_g_inv(float(tau), float(rho_chi2))
 
 

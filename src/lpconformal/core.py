@@ -29,7 +29,6 @@ __all__ = [
     "quantile",
     "quantile_index",
     "snapped_ceil",
-    "snapped_floor",
 ]
 
 # Relative tolerance used to absorb floating-point round-off when derived
@@ -78,11 +77,6 @@ def snapped_ceil(value: float) -> int:
     if abs(value - nearest) <= LEVEL_REL_TOL * max(1.0, abs(value)):
         return int(nearest)
     return int(math.ceil(value))
-
-
-def snapped_floor(value: float) -> int:
-    """Floor with the same near-integer snapping as :func:`snapped_ceil`."""
-    return -snapped_ceil(-value)
 
 
 class ScoreSample:

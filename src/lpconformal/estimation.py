@@ -28,6 +28,9 @@ __all__ = [
     "estimate_lp_params",
 ]
 
+# Points of the default epsilon grid.
+_GRID_POINTS = 20
+
 
 class NoFeasibleGridError(InfeasibleLevelError):
     """Every grid point was infeasible: no ambiguity set can be certified."""
@@ -122,7 +125,7 @@ def estimate_lp_params(
     )
 
 
-def default_epsilon_grid(*samples: ScoreSample, num_points: int = 20) -> list[float]:
+def default_epsilon_grid(*samples: ScoreSample) -> list[float]:
     """Log-spaced grid spanning [0.01, 2] times the pooled interquartile range.
 
     Raises ``ValueError`` when that grid would not be finite, positive and
@@ -135,7 +138,7 @@ def default_epsilon_grid(*samples: ScoreSample, num_points: int = 20) -> list[fl
     with np.errstate(all="ignore"):
         iqr = float(np.quantile(pooled, 0.75) - np.quantile(pooled, 0.25))
         lo, hi = 0.01 * iqr, 2.0 * iqr
-        grid = np.geomspace(lo, hi, num_points) if 0.0 < lo and hi < np.inf else None
+        grid = np.geomspace(lo, hi, _GRID_POINTS) if 0.0 < lo and hi < np.inf else None
     if grid is None or not np.all(np.diff(grid) > 0.0):
         raise ValueError(
             f"the pooled interquartile range {iqr!r} gives no finite, positive, "

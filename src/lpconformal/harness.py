@@ -47,7 +47,6 @@ __all__ = [
     "read_matrix",
     "read_scores",
     "read_weighted_scores",
-    "split",
     "write_report_csv",
 ]
 
@@ -253,20 +252,6 @@ def _split_indices(
         )
     perm = np.random.default_rng(seed).permutation(n_rows)
     return perm[:n_calib], perm[n_calib : n_calib + k_test]
-
-
-def split(
-    matrix: ScoreMatrix, n_calib: int, k_test: int, seed
-) -> tuple[ScoreSample, ScoreMatrix]:
-    """Uniform without-replacement split, deterministic per seed.
-
-    Returns the calibration rows' true-label scores as a sample, and the
-    test rows as a (sub)matrix.
-    """
-    calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, seed)
-    calib = ScoreSample(matrix.scores[calib_idx, matrix.true_labels[calib_idx]])
-    test = ScoreMatrix(matrix.scores[test_idx], matrix.true_labels[test_idx])
-    return calib, test
 
 
 def evaluate(

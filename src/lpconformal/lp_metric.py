@@ -22,9 +22,7 @@ With the sources' units laid end to end (source ``i`` owns units
 compose into clips: a log-depth prefix scan on int64 arrays yields every
 ``P_j`` without a Python loop. One numpy kernel does this for a block of
 thresholds at once. :func:`lp_profile` runs a grid through it in blocks of
-about cache size, :func:`lp_distance` is the one-threshold case, and
-``TransportResult.certificate`` is cut from the same unit ranges on first
-access.
+about cache size, and :func:`lp_distance` is the one-threshold case.
 
 The interval ends are found with ``np.searchsorted`` on the rounded bounds
 ``y_j - eps`` and ``y_j + eps`` and then checked with the exact test; the
@@ -36,8 +34,7 @@ that ``(x + eps) - x`` can exceed ``eps`` by one ulp in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,17 +72,9 @@ class LPParams:
 class TransportResult:
     """Outcome of the exact transport solve between two samples.
 
-    ``certificate`` is an optimal coupling on the integer scaling: a tuple of
-    ``(source_index, target_index, units)`` triples where one unit of mass is
-    ``1 / (n * m)``. Indices refer to the sorted samples. Row sums equal ``m``
-    units (mass ``1/n``) and column sums equal ``n`` units (mass ``1/m``)
-    exactly. Edges between atoms farther apart than the threshold carry
-    exactly ``n*m - matched_units`` units, so the plan's cost is ``rho``.
-
-    The certificate is built on first access and then cached: the solve
-    keeps its two samples and threshold so that callers needing only
-    ``rho`` never pay for the coupling.
-    It takes no part in ``repr`` or ``==``.
+    ``matched_units`` counts the units, of mass ``1 / (n * m)`` each, that an
+    optimal coupling moves along admissible edges; ``rho`` is the unmatched
+    mass ``(n*m - matched_units) / (n*m)``.
     """
 
     rho: float
@@ -93,55 +82,6 @@ class TransportResult:
     n: int
     m: int
     matched_units: int
-    _p: ScoreSample = field(repr=False, compare=False)
-    _q: ScoreSample = field(repr=False, compare=False)
-    _epsilon: float = field(repr=False, compare=False)
-
-    @cached_property
-    def certificate(self) -> tuple[tuple[int, int, int], ...]:
-        """The optimal coupling, built on first access and then cached."""
-        m = self.m
-        (start,), (end,) = _fills(self._p.scores, self._q.scores, np.array([self._epsilon]))
-        # Target j's range crosses the sources start_j // m .. (end_j - 1) // m.
-        first = start // m
-        spans = np.where(end > start, (end - 1) // m - first + 1, 0)
-        target = np.repeat(np.arange(m), spans)
-        source = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans - first, spans)
-        units = np.minimum(end[target], (source + 1) * m) - np.maximum(start[target], source * m)
-        plan = list(zip(source.tolist(), target.tolist(), units.tolist()))
-        return _complete_plan(self.n, m, plan)
-
-
-def _complete_plan(
-    n: int, m: int, plan: list[tuple[int, int, int]]
-) -> tuple[tuple[int, int, int], ...]:
-    """Extend a matched sub-plan to full marginals.
-
-    Leftover supply and demand are paired greedily in index order; maximality
-    of the matched sub-plan guarantees every added edge joins atoms farther
-    apart than the threshold, so the completed plan's cost equals the
-    unmatched mass.
-    """
-    supply = [m] * n
-    demand = [n] * m
-    for i, j, units in plan:
-        supply[i] -= units
-        demand[j] -= units
-    full = list(plan)
-    i = j = 0
-    while i < n and j < m:
-        if supply[i] == 0:
-            i += 1
-            continue
-        if demand[j] == 0:
-            j += 1
-            continue
-        units = min(supply[i], demand[j])
-        full.append((i, j, units))
-        supply[i] -= units
-        demand[j] -= units
-    full.sort()
-    return tuple(full)
 
 
 def _prefix_count(holds, guess: np.ndarray, n: int) -> np.ndarray:
@@ -241,7 +181,7 @@ def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResu
     -------
     TransportResult
         ``rho`` is the exact optimum, from one call of the transport kernel
-        (``O((n + m) log(n + m))`` numpy work); the certificate realizes it.
+        (``O((n + m) log(n + m))`` numpy work).
 
     Raises ``ValueError`` when ``n * m`` is not below ``2**62``.
     """
@@ -249,8 +189,7 @@ def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResu
     n, m = p.n, q.n
     (matched,) = _matched_units(p, q, [float(epsilon)])
     rho = (n * m - matched) / (n * m)
-    return TransportResult(rho=rho, matched_mass=1.0 - rho, n=n, m=m, matched_units=matched,
-                           _p=p, _q=q, _epsilon=float(epsilon))
+    return TransportResult(rho=rho, matched_mass=1.0 - rho, n=n, m=m, matched_units=matched)
 
 
 def tv_distance(p: ScoreSample, q: ScoreSample) -> float:

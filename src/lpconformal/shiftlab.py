@@ -1,9 +1,8 @@
-"""Constructive machinery around the ambiguity ball.
+"""A sampler of ambiguity-ball members.
 
-Two kinds of objects live here: a sampler that realizes the
-local-displacement-plus-global-replacement representation of ball members, and
-the extremal rank-band families that approach the worst-case quantile and
-coverage.
+It realizes the local-displacement-plus-global-replacement representation of
+ball members, on a score sample or on the true-label scores of a score
+matrix, and propagates ball parameters through Lipschitz maps.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSample, cdf, check_epsilon, check_rho, snapped_ceil, snapped_floor
+from .core import ScoreSample, check_epsilon, check_rho
 from .lp_metric import LPParams
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "perturb_rows",
     "perturb_sample",
     "propagate_params",
-    "wc_coverage_family",
-    "wc_quantile_family",
 ]
 
 
@@ -99,7 +96,7 @@ class PerturbationSpec:
                 raise ValueError(
                     f"local law support [{lo!r}, {hi!r}] exceeds [-epsilon, epsilon]"
                 )
-        if not 0 <= int(self.seed) < 2**64:
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     def resolved_local_law(self) -> Law:
@@ -186,85 +183,6 @@ def perturb_rows(
     rows = np.flatnonzero(corrupt)  # with no rows, the empty draw takes nothing from rng
     out[rows] = _draw_law(spec.global_law, rng, (rows.size, n_labels))
     return out
-
-
-def _shifted_scores(base: ScoreSample, eps: float) -> np.ndarray:
-    return _clamp_displacement(base.scores + eps, base.scores, eps)
-
-
-def _rank_band(n: int, lo_level: float, hi_level: float, rho: float) -> tuple[int, int]:
-    """Indices (i_lo, i_hi] of the atoms whose rank/n lies in the level band.
-
-    The band is trimmed from below so at most ``floor(n * rho)`` atoms move:
-    the discretized construction must never exceed the global mass budget.
-    """
-    i_lo = max(snapped_floor(n * lo_level), 0)
-    i_hi = min(snapped_floor(n * hi_level), n)
-    cap = snapped_floor(n * rho)
-    i_lo = max(i_lo, i_hi - cap)
-    if i_hi <= i_lo:
-        raise ValueError(
-            f"level band ({lo_level!r}, {hi_level!r}] contains no sample atoms at n={n}"
-        )
-    return i_lo, i_hi
-
-
-def _band_member(base: ScoreSample, params: LPParams, k: int, levels) -> ScoreSample:
-    """The ``epsilon`` shift of ``base`` with, for ``rho > 0``, the atoms of
-    the level band ``levels()`` moved to its upper quantile (plus ``epsilon``)."""
-    shifted = _shifted_scores(base, params.epsilon)
-    if params.rho == 0.0:
-        return ScoreSample(shifted)
-    if 1.0 / k > params.rho:
-        raise ValueError(f"need 1/k <= rho, got k={k}, rho={params.rho!r}")
-    n = base.n
-    lo_level, hi_level = levels()
-    i_lo, i_hi = _rank_band(n, lo_level, hi_level, params.rho)
-    target = min(max(snapped_ceil(n * hi_level), 1), n)
-    out = shifted.copy()
-    out[i_lo:i_hi] = shifted[target - 1]
-    return ScoreSample(out)
-
-
-def wc_quantile_family(
-    base: ScoreSample, beta: float, params: LPParams, k: int
-) -> ScoreSample:
-    """Ball member whose ``beta``-quantile approaches the worst case as k grows.
-
-    Every score is shifted up by ``epsilon``, then the atoms whose rank lies
-    in the level band ``(beta - 1/k, beta - 1/k + rho]`` are moved to the
-    band's upper quantile (plus ``epsilon``). Requires ``beta + rho <= 1``
-    and, for ``rho > 0``, granularity ``1/k <= rho``.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if beta + params.rho > 1.0 + 1e-12:
-        raise ValueError(f"beta + rho must be at most one, got {beta + params.rho!r}")
-    return _band_member(base, params, k, lambda: (beta - 1.0 / k, beta - 1.0 / k + params.rho))
-
-
-def wc_coverage_family(
-    base: ScoreSample, q: float, params: LPParams, k: int
-) -> ScoreSample:
-    """Ball member whose CDF at ``q`` approaches the worst case as k grows.
-
-    Mirror of :func:`wc_quantile_family`: after the ``epsilon`` shift, atoms
-    in the level band ``(F(q - eps) - rho + 1/k, F(q - eps) + 1/k]`` are
-    moved to the band's upper quantile, emptying the CDF just below ``q``
-    down to the worst-case plateau.
-    """
-    if not np.isfinite(q):
-        raise ValueError(f"q must be finite, got {q!r}")
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-
-    def levels() -> tuple[float, float]:
-        f0 = cdf(base, q - params.epsilon)
-        return f0 - params.rho + 1.0 / k, f0 + 1.0 / k
-
-    return _band_member(base, params, k, levels)
 
 
 def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:

@@ -1,4 +1,4 @@
-"""Reference implementations for the tests, independent of the library's fast paths.
+"""Reference implementations and proof devices for the tests.
 
 The exact transport problem on the ``n*m`` integer scaling is a max-flow:
 source atom ``i`` supplies ``m`` units, target atom ``j`` absorbs ``n``
@@ -8,13 +8,20 @@ any admissibility pattern, not only the interval structure of one
 dimension that the sorted sweep relies on. For equal sizes the sup-norm
 test has a closed form over order statistics, and the row perturbation has
 a plain fancy-indexing form; both are kept here as references.
+
+Three constructions certify the library's numbers without being part of
+it: the optimal coupling cut from the transport kernel's fills, the
+extremal rank-band families that approach the worst-case quantile and
+coverage, and a plain calibration/test split of a score matrix.
 """
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
-from lpconformal import ScoreSample, lp_distance
+from lpconformal import LPParams, ScoreMatrix, ScoreSample, cdf, lp_distance
+from lpconformal.core import snapped_ceil
+from lpconformal.lp_metric import _fills
 from lpconformal.shiftlab import _clamp_displacement, _draw_law
 
 
@@ -94,3 +101,154 @@ def perturb_rows_reference(scores, true_labels, spec, rng):
     if n_corrupt:
         out[corrupt] = _draw_law(spec.global_law, rng, (n_corrupt, n_labels))
     return out
+
+
+def eager_complete(n, m, plan):
+    """Leftover supply paired with leftover demand in index order, then sorted.
+
+    Maximality of the matched sub-plan guarantees every added edge joins
+    atoms farther apart than the threshold, so the completed plan's cost is
+    the unmatched mass.
+    """
+    supply = [m] * n
+    demand = [n] * m
+    for i, j, units in plan:
+        supply[i] -= units
+        demand[j] -= units
+    full = list(plan)
+    i = j = 0
+    while i < n and j < m:
+        if supply[i] == 0:
+            i += 1
+        elif demand[j] == 0:
+            j += 1
+        else:
+            units = min(supply[i], demand[j])
+            full.append((i, j, units))
+            supply[i] -= units
+            demand[j] -= units
+    return tuple(sorted(full))
+
+
+def certificate(p: ScoreSample, q: ScoreSample, epsilon: float):
+    """An optimal coupling realizing ``lp_distance(p, q, epsilon).rho``.
+
+    A sorted tuple of ``(source_index, target_index, units)`` triples on the
+    integer scaling, with indices into the sorted samples and one unit of
+    mass ``1 / (n * m)``. Row sums are ``m`` units and column sums ``n``.
+    The admissible triples are cut from the kernel's greedy fill, so edges
+    between atoms farther apart than ``epsilon`` carry exactly
+    ``n*m - matched_units`` units.
+    """
+    n, m = p.n, q.n
+    (start,), (end,) = _fills(p.scores, q.scores, np.array([float(epsilon)]))
+    # Target j's range crosses the sources start_j // m .. (end_j - 1) // m.
+    first = start // m
+    spans = np.where(end > start, (end - 1) // m - first + 1, 0)
+    target = np.repeat(np.arange(m), spans)
+    source = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans - first, spans)
+    units = np.minimum(end[target], (source + 1) * m) - np.maximum(start[target], source * m)
+    return eager_complete(n, m, list(zip(source.tolist(), target.tolist(), units.tolist())))
+
+
+def snapped_floor(value: float) -> int:
+    """Floor with the same near-integer snapping as ``core.snapped_ceil``."""
+    return -snapped_ceil(-value)
+
+
+def _shifted_scores(base: ScoreSample, eps: float) -> np.ndarray:
+    return _clamp_displacement(base.scores + eps, base.scores, eps)
+
+
+def _rank_band(n: int, lo_level: float, hi_level: float, rho: float) -> tuple[int, int]:
+    """Indices (i_lo, i_hi] of the atoms whose rank/n lies in the level band.
+
+    The band is trimmed from below so at most ``floor(n * rho)`` atoms move:
+    the discretized construction must never exceed the global mass budget.
+    """
+    i_lo = max(snapped_floor(n * lo_level), 0)
+    i_hi = min(snapped_floor(n * hi_level), n)
+    cap = snapped_floor(n * rho)
+    i_lo = max(i_lo, i_hi - cap)
+    if i_hi <= i_lo:
+        raise ValueError(
+            f"level band ({lo_level!r}, {hi_level!r}] contains no sample atoms at n={n}"
+        )
+    return i_lo, i_hi
+
+
+def _band_member(base: ScoreSample, params: LPParams, k: int, levels) -> ScoreSample:
+    """The ``epsilon`` shift of ``base`` with, for ``rho > 0``, the atoms of
+    the level band ``levels()`` moved to its upper quantile (plus ``epsilon``)."""
+    shifted = _shifted_scores(base, params.epsilon)
+    if params.rho == 0.0:
+        return ScoreSample(shifted)
+    if 1.0 / k > params.rho:
+        raise ValueError(f"need 1/k <= rho, got k={k}, rho={params.rho!r}")
+    n = base.n
+    lo_level, hi_level = levels()
+    i_lo, i_hi = _rank_band(n, lo_level, hi_level, params.rho)
+    target = min(max(snapped_ceil(n * hi_level), 1), n)
+    out = shifted.copy()
+    out[i_lo:i_hi] = shifted[target - 1]
+    return ScoreSample(out)
+
+
+def wc_quantile_family(
+    base: ScoreSample, beta: float, params: LPParams, k: int
+) -> ScoreSample:
+    """Ball member whose ``beta``-quantile approaches the worst case as k grows.
+
+    Every score is shifted up by ``epsilon``, then the atoms whose rank lies
+    in the level band ``(beta - 1/k, beta - 1/k + rho]`` are moved to the
+    band's upper quantile (plus ``epsilon``). Requires ``beta + rho <= 1``
+    and, for ``rho > 0``, granularity ``1/k <= rho``.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    if beta + params.rho > 1.0 + 1e-12:
+        raise ValueError(f"beta + rho must be at most one, got {beta + params.rho!r}")
+    return _band_member(base, params, k, lambda: (beta - 1.0 / k, beta - 1.0 / k + params.rho))
+
+
+def wc_coverage_family(
+    base: ScoreSample, q: float, params: LPParams, k: int
+) -> ScoreSample:
+    """Ball member whose CDF at ``q`` approaches the worst case as k grows.
+
+    Mirror of :func:`wc_quantile_family`: after the ``epsilon`` shift, atoms
+    in the level band ``(F(q - eps) - rho + 1/k, F(q - eps) + 1/k]`` are
+    moved to the band's upper quantile, emptying the CDF just below ``q``
+    down to the worst-case plateau.
+    """
+    if not np.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+
+    def levels() -> tuple[float, float]:
+        f0 = cdf(base, q - params.epsilon)
+        return f0 - params.rho + 1.0 / k, f0 + 1.0 / k
+
+    return _band_member(base, params, k, levels)
+
+
+def split(matrix: ScoreMatrix, n_calib: int, k_test: int, seed):
+    """Uniform without-replacement split, deterministic per seed.
+
+    The partition ``compare`` draws for split ``j`` with ``seed=[base_seed,
+    j, 0]``. Returns the calibration rows' true-label scores as a sample, and
+    the test rows as a (sub)matrix.
+    """
+    if n_calib < 1 or k_test < 0:
+        raise ValueError("need n_calib >= 1 and k_test >= 0")
+    if n_calib + k_test > matrix.n_rows:
+        raise ValueError(
+            f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"
+        )
+    perm = np.random.default_rng(seed).permutation(matrix.n_rows)
+    calib_idx, test_idx = perm[:n_calib], perm[n_calib:n_calib + k_test]
+    calib = ScoreSample(matrix.scores[calib_idx, matrix.true_labels[calib_idx]])
+    return calib, ScoreMatrix(matrix.scores[test_idx], matrix.true_labels[test_idx])

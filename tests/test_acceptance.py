@@ -28,15 +28,18 @@ from lpconformal import (
     perturb_sample,
     quantile,
     tv_threshold,
-    wc_coverage_family,
-    wc_quantile_family,
     winf_threshold,
     worst_case_coverage,
     worst_case_quantile,
 )
 from lpconformal.core import InfeasibleLevelError
 
-from oracles import pushforward_check, transport_matched_units
+from oracles import (
+    pushforward_check,
+    transport_matched_units,
+    wc_coverage_family,
+    wc_quantile_family,
+)
 from test_baselines import chi2_g_grid_oracle
 from test_lp_metric import lp_rho_linprog
 from test_shiftlab import random_max_affine

@@ -143,7 +143,7 @@ class TestDefaultGrid:
     def test_shape_and_span(self):
         rng = np.random.default_rng(5)
         s = ScoreSample(rng.normal(size=500))
-        grid = default_epsilon_grid(s, num_points=20)
+        grid = default_epsilon_grid(s)
         assert len(grid) == 20
         assert all(b > a for a, b in zip(grid, grid[1:]))
         iqr = np.quantile(s.scores, 0.75) - np.quantile(s.scores, 0.25)

@@ -35,7 +35,6 @@ from lpconformal import (
     read_weighted_scores,
     rscp_threshold,
     sc_threshold,
-    split,
     tv_threshold,
     weighted_threshold,
     winf_threshold,
@@ -52,6 +51,8 @@ from lpconformal.harness import (
 )
 from lpconformal.robust import adjusted_beta
 from lpconformal.shiftlab import perturb_rows
+
+from oracles import split
 
 
 def synthetic_matrix(rng, rows=600, labels=5, sep=2.0):

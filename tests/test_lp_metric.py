@@ -21,7 +21,6 @@ from scipy.optimize import linprog
 from lpconformal import (
     ScoreSample,
     cdf,
-    estimate_lp_params,
     lp_distance,
     lp_profile,
     tv_distance,
@@ -30,7 +29,7 @@ from lpconformal import (
 from lpconformal import lp_metric
 from lpconformal.lp_metric import LPParams
 
-from oracles import sorted_gap_within, transport_matched_units
+from oracles import certificate, eager_complete, sorted_gap_within, transport_matched_units
 
 
 def lp_rho_linprog(x, y, eps):
@@ -66,12 +65,15 @@ def lp_rho_permutations(x, y, eps):
 
 
 def check_certificate(result, x, y, eps):
-    """Certificate invariants: exact marginals and cost equal to rho."""
+    """The coupling cut from the kernel's fill between the sorted samples
+    ``x`` and ``y``: exact marginals and cost equal to ``result.rho``.
+    Returns the coupling."""
     n, m = result.n, result.m
+    plan = certificate(ScoreSample(x), ScoreSample(y), eps)
     row = np.zeros(n, dtype=int)
     col = np.zeros(m, dtype=int)
     crossing = 0
-    for i, j, units in result.certificate:
+    for i, j, units in plan:
         assert units > 0
         row[i] += units
         col[j] += units
@@ -81,6 +83,7 @@ def check_certificate(result, x, y, eps):
     assert np.all(row == m)
     assert np.all(col == n)
     assert crossing == n * m - result.matched_units
+    return plan
 
 
 class TestPinnedExamples:
@@ -341,8 +344,8 @@ class TestSweepProperties:
         # With n == m every source fills exactly one target whole.
         x, y, eps = inst
         res = lp_distance(ScoreSample(x), ScoreSample(y), eps)
-        check_certificate(res, np.sort(x), np.sort(y), eps)
-        assert all(units == res.n for _, _, units in res.certificate)
+        plan = check_certificate(res, np.sort(x), np.sort(y), eps)
+        assert all(units == res.n for _, _, units in plan)
         assert res.matched_units == transport_matched_units(x, y, eps)
 
 
@@ -470,29 +473,7 @@ def eager_sweep_plan(x, y, eps):
     return plan
 
 
-def eager_complete(n, m, plan):
-    """Leftover supply paired with leftover demand in index order, then sorted."""
-    supply = [m] * n
-    demand = [n] * m
-    for i, j, units in plan:
-        supply[i] -= units
-        demand[j] -= units
-    full = list(plan)
-    i = j = 0
-    while i < n and j < m:
-        if supply[i] == 0:
-            i += 1
-        elif demand[j] == 0:
-            j += 1
-        else:
-            units = min(supply[i], demand[j])
-            full.append((i, j, units))
-            supply[i] -= units
-            demand[j] -= units
-    return tuple(sorted(full))
-
-
-class TestLazyCertificate:
+class TestCertificate:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(instances(), instances(equal_sizes=True)))
     def test_equals_eager_construction(self, inst):
@@ -500,49 +481,17 @@ class TestLazyCertificate:
         p, q = ScoreSample(x), ScoreSample(y)
         n, m = p.n, q.n
         sweep = eager_sweep_plan(p.scores.tolist(), q.scores.tolist(), float(eps))
-        assert lp_distance(p, q, eps).certificate == eager_complete(n, m, sweep)
+        assert certificate(p, q, eps) == eager_complete(n, m, sweep)
 
-    def test_second_access_returns_the_same_object(self):
-        res = lp_distance(ScoreSample([0.0, 1.0, 2.0]), ScoreSample([0.5, 3.0]), 0.6)
-        assert res.certificate is res.certificate
 
-    def test_pickle_round_trip_before_and_after_access(self):
-        p = ScoreSample([0.0, 0.1, 0.2, 0.7])
-        q = ScoreSample([0.05, 0.3, 0.9])
-        expected = lp_distance(p, q, 0.1).certificate
-        res = lp_distance(p, q, 0.1)
-        fresh = pickle.loads(pickle.dumps(res))
-        assert fresh == res
-        assert fresh.certificate == expected
-        assert res.certificate == expected
-        read = pickle.loads(pickle.dumps(res))
-        assert "certificate" in read.__dict__
-        assert read == res
-        assert read.certificate == expected
+class TestTransportResult:
+    def test_pickle_round_trip(self):
+        res = lp_distance(ScoreSample([0.0, 0.1, 0.2, 0.7]), ScoreSample([0.05, 0.3, 0.9]), 0.1)
+        assert pickle.loads(pickle.dumps(res)) == res
 
-    def test_not_in_repr_or_equality(self):
+    def test_equal_with_the_samples_swapped(self):
         p, q = ScoreSample([0.0, 1.0, 2.0]), ScoreSample([1.0, 2.0, 3.0])
-        a, b = lp_distance(p, q, 0.0), lp_distance(q, p, 0.0)
-        assert a.certificate != b.certificate
-        assert a == b
-        assert "certificate" not in repr(a)
-
-    def test_rho_only_callers_build_no_certificate(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("certificate built")
-
-        monkeypatch.setattr(lp_metric, "_complete_plan", refuse)
-        rng = np.random.default_rng(29)
-        calib_a = ScoreSample(rng.normal(size=300))
-        calib_b = ScoreSample(rng.normal(size=300))
-        test = ScoreSample(rng.normal(0.2, 1.0, size=250))
-        estimate_lp_params(calib_a, calib_b, test, [0.05, 0.1, 0.2], 0.1)
-        lp_profile(calib_a, test, [0.0, 0.1])
-        tv_distance(calib_a, test)
-        winf_within(calib_a, test, 5.0)
-        res = lp_distance(calib_a, test, 0.1)
-        with pytest.raises(AssertionError, match="certificate built"):
-            res.certificate
+        assert lp_distance(p, q, 0.0) == lp_distance(q, p, 0.0)
 
 
 class TestRoundedBoundCorrection:
@@ -558,4 +507,4 @@ class TestRoundedBoundCorrection:
         res = lp_distance(p, q, 1.0)
         plan = eager_sweep_plan(p.scores.tolist(), q.scores.tolist(), 1.0)
         assert res.matched_units == sum(units for _, _, units in plan) == n * n
-        assert res.certificate == eager_complete(n, n, plan)
+        assert certificate(p, q, 1.0) == eager_complete(n, n, plan)

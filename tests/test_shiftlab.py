@@ -17,13 +17,16 @@ from lpconformal import (
     perturb_sample,
     propagate_params,
     quantile,
-    wc_coverage_family,
-    wc_quantile_family,
     worst_case_quantile,
 )
 from lpconformal.shiftlab import perturb_rows
 
-from oracles import perturb_rows_reference, pushforward_check
+from oracles import (
+    perturb_rows_reference,
+    pushforward_check,
+    wc_coverage_family,
+    wc_quantile_family,
+)
 
 
 def dyadic_sample(rng, n, scale=4.0):
@@ -53,6 +56,16 @@ class TestPerturbationSpec:
     def test_validates_rho(self):
         with pytest.raises(ValueError):
             PerturbationSpec(epsilon=0.1, rho=1.5)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", None, -1, 2**64])
+    def test_rejects_a_seed_that_is_not_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be a 64-bit unsigned integer, got "):
+            PerturbationSpec(0.1, 0.1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 3, np.int64(3), np.uint64(2**64 - 1)])
+    def test_accepts_python_and_numpy_integer_seeds(self, seed):
+        spec = PerturbationSpec(0.1, 0.1, seed=seed)
+        assert perturb_sample(ScoreSample([0.0, 1.0]), spec).n == 2
 
 
 class TestPerturbSample:

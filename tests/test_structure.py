@@ -6,21 +6,26 @@ split loop of its own beside ``compare``, and one transport solver runs with
 numpy as the only third-party dependency. Every CSV input goes through two
 parsers and no other: one ``np.loadtxt`` call for speed, and one
 ``csv.reader`` that reads whatever numpy might read differently and reports
-every error.
+every error. The public surface is pinned, every exported name resolves,
+and so does every callable the benchmark's tracer wraps by name.
 """
 
 import argparse
 import ast
+import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
-from lpconformal import lp_distance
+import lpconformal
+from lpconformal import TransportResult, lp_distance
 from lpconformal.cli import build_parser
 from lpconformal.harness import METHOD_NAMES
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "lpconformal").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "lpconformal").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -99,13 +104,78 @@ def test_lp_distance_has_no_method_switch():
     assert list(inspect.signature(lp_distance).parameters) == ["p", "q", "epsilon"]
 
 
-@pytest.mark.parametrize("name", ["_Dinic", "solve_flow", "pushforward_check"])
+@pytest.mark.parametrize("name", [
+    "_Dinic", "solve_flow", "pushforward_check",
+    "wc_quantile_family", "wc_coverage_family", "_complete_plan", "certificate",
+])
 def test_reference_solvers_not_in_src(name):
     found = [p.name for p in SOURCES if name in p.read_text()]
     assert not found, f"{name} appears in {found}"
 
 
 def test_no_per_atom_transport_loop():
-    # lp_distance, lp_profile and the certificate share one numpy kernel.
+    # lp_distance and lp_profile share one numpy kernel.
     found = [p.name for p in SOURCES if "_sweep" in p.read_text()]
     assert not found, f"_sweep appears in {found}"
+
+
+PUBLIC_NAMES = {
+    "EstimationResult", "EvalReport", "GridPoint", "InfeasibleLevelError", "LPParams",
+    "MethodSpec", "NoFeasibleGridError", "PerturbationSpec", "PointMass", "PredictionSet",
+    "ScoreMatrix", "ScoreSample", "ThresholdResult", "TransportResult", "Uniform",
+    "WeightedScores", "adjusted_beta", "cdf", "chi2_g", "chi2_g_inv", "chi2_threshold",
+    "compare", "conformal_quantile", "coverage_lower_bound", "default_epsilon_grid",
+    "estimate_lp_params", "evaluate", "fg_threshold", "lp_distance", "lp_profile",
+    "lp_threshold", "perturb_draws", "perturb_sample", "prediction_set", "propagate_params",
+    "quantile", "read_matrix", "read_scores", "read_weighted_scores", "robust_threshold",
+    "rscp_threshold", "sc_threshold", "tv_distance", "tv_threshold", "weighted_threshold",
+    "winf_threshold", "winf_within", "worst_case_coverage", "worst_case_quantile",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(lpconformal.__all__) == len(PUBLIC_NAMES)
+    assert set(lpconformal.__all__) == PUBLIC_NAMES
+
+
+MODULES = ["lpconformal"] + [f"lpconformal.{p.stem}" for p in SOURCES if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_transport_result_is_a_plain_value():
+    fields = [f.name for f in dataclasses.fields(TransportResult)]
+    assert fields == ["rho", "matched_mass", "n", "m", "matched_units"]
+
+
+def _traced_targets():
+    """The ``(module, attribute path)`` pairs of the benchmark tracer's ``TARGETS``.
+
+    They are read from ``perfbench/spans.py``'s source, not imported, since
+    the tracer patches each one by name.
+    """
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    value = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    return [(row.elts[1].value, row.elts[2].value) for row in value.elts]
+
+
+def test_traced_targets_found():
+    assert ("lpconformal.harness", "MethodSpec.threshold") in _traced_targets()
+
+
+@pytest.mark.parametrize("module, attr", _traced_targets())
+def test_traced_target_resolves(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        assert hasattr(owner, part), f"{module}.{attr} does not resolve"
+        owner = getattr(owner, part)
+    assert callable(owner)
