@@ -235,20 +235,24 @@ def wc_coverage_family(
     return _band_member(base, params, k, levels)
 
 
-def split(matrix: ScoreMatrix, n_calib: int, k_test: int, seed):
-    """Uniform without-replacement split, deterministic per seed.
+def split_indices(n_rows: int, n_calib: int, k_test: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform without-replacement split of ``n_rows`` row indices into
+    calibration and test indices, deterministic per seed."""
+    if n_calib < 1 or k_test < 0:
+        raise ValueError("need n_calib >= 1 and k_test >= 0")
+    if n_calib + k_test > n_rows:
+        raise ValueError(
+            f"n_calib + k_test = {n_calib + k_test} exceeds the {n_rows} available rows"
+        )
+    perm = np.random.default_rng(seed).permutation(n_rows)
+    return perm[:n_calib], perm[n_calib:n_calib + k_test]
 
-    The partition ``compare`` draws for split ``j`` with ``seed=[base_seed,
+
+def split(matrix: ScoreMatrix, n_calib: int, k_test: int, seed):
+    """The partition ``compare`` draws for split ``j`` with ``seed=[base_seed,
     j, 0]``. Returns the calibration rows' true-label scores as a sample, and
     the test rows as a (sub)matrix.
     """
-    if n_calib < 1 or k_test < 0:
-        raise ValueError("need n_calib >= 1 and k_test >= 0")
-    if n_calib + k_test > matrix.n_rows:
-        raise ValueError(
-            f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"
-        )
-    perm = np.random.default_rng(seed).permutation(matrix.n_rows)
-    calib_idx, test_idx = perm[:n_calib], perm[n_calib:n_calib + k_test]
+    calib_idx, test_idx = split_indices(matrix.n_rows, n_calib, k_test, seed)
     calib = ScoreSample(matrix.scores[calib_idx, matrix.true_labels[calib_idx]])
     return calib, ScoreMatrix(matrix.scores[test_idx], matrix.true_labels[test_idx])

@@ -52,7 +52,7 @@ from lpconformal.harness import (
 from lpconformal.robust import adjusted_beta
 from lpconformal.shiftlab import perturb_rows
 
-from oracles import split
+from oracles import split, split_indices
 
 
 def synthetic_matrix(rng, rows=600, labels=5, sep=2.0):
@@ -91,35 +91,56 @@ class TestScoreMatrix:
 
 
 class TestSplit:
+    """The split ``evaluate`` and ``compare`` draw, checked on the library;
+    ``oracles.split_indices`` is pinned to it for the reference loops."""
+
     def test_all_rows_calibrate(self):
-        m = synthetic_matrix(np.random.default_rng(0), rows=20)
-        calib, test = split(m, 20, 0, seed=1)
-        assert calib.n == 20
-        assert test.n_rows == 0
+        calib_idx, test_idx = harness._split_indices(20, 20, 0, seed=1)
+        assert sorted(calib_idx.tolist()) == list(range(20))
+        assert test_idx.size == 0
 
     def test_same_seed_identical(self):
         m = synthetic_matrix(np.random.default_rng(1), rows=50)
-        c1, t1 = split(m, 30, 10, seed=7)
-        c2, t2 = split(m, 30, 10, seed=7)
-        assert c1 == c2
-        assert np.array_equal(t1.scores, t2.scores)
+        methods = [MethodSpec("sc"), MethodSpec("lp", epsilon=0.1, rho=0.05)]
+        r1 = compare(m, methods, 0.1, n_splits=4, n_calib=30, k_test=10, base_seed=7)
+        r2 = compare(m, methods, 0.1, n_splits=4, n_calib=30, k_test=10, base_seed=7)
+        assert [r.to_json() for r in r1] == [r.to_json() for r in r2]
 
     def test_different_seeds_differ(self):
-        m = synthetic_matrix(np.random.default_rng(2), rows=10)
-        c1, _ = split(m, 5, 5, seed=0)
-        c2, _ = split(m, 5, 5, seed=1)
-        assert not np.array_equal(c1.scores, c2.scores)
+        m = synthetic_matrix(np.random.default_rng(2), rows=200, sep=0.5)
+        kwargs = dict(alpha=0.1, n_splits=4, n_calib=100, k_test=100)
+        r1 = evaluate(m, MethodSpec("sc"), **kwargs, base_seed=0)
+        r2 = evaluate(m, MethodSpec("sc"), **kwargs, base_seed=1)
+        assert r1.per_split != r2.per_split
 
     def test_size_violation(self):
         m = synthetic_matrix(np.random.default_rng(3), rows=10)
-        with pytest.raises(ValueError):
-            split(m, 8, 5, seed=0)
+        with pytest.raises(ValueError, match="^n_calib \\+ k_test = 13 exceeds the 10 available rows$"):
+            evaluate(m, MethodSpec("sc"), 0.1, n_splits=1, n_calib=8, k_test=5, base_seed=0)
+        with pytest.raises(ValueError, match="exceeds the 10 available rows"):
+            compare(m, [MethodSpec("sc")], 0.1, n_splits=1, n_calib=8, k_test=5, base_seed=0)
+        with pytest.raises(ValueError, match="^need n_calib >= 1 and k_test >= 0$"):
+            evaluate(m, MethodSpec("sc"), 0.1, n_splits=1, n_calib=0, k_test=5, base_seed=0)
 
     def test_calibration_scores_are_true_label_scores(self):
-        m = synthetic_matrix(np.random.default_rng(4), rows=40)
+        # True-label scores lie below 0.5 and every other score above it, so
+        # a threshold calibrated on any other column would admit extra labels.
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 4, size=40)
+        scores = rng.uniform(0.6, 1.0, size=(40, 4))
+        scores[np.arange(40), labels] = rng.uniform(0.0, 0.4, size=40)
+        m = ScoreMatrix(scores, labels)
+        report = evaluate(m, MethodSpec("sc"), 0.1, n_splits=3, n_calib=30, k_test=10, base_seed=0)
+        assert all(r.mean_set_size <= 1.0 for r in report.per_split)
         calib, _ = split(m, 40, 0, seed=0)
-        expected = np.sort(m.scores[np.arange(40), m.true_labels])
-        assert np.array_equal(calib.scores, expected)
+        assert np.array_equal(calib.scores, np.sort(scores[np.arange(40), labels]))
+
+    @pytest.mark.parametrize("seed", [0, 1, [7, 3, 0]])
+    def test_oracle_split_matches_library(self, seed):
+        for n_calib, k_test in [(5, 5), (20, 0), (1, 9)]:
+            want = harness._split_indices(20, n_calib, k_test, seed)
+            got = split_indices(20, n_calib, k_test, seed)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
 
 class TestEvaluate:
@@ -608,14 +629,7 @@ def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_see
         fixed_perturbed = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
     results = []
     for j in range(n_splits):
-        if n_calib < 1 or k_test < 0:
-            raise ValueError("need n_calib >= 1 and k_test >= 0")
-        if n_calib + k_test > matrix.n_rows:
-            raise ValueError(
-                f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"
-            )
-        perm = np.random.default_rng([base_seed, j, 0]).permutation(matrix.n_rows)
-        calib_idx, test_idx = perm[:n_calib], perm[n_calib:n_calib + k_test]
+        calib_idx, test_idx = split_indices(matrix.n_rows, n_calib, k_test, [base_seed, j, 0])
         calib_raw = matrix.scores[calib_idx, matrix.true_labels[calib_idx]]
         calib = ScoreSample(calib_raw)
         test_scores = matrix.scores[test_idx]
