@@ -14,6 +14,7 @@ from .core import (
     ScoreSample,
     ThresholdResult,
     check_alpha,
+    check_finite_nonnegative,
     conformal_quantile,
     level_at_most_one,
     quantile_index,
@@ -25,6 +26,7 @@ __all__ = [
     "chi2_g_inv",
     "chi2_rule",
     "chi2_threshold",
+    "check_weights",
     "fg_rule",
     "fg_threshold",
     "rscp_rule",
@@ -58,8 +60,7 @@ class WeightedScores:
             raise ValueError("need at least one weighted score")
         if not np.all(np.isfinite(s)):
             raise ValueError("scores must be finite")
-        if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
-            raise ValueError("weights must be finite and strictly positive")
+        check_weights(w)
         tw = _check_test_weight(test_weight)
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "weights", w)
@@ -68,6 +69,12 @@ class WeightedScores:
     @property
     def n(self) -> int:
         return int(self.scores.size)
+
+
+def check_weights(weights: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every likelihood-ratio weight is finite and positive."""
+    if not (np.all(np.isfinite(weights)) and np.all(weights > 0.0)):
+        raise ValueError("weights must be finite and strictly positive")
 
 
 def _check_test_weight(test_weight) -> float:
@@ -82,11 +89,6 @@ def sc_threshold(sample: ScoreSample, alpha: float) -> ThresholdResult:
     return conformal_quantile(sample, alpha)
 
 
-def _check_rho_chi2(rho_chi2: float) -> None:
-    if not (np.isfinite(rho_chi2) and rho_chi2 >= 0.0):
-        raise ValueError(f"rho_chi2 must be a finite nonnegative real, got {rho_chi2!r}")
-
-
 def chi2_g(beta: float, rho_chi2: float) -> float:
     """Worst-case coverage map of the chi-square divergence ball.
 
@@ -98,7 +100,7 @@ def chi2_g(beta: float, rho_chi2: float) -> float:
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    _check_rho_chi2(rho_chi2)
+    check_finite_nonnegative(rho_chi2, "rho_chi2")
     if beta in (0.0, 1.0):
         return beta
     return max(0.0, beta - math.sqrt(rho_chi2 * beta * (1.0 - beta)))
@@ -113,7 +115,7 @@ def chi2_g_inv(tau: float, rho_chi2: float) -> float:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
-    _check_rho_chi2(rho_chi2)
+    check_finite_nonnegative(rho_chi2, "rho_chi2")
     return _chi2_g_inv(float(tau), float(rho_chi2))
 
 
@@ -186,16 +188,24 @@ def _weighted_quantile(ws: WeightedScores, level: float) -> ThresholdResult:
     return _weighted_rule(ws.weights[order], total, level).apply(ws.scores[order])
 
 
-def _uniform_weight_rule(n: int, test_weight: float, level: float) -> QuantileRule:
-    # A sum of ones is exact in any order.
-    return _weighted_rule(np.ones(n), n + test_weight, level)
+def _sorted_weight_rule(n: int, sorted_weights: np.ndarray | None, test_weight: float,
+                        level: float) -> QuantileRule:
+    """:func:`_weighted_rule` with the total summed in ascending score order;
+    every weight is one when ``sorted_weights`` is None."""
+    w = np.ones(n) if sorted_weights is None else np.asarray(sorted_weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"need {n} weights, one per score, got shape {w.shape}")
+    check_weights(w)
+    return _weighted_rule(w, float(np.sum(w)) + test_weight, level)
 
 
-def weighted_rule(n: int, alpha: float, test_weight: float) -> QuantileRule:
-    """:func:`weighted_threshold`'s rule for ``n`` scores of weight one each."""
+def weighted_rule(n: int, alpha: float, test_weight: float,
+                  sorted_weights: np.ndarray | None = None) -> QuantileRule:
+    """:func:`weighted_threshold`'s rule for ``n`` scores whose weights, in
+    ascending score order, are ``sorted_weights`` (each one when None)."""
     tw = _check_test_weight(test_weight)
     check_alpha(alpha)
-    return _uniform_weight_rule(n, tw, 1.0 - alpha)
+    return _sorted_weight_rule(n, sorted_weights, tw, 1.0 - alpha)
 
 
 def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
@@ -207,8 +217,7 @@ def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
     """:func:`rscp_threshold`'s rule for ``n`` scores."""
     check_alpha(alpha)
-    if not (np.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be a finite nonnegative real, got {delta!r}")
+    check_finite_nonnegative(delta, "delta")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be a finite positive real, got {sigma!r}")
     level = (1.0 - alpha) * (2 + n) / (1 + n)
@@ -237,10 +246,11 @@ def _fg_level(alpha: float, rho_chi2: float) -> float:
     return level
 
 
-def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float) -> QuantileRule:
-    """:func:`fg_threshold`'s rule for ``n`` scores of weight one each."""
+def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
+            sorted_weights: np.ndarray | None = None) -> QuantileRule:
+    """:func:`fg_threshold`'s rule for ``n`` scores, weighted as in :func:`weighted_rule`."""
     tw = _check_test_weight(test_weight)
-    return _uniform_weight_rule(n, tw, _fg_level(alpha, rho_chi2))
+    return _sorted_weight_rule(n, sorted_weights, tw, _fg_level(alpha, rho_chi2))
 
 
 def fg_threshold(ws: WeightedScores, alpha: float, rho_chi2: float) -> ThresholdResult:

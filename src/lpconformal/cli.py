@@ -99,7 +99,7 @@ def _cmd_estimate(args) -> int:
     calib_a = read_scores(args.calib_a, has_header=args.has_header)
     calib_b = read_scores(args.calib_b, has_header=args.has_header)
     test = read_scores(args.test, has_header=args.has_header)
-    if args.grid:
+    if args.grid is not None:
         grid = _parse_grid(args.grid)
     else:
         grid = default_epsilon_grid(calib_a, calib_b, test)

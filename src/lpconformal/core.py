@@ -21,7 +21,7 @@ __all__ = [
     "ThresholdResult",
     "cdf",
     "check_alpha",
-    "check_epsilon",
+    "check_finite_nonnegative",
     "check_rho",
     "conformal_quantile",
     "conformal_rule",
@@ -50,10 +50,10 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Raise ``ValueError`` unless ``epsilon`` is a finite nonnegative real."""
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be a finite nonnegative real, got {epsilon!r}")
+def check_finite_nonnegative(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless the parameter ``name`` is a finite nonnegative real."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
 
 
 def check_rho(rho: float) -> None:

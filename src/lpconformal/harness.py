@@ -13,6 +13,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -26,11 +27,10 @@ from .robust import lp_rule
 from .baselines import (
     WeightedScores,
     chi2_rule,
+    check_weights,
     fg_rule,
-    fg_threshold,
     rscp_rule,
     weighted_rule,
-    weighted_threshold,
 )
 from .shiftlab import PerturbationSpec, PointMass, perturb_rows
 
@@ -123,11 +123,12 @@ class MethodSpec:
         if self.weights is not None:
             object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
-    def rule(self, n: int, alpha: float) -> QuantileRule:
+    def rule(self, n: int, alpha: float, sorted_weights: np.ndarray | None = None) -> QuantileRule:
         """This method's threshold rule resolved for ``n`` calibration scores.
 
-        The weighted methods resolve with every weight one; per-row weights
-        go through :meth:`threshold`.
+        ``sorted_weights`` (read by the weighted methods only) are the
+        calibration scores' weights in ascending score order; every weight
+        is one when it is None.
         """
         if self.name == "sc":
             return conformal_rule(n, alpha)
@@ -142,24 +143,12 @@ class MethodSpec:
         if self.name == "rscp":
             return rscp_rule(n, alpha, self.delta, self.sigma)
         if self.name == "weighted":
-            return weighted_rule(n, alpha, self.test_weight)
-        return fg_rule(n, alpha, self.rho_chi2, self.test_weight)
+            return weighted_rule(n, alpha, self.test_weight, sorted_weights)
+        return fg_rule(n, alpha, self.rho_chi2, self.test_weight, sorted_weights)
 
-    def threshold(
-        self, calib: ScoreSample, alpha: float, row_weights: np.ndarray | None = None
-    ) -> ThresholdResult:
-        """Calibrate this method's threshold on a calibration sample.
-
-        ``row_weights`` (weighted methods only) must be aligned with
-        ``calib.scores``, which are sorted ascending: entry ``i`` is the
-        weight of the ``i``-th smallest calibration score.
-        """
-        if row_weights is None or self.name not in ("weighted", "fg"):
-            return self.rule(calib.n, alpha).apply(calib.scores)
-        ws = WeightedScores(calib.scores, row_weights, self.test_weight)
-        if self.name == "weighted":
-            return weighted_threshold(ws, alpha)
-        return fg_threshold(ws, alpha, self.rho_chi2)
+    def threshold(self, calib: ScoreSample, alpha: float) -> ThresholdResult:
+        """Calibrate this method's threshold, with unit weights, on a calibration sample."""
+        return self.rule(calib.n, alpha).apply(calib.scores)
 
     def params_dict(self) -> dict:
         out: dict = {"epsilon": self.epsilon, "rho": self.rho}
@@ -244,12 +233,6 @@ def perturbation_dict(spec: PerturbationSpec) -> dict:
 def _split_indices(
     n_rows: int, n_calib: int, k_test: int, seed
 ) -> tuple[np.ndarray, np.ndarray]:
-    if n_calib < 1 or k_test < 0:
-        raise ValueError("need n_calib >= 1 and k_test >= 0")
-    if n_calib + k_test > n_rows:
-        raise ValueError(
-            f"n_calib + k_test = {n_calib + k_test} exceeds the {n_rows} available rows"
-        )
     perm = np.random.default_rng(seed).permutation(n_rows)
     return perm[:n_calib], perm[n_calib : n_calib + k_test]
 
@@ -291,42 +274,58 @@ def compare(
     for the whole matrix when ``redraw_per_split`` is false. Each split and
     perturbation is drawn once and shared by every method, so the reports are
     paired. Every split calibrates on ``n_calib`` scores, so each method's
-    threshold rule is resolved once, at split 0; weighted methods with per-row
-    weights compute their threshold per split. Methods whose thresholds
-    coincide in a split share that split's coverage and set-size counts.
-    Arguments are checked before any split runs. A threshold error is
-    re-raised naming its split, from the first failing method in list order.
+    rule is resolved once, or per split from that split's weights for a
+    method with per-row weights. Methods whose thresholds coincide in a split
+    share that split's coverage and set-size counts. Every error is raised
+    before the first split: the arguments, split sizes and per-row weights
+    are checked in that order, then the rules are resolved in list order and
+    the first rule error is re-raised with the prefix ``split 0:``.
     """
     methods = list(methods)
     check_alpha(alpha)
-    if n_splits < 1:
-        raise ValueError(f"need at least one split, got {n_splits!r}")
-    if k_test < 1:
-        raise ValueError(f"need at least one test row, got {k_test!r}")
-    if base_seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
+    for count, least, message in (
+        (n_splits, 1, f"need at least one split, got {n_splits!r}"),
+        (k_test, 1, f"need at least one test row, got {k_test!r}"),
+        (base_seed, 0, f"seed must be a non-negative integer, got {base_seed!r}"),
+        (n_calib, 1, "need n_calib >= 1 and k_test >= 0"),
+    ):
+        if not (isinstance(count, numbers.Integral) and count >= least):
+            raise ValueError(message)
+    n_splits, n_calib, k_test, seed = map(int, (n_splits, n_calib, k_test, base_seed))
+    if n_calib + k_test > matrix.n_rows:
+        raise ValueError(
+            f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"
+        )
     for method in methods:
-        if method.weights is not None and method.weights.shape != (matrix.n_rows,):
+        if method.weights is None:
+            continue
+        if method.weights.shape != (matrix.n_rows,):
+            have = (f"{method.weights.size} entries" if method.weights.ndim == 1
+                    else f"shape {method.weights.shape}")
             raise ValueError(
-                f"method weights have {method.weights.size} entries for "
-                f"{matrix.n_rows} matrix rows; need one per row"
+                f"method weights have {have} for {matrix.n_rows} matrix rows; need one per row"
             )
+        # Which rows calibrate is known only once the splits are drawn, so
+        # every row's weight is checked, also rows that no split draws.
+        check_weights(method.weights)
+    try:
+        rules = [method.rule(n_calib, alpha) for method in methods]
+    except ValueError as exc:
+        raise type(exc)(f"split 0: {exc}") from exc
     if not methods:
         return []
     source = matrix.scores
     if perturbation is not None and not redraw_per_split:
-        rng = np.random.default_rng([int(perturbation.seed), base_seed, 1])
+        rng = np.random.default_rng([int(perturbation.seed), seed, 1])
         source = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
     results: list[list[SplitResult]] = [[] for _ in methods]
-    failures: dict[int, tuple[ValueError, ValueError]] = {}
-    rules: list[QuantileRule | None] = [None] * len(methods)
     per_row = any(method.weights is not None for method in methods)
     # Row r's true-label score is cell r * n_labels + label of the scores in C order.
     flat_scores = matrix.scores.reshape(-1)
     true_cells = np.arange(matrix.n_rows) * matrix.n_labels + matrix.true_labels
     test_cells = np.arange(k_test) * matrix.n_labels
     for j in range(n_splits):
-        calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [base_seed, j, 0])
+        calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [seed, j, 0])
         calib_raw = flat_scores[true_cells[calib_idx]]
         calib = ScoreSample(calib_raw)
         if per_row:
@@ -335,38 +334,24 @@ def compare(
         test_scores = np.take(source, test_idx, axis=0)
         test_labels = matrix.true_labels[test_idx]
         if perturbation is not None and redraw_per_split:
-            rng = np.random.default_rng([int(perturbation.seed), base_seed, j, 1])
+            rng = np.random.default_rng([int(perturbation.seed), seed, j, 1])
             test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
         true_scores = test_scores.reshape(-1)[test_cells + test_labels]
         counts: dict[float, SplitResult] = {}  # equal cutoffs (-0.0 and 0.0 too) share one count
-        for i, method in enumerate(methods):
-            if i in failures:
-                continue
-            try:
-                if method.weights is not None:
-                    thr = method.threshold(calib, alpha, method.weights[calib_rows])
-                else:
-                    if j == 0:
-                        rules[i] = method.rule(n_calib, alpha)
-                    thr = rules[i].apply(calib.scores)
-            except ValueError as exc:
-                failures[i] = (type(exc)(f"split {j}: {exc}"), exc)
-                continue
+        for method, rule, per_split in zip(methods, rules, results):
+            if method.weights is not None:
+                rule = method.rule(n_calib, alpha, method.weights[calib_rows])
+            thr = rule.apply(calib.scores)
             cutoff = np.inf if thr.is_unbounded else thr.threshold
             if cutoff not in counts:
                 counts[cutoff] = SplitResult(
                     coverage=int(np.count_nonzero(true_scores <= cutoff)) / k_test,
                     mean_set_size=int(np.count_nonzero(test_scores <= cutoff)) / k_test,
                 )
-            results[i].append(counts[cutoff])
-        if 0 in failures:  # the first method's error takes precedence
-            break
-    if failures:
-        error, cause = failures[min(failures)]
-        raise error from cause
+            per_split.append(counts[cutoff])
     ddof = 1 if n_splits > 1 else 0
     config = dict(alpha=alpha, n_splits=n_splits, n_calib=n_calib, k_test=k_test,
-                  base_seed=base_seed)
+                  base_seed=seed)
     reports = []
     for method, per_split in zip(methods, results):
         coverages = np.array([r.coverage for r in per_split])

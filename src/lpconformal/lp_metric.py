@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreSample, check_epsilon, check_rho
+from .core import ScoreSample, check_finite_nonnegative, check_rho
 
 __all__ = [
     "LPParams",
@@ -64,7 +64,7 @@ class LPParams:
     rho: float
 
     def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
+        check_finite_nonnegative(self.epsilon, "epsilon")
         check_rho(self.rho)
 
 
@@ -185,7 +185,7 @@ def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResu
 
     Raises ``ValueError`` when ``n * m`` is not below ``2**62``.
     """
-    check_epsilon(epsilon)
+    check_finite_nonnegative(epsilon, "epsilon")
     n, m = p.n, q.n
     (matched,) = _matched_units(p, q, [float(epsilon)])
     rho = (n * m - matched) / (n * m)

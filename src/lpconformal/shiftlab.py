@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScoreSample, check_epsilon, check_rho
+from .core import ScoreSample, check_finite_nonnegative, check_rho
 from .lp_metric import LPParams
 
 __all__ = [
@@ -88,7 +88,7 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
+        check_finite_nonnegative(self.epsilon, "epsilon")
         check_rho(self.rho)
         if self.local_law is not None:
             lo, hi = _law_support(self.local_law)

@@ -136,6 +136,14 @@ class TestEstimate:
         assert err.startswith("error: the pooled interquartile range ") and err.count("\n") == 1
         assert "--grid" in err
 
+    @pytest.mark.parametrize("grid", ["", ",", " "])
+    def test_empty_grid_exit_2(self, tmp_path, capsys, grid):
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{v / 49!r}\n" for v in range(50)))
+        files = ["--calib-a", str(path), "--calib-b", str(path), "--test", str(path)]
+        assert main(["estimate", *files, "--grid", grid]) == 2
+        assert capsys.readouterr().err == "error: epsilon grid must be nonempty\n"
+
 
 class TestEvaluateAndCompare:
     def test_evaluate_report(self, matrix_file, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import ScoreSample, cdf, conformal_quantile, quantile
-from lpconformal.core import check_alpha, check_epsilon, check_rho, level_at_most_one
+from lpconformal.core import check_alpha, check_finite_nonnegative, check_rho, level_at_most_one
 
 
 def quantile_scan_oracle(scores, beta):
@@ -178,10 +178,26 @@ class TestValidators:
                 check_alpha(bad)
 
     def test_check_epsilon(self):
-        check_epsilon(0.0)
+        check_finite_nonnegative(0.0, "epsilon")
         for bad in (-1e-300, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real, got"):
-                check_epsilon(bad)
+                check_finite_nonnegative(bad, "epsilon")
+
+    @pytest.mark.parametrize("bad", [-1e-300, float("inf"), float("nan")])
+    def test_finite_nonnegative_message_names_each_parameter(self, bad):
+        from lpconformal import LPParams, chi2_g, chi2_g_inv, rscp_threshold
+
+        sample = ScoreSample([1.0, 2.0])
+        calls = [
+            ("epsilon", lambda: LPParams(bad, 0.0)),
+            ("rho_chi2", lambda: chi2_g(0.5, bad)),
+            ("rho_chi2", lambda: chi2_g_inv(0.5, bad)),
+            ("delta", lambda: rscp_threshold(sample, 0.1, bad, 1.0)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name} must be a finite nonnegative real, got {bad!r}"
 
     def test_check_rho(self):
         for good in (0.0, -0.0, 0.5, 1.0):

@@ -268,6 +268,40 @@ class TestMethodRules:
             assert self._outcome(lambda: spec.rule(sample.n, alpha).apply(sample.scores)) == want
             assert self._outcome(lambda: spec.threshold(sample, alpha)) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 8)), min_size=1, max_size=300),
+        st.floats(0.001, 0.999),
+        st.sampled_from([0.0, 0.1, 2.0]),
+        st.sampled_from([0.5, 1.0, 1.5, 50.0]),
+    )
+    def test_per_row_rule_matches_public_threshold(self, rows, alpha, rho_chi2, tw):
+        # Scores in ascending order, so the public thresholds' input-order
+        # weight total is also the rule's ascending-score-order total.
+        rows = sorted(rows)
+        sample = ScoreSample([score / 4.0 for score, _ in rows])
+        ws = WeightedScores(sample.scores, [weight / 3.0 for _, weight in rows], tw)
+        public = {
+            "weighted": lambda: weighted_threshold(ws, alpha),
+            "fg": lambda: fg_threshold(ws, alpha, rho_chi2),
+        }
+        for name, threshold in public.items():
+            spec = MethodSpec(name, rho_chi2=rho_chi2, test_weight=tw)
+            want = self._outcome(threshold)
+            got = self._outcome(lambda: spec.rule(sample.n, alpha, ws.weights).apply(sample.scores))
+            assert got == want
+
+    @pytest.mark.parametrize("name", ["weighted", "fg"])
+    def test_per_row_rule_checks_its_weights(self, name):
+        spec = MethodSpec(name, rho_chi2=0.1)
+        for weights in (np.ones(10), np.ones(4), np.ones((5, 1))):
+            shape = re.escape(str(np.shape(weights)))
+            with pytest.raises(ValueError, match=f"^need 5 weights, one per score, got shape {shape}$"):
+                spec.rule(5, 0.1, weights)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^weights must be finite and strictly positive$"):
+                spec.rule(5, 0.1, np.array([1.0, 2.0, bad, 1.0, 1.0]))
+
 
 class TestCompare:
     def test_singleton_equals_evaluate(self):
@@ -605,6 +639,30 @@ class TestEvaluateInputs:
         with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got -1"):
             evaluate(m, MethodSpec("sc"), 0.1, n_splits=2, n_calib=20, k_test=10, base_seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", None])
+    def test_non_integer_seed(self, seed):
+        m = synthetic_matrix(np.random.default_rng(14), rows=50)
+        message = f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        for run in (evaluate, compare):
+            method = MethodSpec("sc") if run is evaluate else [MethodSpec("sc")]
+            with pytest.raises(ValueError, match=message):
+                run(m, method, 0.1, n_splits=2, n_calib=20, k_test=10, base_seed=seed)
+
+    def test_integer_like_counts_reported_as_int(self):
+        m = synthetic_matrix(np.random.default_rng(14), rows=50)
+        counts = dict(n_splits=np.int64(2), n_calib=np.int32(20), k_test=np.uint8(10))
+        report = evaluate(m, MethodSpec("sc"), 0.1, **counts, base_seed=0)
+        assert all(type(getattr(report, name)) is int for name in counts)
+        assert report.to_json() == evaluate(m, MethodSpec("sc"), 0.1, 2, 20, 10, 0).to_json()
+
+    @pytest.mark.parametrize("seed, value", [(True, 1), (np.int64(3), 3), (np.uint8(3), 3)])
+    def test_integer_seed_reported_as_int(self, seed, value):
+        m = synthetic_matrix(np.random.default_rng(14), rows=50)
+        kwargs = dict(alpha=0.1, n_splits=2, n_calib=20, k_test=10)
+        report = evaluate(m, MethodSpec("sc"), **kwargs, base_seed=seed)
+        assert type(report.base_seed) is int
+        assert report.to_json() == evaluate(m, MethodSpec("sc"), **kwargs, base_seed=value).to_json()
+
 
 def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_seed,
                       perturbation=None, redraw_per_split=True):
@@ -640,11 +698,14 @@ def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_see
                 test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
             else:
                 test_scores = fixed_perturbed[test_idx]
-        row_weights = None
-        if method.weights is not None:
-            row_weights = method.weights[calib_idx[np.argsort(calib_raw, kind="stable")]]
         try:
-            thr = method.threshold(calib, alpha, row_weights)
+            if method.weights is not None and method.name in ("weighted", "fg"):
+                row_weights = method.weights[calib_idx[np.argsort(calib_raw, kind="stable")]]
+                ws = WeightedScores(calib.scores, row_weights, method.test_weight)
+                thr = (weighted_threshold(ws, alpha) if method.name == "weighted"
+                       else fg_threshold(ws, alpha, method.rho_chi2))
+            else:
+                thr = method.threshold(calib, alpha)
         except ValueError as exc:
             raise type(exc)(f"split {j}: {exc}") from exc
         cutoff = np.inf if thr.is_unbounded else thr.threshold
@@ -833,18 +894,28 @@ class TestSharedSplits:
         return MethodSpec("weighted", weights=weights)
 
     def test_error_of_first_method_in_order_wins(self):
+        # Among rule errors the first failing method in list order wins, at
+        # split 0, as in the per-method oracle. A bad per-row weight is raised
+        # before any rule error, without a split prefix, even where its row
+        # first calibrates at split 3; there the oracle still names split 3.
         m = self.MATRIX
-        late = self._fails_from_split_3()
-        early = MethodSpec("lp")  # n_calib = 8 is too small at alpha 0.1: fails at split 0
+        lp = MethodSpec("lp")  # n_calib = 8 is too small at alpha 0.1
+        chi2 = MethodSpec("chi2", rho_chi2=-1.0)
         args = (0.1, 6, 8, 20, 5)
-        cases = (([late, early], 3), ([early, late], 0), ([MethodSpec("sc"), early, late], 0))
-        for methods, split_no in cases:
+        lp_error = "split 0: adjusted miscoverage"
+        chi2_error = "split 0: rho_chi2 must be a finite nonnegative real, got -1.0"
+        cases = (([lp, chi2], lp_error), ([chi2, lp], chi2_error),
+                 ([MethodSpec("sc"), chi2, lp], chi2_error))
+        for methods, message in cases:
             got = compare_outcome(m, methods, *args)
             assert isinstance(got, ValueError)
-            assert str(got).startswith(f"split {split_no}: ")
+            assert str(got).startswith(message)
             same_outcome(got, oracle_outcome(m, methods, *args))
-        with pytest.raises(ValueError, match="split 3: weights must be finite"):
-            evaluate(m, late, *args)
+        late = self._fails_from_split_3()
+        assert str(oracle_outcome(m, [late], *args)).startswith("split 3: ")
+        for methods in ([late], [lp, late], [chi2, MethodSpec("sc"), late]):
+            with pytest.raises(ValueError, match="^weights must be finite and strictly positive$"):
+                compare(m, methods, *args)
 
     @pytest.mark.parametrize("redraw, expected", [(True, 5), (False, 1)])
     def test_each_perturbation_drawn_once_for_all_methods(self, monkeypatch, redraw, expected):
@@ -862,12 +933,14 @@ class TestSharedSplits:
 
     @pytest.mark.parametrize("n_splits", [1, 6])
     def test_each_rule_resolved_once_per_call(self, monkeypatch, n_splits):
+        # Per-row methods resolve once with unit weights, which checks their
+        # parameters, then once per split with that split's weights.
         rules, thresholds = Counter(), Counter()
         resolve, calibrate = MethodSpec.rule, MethodSpec.threshold
 
-        def counting_rule(method, *args, **kwargs):
-            rules[method.name, method.weights is not None] += 1
-            return resolve(method, *args, **kwargs)
+        def counting_rule(method, n, alpha, sorted_weights=None):
+            rules[method.name, method.weights is not None, sorted_weights is not None] += 1
+            return resolve(method, n, alpha, sorted_weights)
 
         def counting_threshold(method, *args, **kwargs):
             thresholds[method.name, method.weights is not None] += 1
@@ -880,8 +953,10 @@ class TestSharedSplits:
         reports = compare(self.MATRIX, all_methods() + per_row, 0.1, n_splits, 100, 80, 3,
                           perturbation=self.SHIFT)
         assert len(reports) == len(METHOD_NAMES) + 2
-        assert rules == {(name, False): 1 for name in METHOD_NAMES}
-        assert thresholds == {("weighted", True): n_splits, ("fg", True): n_splits}
+        per_split = {(name, True, with_weights): n_splits if with_weights else 1
+                     for name in ("weighted", "fg") for with_weights in (False, True)}
+        assert rules == {(name, False, False): 1 for name in METHOD_NAMES} | per_split
+        assert not thresholds
 
     def test_arguments_checked_before_any_split(self, monkeypatch):
         def no_split(*args, **kwargs):
@@ -890,10 +965,31 @@ class TestSharedSplits:
         monkeypatch.setattr(harness, "_split_indices", no_split)
         # The first method would fail at split 0; the last one's weights are
         # checked first.
-        methods = [MethodSpec("lp"), MethodSpec("weighted", weights=np.ones(3))]
-        with pytest.raises(ValueError, match="3 entries for 260 matrix rows"):
-            compare(self.MATRIX, methods, 0.1, 2, 8, 20, 0)
-        for bad in (dict(alpha=1.0), dict(n_splits=0), dict(k_test=0), dict(base_seed=-1)):
+        lp = MethodSpec("lp")  # n_calib = 8 is too small at alpha 0.1
+        for weights, message in (
+            (np.ones(3), "^method weights have 3 entries for 260 matrix rows; need one per row$"),
+            (np.ones((260, 1)),
+             r"^method weights have shape \(260, 1\) for 260 matrix rows; need one per row$"),
+            (np.where(np.arange(260) == 200, 0.0, 1.0), "^weights must be finite and strictly"),
+            (np.where(np.arange(260) == 7, np.nan, 1.0), "^weights must be finite and strictly"),
+        ):
+            methods = [lp, MethodSpec("weighted", weights=weights)]
+            with pytest.raises(ValueError, match=message):
+                compare(self.MATRIX, methods, 0.1, 2, 8, 20, 0)
+        with pytest.raises(ValueError, match="^split 0: adjusted miscoverage") as info:
+            compare(self.MATRIX, [MethodSpec("sc"), lp], 0.1, 2, 8, 20, 0)
+        assert str(info.value.__cause__) == str(info.value).removeprefix("split 0: ")
+        for bad, message in (
+            (dict(alpha=1.0), "alpha"), (dict(n_splits=0), "at least one split"),
+            (dict(k_test=0), "at least one test row"), (dict(base_seed=-1), "seed"),
+            (dict(n_calib=0), "^need n_calib >= 1 and k_test >= 0$"),
+            (dict(n_calib=250), "^n_calib \\+ k_test = 270 exceeds the 260 available rows$"),
+            (dict(n_splits=2.0), "^need at least one split, got 2.0$"),
+            (dict(k_test=20.0), "^need at least one test row, got 20.0$"),
+            (dict(n_calib=8.5), "^need n_calib >= 1 and k_test >= 0$"),
+            (dict(n_calib="8"), "^need n_calib >= 1 and k_test >= 0$"),
+        ):
             kwargs = {**dict(alpha=0.1, n_splits=2, n_calib=8, k_test=20, base_seed=0), **bad}
-            with pytest.raises(ValueError):
-                compare(self.MATRIX, [MethodSpec("sc")], **kwargs)
+            for methods in ([MethodSpec("sc")], [lp], []):
+                with pytest.raises(ValueError, match=message):
+                    compare(self.MATRIX, methods, **kwargs)

@@ -2,7 +2,8 @@
 
 No module imports another module's ``_private`` names, the CLI offers
 exactly the method names the harness knows, ``harness.evaluate`` holds no
-split loop of its own beside ``compare``, and one transport solver runs with
+split loop of its own beside ``compare``, whose split loop has no error
+path, and one transport solver runs with
 numpy as the only third-party dependency. Every CSV input goes through two
 parsers and no other: one ``np.loadtxt`` call for speed, and one
 ``csv.reader`` that reads whatever numpy might read differently and reports
@@ -70,6 +71,26 @@ def test_evaluate_has_no_loop():
         if isinstance(node, (ast.For, ast.While, ast.comprehension))
     ]
     assert not loops, f"harness.evaluate loops on its own: {loops}"
+
+
+def test_compare_split_loop_has_no_error_path():
+    # Every error of compare is raised before its first split.
+    path = next(p for p in SOURCES if p.name == "harness.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    compare = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "compare"
+    )
+    loop = next(
+        node for node in ast.walk(compare)
+        if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(n_splits)"
+    )
+    handlers = [
+        f"line {node.lineno}: {type(node).__name__}"
+        for node in ast.walk(loop)
+        if isinstance(node, (ast.Try, ast.Raise))
+    ]
+    assert not handlers, f"harness.compare's split loop handles or raises errors: {handlers}"
 
 
 def _calls(name):
