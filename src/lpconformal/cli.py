@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -110,7 +110,8 @@ def _cmd_estimate(args) -> int:
         "rho": result.rho,
         "beta": result.beta,
         "q": result.q,
-        "grid_trace": [asdict(p) for p in result.grid_trace],
+        # A grid point's fields are scalars, so a shallow dict serializes as asdict's would.
+        "grid_trace": [{f.name: getattr(p, f.name) for f in fields(p)} for p in result.grid_trace],
     }
     _emit(payload, args.out)
     return EXIT_OK

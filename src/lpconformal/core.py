@@ -171,16 +171,26 @@ class QuantileRule:
     offset: float = -0.0
     coverage_bound: float | None = None
 
+    def cutoff(self, sorted_scores) -> float:
+        """The threshold on ``sorted_scores`` as a float, ``math.inf`` when unbounded.
+
+        ``sorted_scores`` are ascending and of the resolved size. A threshold
+        that overflows is unbounded.
+        """
+        if self.index is None:
+            return math.inf
+        value = float(sorted_scores[self.index - 1]) + self.offset
+        return value if math.isfinite(value) else math.inf
+
     def apply(self, sorted_scores) -> ThresholdResult:
         """The threshold on ``sorted_scores``, ascending and of the resolved size.
 
         A threshold that overflows is unbounded.
         """
-        if self.index is not None:
-            value = float(sorted_scores[self.index - 1]) + self.offset
-            if math.isfinite(value):
-                return ThresholdResult(value, self.level_used, self.coverage_bound)
-        return ThresholdResult(None, self.level_used)
+        value = self.cutoff(sorted_scores)
+        if value == math.inf:
+            return ThresholdResult(None, self.level_used)
+        return ThresholdResult(value, self.level_used, self.coverage_bound)
 
 
 def quantile_index(n: int, beta: float) -> int:

@@ -321,28 +321,30 @@ def compare(
     results: list[list[SplitResult]] = [[] for _ in methods]
     per_row = any(method.weights is not None for method in methods)
     # Row r's true-label score is cell r * n_labels + label of the scores in C order.
-    flat_scores = matrix.scores.reshape(-1)
-    true_cells = np.arange(matrix.n_rows) * matrix.n_labels + matrix.true_labels
+    row_true = matrix.scores.reshape(-1)[
+        np.arange(matrix.n_rows) * matrix.n_labels + matrix.true_labels
+    ]
     test_cells = np.arange(k_test) * matrix.n_labels
     for j in range(n_splits):
         calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [seed, j, 0])
-        calib_raw = flat_scores[true_cells[calib_idx]]
-        calib = ScoreSample(calib_raw)
+        calib_raw = row_true[calib_idx]
+        # The matrix's scores are checked finite, so the sorted copy is the split's sample.
+        calib = np.sort(calib_raw)
         if per_row:
             # The row of each of calib's sorted scores, to pair per-row weights.
             calib_rows = calib_idx[np.argsort(calib_raw, kind="stable")]
+        # A new C-ordered array, so a redrawn perturbation can overwrite it.
         test_scores = np.take(source, test_idx, axis=0)
         test_labels = matrix.true_labels[test_idx]
         if perturbation is not None and redraw_per_split:
             rng = np.random.default_rng([int(perturbation.seed), seed, j, 1])
-            test_scores = perturb_rows(test_scores, test_labels, perturbation, rng)
+            perturb_rows(test_scores, test_labels, perturbation, rng, out=test_scores)
         true_scores = test_scores.reshape(-1)[test_cells + test_labels]
         counts: dict[float, SplitResult] = {}  # equal cutoffs (-0.0 and 0.0 too) share one count
         for method, rule, per_split in zip(methods, rules, results):
             if method.weights is not None:
                 rule = method.rule(n_calib, alpha, method.weights[calib_rows])
-            thr = rule.apply(calib.scores)
-            cutoff = np.inf if thr.is_unbounded else thr.threshold
+            cutoff = rule.cutoff(calib)
             if cutoff not in counts:
                 counts[cutoff] = SplitResult(
                     coverage=int(np.count_nonzero(true_scores <= cutoff)) / k_test,
@@ -351,7 +353,8 @@ def compare(
             per_split.append(counts[cutoff])
     ddof = 1 if n_splits > 1 else 0
     config = dict(alpha=alpha, n_splits=n_splits, n_calib=n_calib, k_test=k_test,
-                  base_seed=seed)
+                  base_seed=seed,
+                  perturbation=None if perturbation is None else perturbation_dict(perturbation))
     reports = []
     for method, per_split in zip(methods, results):
         coverages = np.array([r.coverage for r in per_split])
@@ -359,7 +362,6 @@ def compare(
         reports.append(EvalReport(
             method=method.name,
             params=method.params_dict(),
-            perturbation=None if perturbation is None else perturbation_dict(perturbation),
             per_split=tuple(per_split),
             coverage_mean=float(coverages.mean()),
             coverage_std=float(coverages.std(ddof=ddof)),
@@ -542,5 +544,7 @@ def write_report_csv(reports: Sequence[EvalReport], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["method", "split", "coverage", "mean_set_size"])
         for report in reports:
-            for j, r in enumerate(report.per_split):
-                writer.writerow([report.method, j, repr(r.coverage), repr(r.mean_set_size)])
+            writer.writerows(
+                (report.method, j, r.coverage, r.mean_set_size)
+                for j, r in enumerate(report.per_split)
+            )

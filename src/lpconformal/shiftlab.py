@@ -159,6 +159,7 @@ def perturb_rows(
     true_labels: np.ndarray,
     spec: PerturbationSpec,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score-space surrogate for test-time corruption of a score matrix.
 
@@ -167,13 +168,26 @@ def perturb_rows(
     profile of a ``rho`` fraction of rows from the global law. The induced
     true-label score distribution is a member of the nominal ball around the
     clean one. Draw order: replacement mask, local noise, global draws.
+
+    The result is written to ``out`` and returned when it is given: a
+    writeable C-contiguous float64 array of ``scores``' shape, which may be
+    ``scores`` itself. Otherwise it is a new array, and ``scores`` is left
+    untouched.
     """
     n_rows, n_labels = scores.shape
     # Checked, since the flat cell of a label outside the row lies in another row.
     if true_labels.size and not 0 <= true_labels.min() <= true_labels.max() < n_labels:
         raise ValueError("true labels must index a score column")
-    out = scores.copy()
-    flat = out.reshape(-1)  # a view: the copy is C-ordered
+    if out is None:
+        out = scores.copy()
+    elif not (isinstance(out, np.ndarray) and out.shape == scores.shape
+              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(
+            "out must be a writeable C-contiguous float64 array of the scores' shape"
+        )
+    elif out is not scores:
+        out[...] = scores
+    flat = out.reshape(-1)  # a view: out is C-ordered
     corrupt = rng.random(n_rows) < spec.rho
     noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
     keep = np.flatnonzero(~corrupt)

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpconformal import ScoreSample, cdf, conformal_quantile, quantile
-from lpconformal.core import check_alpha, check_finite_nonnegative, check_rho, level_at_most_one
+from lpconformal import MethodSpec, ScoreSample, cdf, conformal_quantile, quantile
+from lpconformal.core import (
+    QuantileRule,
+    check_alpha,
+    check_finite_nonnegative,
+    check_rho,
+    level_at_most_one,
+)
+from lpconformal.harness import METHOD_NAMES
 
 
 def quantile_scan_oracle(scores, beta):
@@ -168,6 +175,67 @@ class TestConformalQuantile:
         res = conformal_quantile(s, alpha)
         if not res.is_unbounded:
             assert res.threshold >= quantile(s, 1 - alpha)
+
+
+MAX = 1.7976931348623157e308
+# Signed zeros and values at the edge of overflow, so a sum can overflow or
+# keep either zero's sign.
+edge_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, MAX, -MAX, float(np.nextafter(MAX, 0.0)),
+                     1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def same_cutoff(rule, sorted_scores):
+    """``rule.cutoff`` is ``rule.apply``'s threshold, bit for bit, or inf when unbounded."""
+    cutoff = rule.cutoff(sorted_scores)
+    result = rule.apply(sorted_scores)
+    assert type(cutoff) is float
+    if result.is_unbounded:
+        assert cutoff == math.inf
+    else:
+        assert np.float64(cutoff).tobytes() == np.float64(result.threshold).tobytes()
+
+
+class TestQuantileRuleCutoff:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_floats, min_size=1, max_size=12), st.data())
+    def test_agrees_with_apply(self, values, data):
+        sorted_scores = np.sort(np.array(values))
+        index = data.draw(st.one_of(st.none(), st.integers(1, len(values))))
+        offset = data.draw(edge_floats)
+        same_cutoff(QuantileRule(index, 0.5, offset, 0.9), sorted_scores)
+        same_cutoff(QuantileRule(index, 0.5), sorted_scores)
+
+    def test_edges(self):
+        zeros = np.array([-0.0, 0.0])
+        assert QuantileRule(None, 1.5).cutoff(zeros) == math.inf
+        assert QuantileRule(1, 1.0, MAX).cutoff(np.array([MAX])) == math.inf
+        assert QuantileRule(1, 1.0, -MAX).cutoff(np.array([-MAX])) == math.inf
+        assert QuantileRule(1, 1.0, -MAX).cutoff(np.array([MAX])) == 0.0
+        assert math.copysign(1.0, QuantileRule(1, 0.5).cutoff(zeros)) == -1.0
+        assert math.copysign(1.0, QuantileRule(1, 0.5, 0.0).cutoff(zeros)) == 1.0
+        for rule in (QuantileRule(1, 0.5), QuantileRule(2, 1.0, 0.0)):
+            same_cutoff(rule, zeros)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(METHOD_NAMES),
+        st.lists(edge_floats, min_size=1, max_size=40),
+        st.sampled_from([0.05, 0.1, 0.3, 0.6]),
+        st.sampled_from([0.0, -0.0, 0.1, 1e308, MAX]),
+        st.booleans(),
+    )
+    def test_agrees_with_apply_for_every_method(self, name, values, alpha, radius, weighted):
+        method = MethodSpec(name, epsilon=radius, rho=0.05, rho_chi2=0.1, delta=radius,
+                            sigma=2.0, test_weight=1.5)
+        sorted_weights = np.linspace(0.5, 2.0, len(values)) if weighted else None
+        try:
+            rule = method.rule(len(values), alpha, sorted_weights)
+        except ValueError:
+            assume(False)
+        same_cutoff(rule, np.sort(np.array(values)))
 
 
 class TestValidators:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpconformal import (
     NoFeasibleGridError,
@@ -166,3 +168,39 @@ class TestDefaultGrid:
             f"the pooled interquartile range {iqr} gives no finite, positive, "
             "increasing epsilon grid; supply an explicit grid (--grid)"
         )
+
+
+def _grid_outcome(samples):
+    try:
+        return default_epsilon_grid(*samples)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Ties, signed zeros, values near overflow, subnormals and heavy tails.
+grid_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324, 1e-322]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-3.0, 3.0).map(lambda u: float(np.tan(u / 2.0))),  # Cauchy-like tails
+)
+
+
+class TestDefaultGridIqr:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(grid_scores, min_size=1, max_size=30), min_size=1, max_size=3))
+    @example([[0.0, -0.0, -1.0, 0.0, -0.0, 0.0, 0.0]])
+    def test_iqr_is_two_scalar_quantile_calls(self, lists):
+        # One np.quantile call at both levels is faster, but it partitions
+        # signed zeros differently: on [0.0, -0.0, -1.0, 0.0, -0.0, 0.0, 0.0]
+        # its quartiles are 0.0 and 0.0, where two calls give 0.0 and -0.0,
+        # and the zero range's message would lose its sign.
+        samples = [ScoreSample(values) for values in lists]
+        pooled = np.concatenate([s.scores for s in samples])
+        with np.errstate(all="ignore"):
+            iqr = float(np.quantile(pooled, 0.75) - np.quantile(pooled, 0.25))
+        outcome = _grid_outcome(samples)
+        if isinstance(outcome, str):
+            assert outcome.startswith(f"the pooled interquartile range {iqr!r} gives")
+        else:
+            # geomspace keeps both ends exact, and 2 * iqr is exact.
+            assert (outcome[0], outcome[-1]) == (0.01 * iqr, 2.0 * iqr)

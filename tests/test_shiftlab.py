@@ -132,9 +132,11 @@ class TestPerturbRows:
         st.sampled_from([None, PointMass(0.0), PointMass(-0.25), Uniform(-0.1, 0.25)]),
         st.sampled_from([PointMass(40.0), PointMass(-0.0), Uniform(-2.0, 3.0)]),
         st.booleans(),
+        st.sampled_from(["copy", "out", "in place"]),
         st.integers(0, 2**32 - 1),
     )
-    def test_bit_identical_to_reference(self, rows, labels, rho, local, glob, fortran, seed):
+    def test_bit_identical_to_reference(self, rows, labels, rho, local, glob, fortran, into,
+                                        seed):
         draw = np.random.default_rng(seed)
         # Some lattice scores, so a shift by epsilon is exact or lands on a tie.
         scores = np.where(draw.random((rows, labels)) < 0.5,
@@ -146,12 +148,47 @@ class TestPerturbRows:
         saved = scores.tobytes(), true_labels.tobytes()
         spec = PerturbationSpec(self.EPS, rho, local_law=local, global_law=glob)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = perturb_rows(scores, true_labels, spec, rng)
+        if into == "copy":
+            got = perturb_rows(scores, true_labels, spec, rng)
+        elif into == "out":
+            out = np.full((rows, labels), np.nan)  # every cell must be overwritten
+            got = perturb_rows(scores, true_labels, spec, rng, out=out)
+            assert got is out
+        else:
+            # A C-ordered copy is overwritten, and the scores stay untouched.
+            target = scores.copy(order="C")
+            got = perturb_rows(target, true_labels, spec, rng, out=target)
+            assert got is target
         want = perturb_rows_reference(scores, true_labels, spec, ref_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # Both generators end in one state: the same draws, in the same sizes.
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (scores.tobytes(), true_labels.tobytes()) == saved
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((3, 2)), np.zeros(6), np.zeros((2, 3), dtype=np.float32),
+        np.zeros((2, 3), dtype=int), np.zeros((2, 3), order="F"), np.zeros((2, 6))[:, ::2],
+        np.zeros((2, 3)).tolist(),
+    ], ids=["shape", "flat", "float32", "int", "fortran", "strided", "list"])
+    def test_bad_out_rejected(self, out):
+        scores = np.arange(6.0).reshape(2, 3)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^out must be a writeable C-contiguous float64"):
+            perturb_rows(scores, np.array([0, 2]), PerturbationSpec(0.1, 0.5), rng, out=out)
+        assert scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert rng.bit_generator.state == state
+
+    def test_read_only_out_rejected(self):
+        scores = np.arange(6.0).reshape(2, 3)
+        scores.flags.writeable = False
+        with pytest.raises(ValueError, match="^out must be a writeable C-contiguous float64"):
+            perturb_rows(scores, np.array([0, 2]), PerturbationSpec(0.1, 0.5),
+                         np.random.default_rng(0), out=scores)
+        # Without out the read-only scores are copied, not written.
+        got = perturb_rows(scores, np.array([0, 2]), PerturbationSpec(0.1, 0.5),
+                           np.random.default_rng(0))
+        assert got.flags.writeable and scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_the_columns_rejected(self, label):

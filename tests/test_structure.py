@@ -3,12 +3,13 @@
 No module imports another module's ``_private`` names, the CLI offers
 exactly the method names the harness knows, ``harness.evaluate`` holds no
 split loop of its own beside ``compare``, whose split loop has no error
-path, and one transport solver runs with
-numpy as the only third-party dependency. Every CSV input goes through two
-parsers and no other: one ``np.loadtxt`` call for speed, and one
-``csv.reader`` that reads whatever numpy might read differently and reports
-every error. The public surface is pinned, every exported name resolves,
-and so does every callable the benchmark's tracer wraps by name.
+path and builds no ``ScoreSample`` or ``ThresholdResult``, and one
+transport solver runs with numpy as the only third-party dependency. Every
+CSV input goes through two parsers and no other: one ``np.loadtxt`` call for
+speed, and one ``csv.reader`` that reads whatever numpy might read
+differently and reports every error. The public surface is pinned, every
+exported name resolves, and so does every callable the benchmark's tracer
+wraps by name.
 """
 
 import argparse
@@ -73,24 +74,41 @@ def test_evaluate_has_no_loop():
     assert not loops, f"harness.evaluate loops on its own: {loops}"
 
 
-def test_compare_split_loop_has_no_error_path():
-    # Every error of compare is raised before its first split.
+def _compare_split_loop():
     path = next(p for p in SOURCES if p.name == "harness.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     compare = next(
         node for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "compare"
     )
-    loop = next(
+    return next(
         node for node in ast.walk(compare)
         if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(n_splits)"
     )
+
+
+def test_compare_split_loop_has_no_error_path():
+    # Every error of compare is raised before its first split.
     handlers = [
         f"line {node.lineno}: {type(node).__name__}"
-        for node in ast.walk(loop)
+        for node in ast.walk(_compare_split_loop())
         if isinstance(node, (ast.Try, ast.Raise))
     ]
     assert not handlers, f"harness.compare's split loop handles or raises errors: {handlers}"
+
+
+def test_compare_split_loop_builds_no_result_objects():
+    # A split is plain arrays and float cutoffs: the matrix is validated once
+    # per call, so no split wraps its scores in a ScoreSample or a
+    # ThresholdResult.
+    calls = [
+        f"line {node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(_compare_split_loop())
+        if isinstance(node, ast.Call)
+        and (ast.unparse(node.func) == "ScoreSample"
+             or (isinstance(node.func, ast.Attribute) and node.func.attr == "apply"))
+    ]
+    assert not calls, f"harness.compare's split loop builds per-split objects: {calls}"
 
 
 def _calls(name):
