@@ -174,7 +174,9 @@ def _cmd_simulate(args) -> int:
     )
     perturbed = perturb_sample(sample, spec)
     out = Path(args.out)
-    out.write_text("".join([f"{v!r}\n" for v in perturbed.scores.tolist()]))
+    values = perturbed.scores.tolist()
+    # One %-format call; %r of a float is its repr, as an f-string's !r.
+    out.write_text(("%r\n" * len(values)) % tuple(values))
     sidecar = out.with_name(out.stem + "_spec.json")
     sidecar.write_text(
         json.dumps(

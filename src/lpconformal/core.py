@@ -171,6 +171,11 @@ class QuantileRule:
     offset: float = -0.0
     coverage_bound: float | None = None
 
+    def __post_init__(self) -> None:
+        # A Python float overflows to inf silently where a numpy scalar warns,
+        # and makes every threshold a Python float; float() keeps -0.0.
+        object.__setattr__(self, "offset", float(self.offset))
+
     def cutoff(self, sorted_scores) -> float:
         """The threshold on ``sorted_scores`` as a float, ``math.inf`` when unbounded.
 

@@ -24,6 +24,13 @@ compose into clips: a log-depth prefix scan on int64 arrays yields every
 thresholds at once. :func:`lp_profile` runs a grid through it in blocks of
 about cache size, and :func:`lp_distance` is the one-threshold case.
 
+The exact test compares the same rounded differences with every threshold,
+so a wider threshold admits every edge a narrower one did and the matched
+units never decrease along an ascending grid. Once a block ends with every
+unit matched (the grid has reached the sup-norm distance), the rest of the
+grid is fully matched too: :func:`lp_profile` fills it in with
+``rho == 0.0`` without running the kernel again.
+
 The interval ends are found with ``np.searchsorted`` on the rounded bounds
 ``y_j - eps`` and ``y_j + eps`` and then checked with the exact test; the
 rare ends that rounding moved are searched again by bisection, so every
@@ -150,7 +157,13 @@ def _fills(x: np.ndarray, y: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _matched_units(p: ScoreSample, q: ScoreSample, grid: list[float]) -> list[int]:
-    """Maximum matched units at every threshold of ``grid``, in kernel blocks."""
+    """Maximum matched units at every threshold of ``grid``, in kernel blocks.
+
+    ``grid`` must be ascending: :func:`lp_distance` passes one threshold and
+    :func:`lp_profile` a validated strictly increasing grid. The blocks stop
+    at the first one that ends fully matched, and every later threshold
+    counts ``n * m`` units.
+    """
     n, m = p.n, q.n
     if n * m >= 2**62:
         raise ValueError(
@@ -160,6 +173,8 @@ def _matched_units(p: ScoreSample, q: ScoreSample, grid: list[float]) -> list[in
     rows = max(1, _BLOCK_CELLS // m)
     matched: list[int] = []
     for first in range(0, len(grid), rows):
+        if matched and matched[-1] == n * m:
+            return matched + [n * m] * (len(grid) - first)
         start, end = _fills(p.scores, q.scores, np.array(grid[first:first + rows]))
         matched += (end - start).sum(axis=1).tolist()
     return matched
@@ -224,8 +239,11 @@ def lp_profile(
     """``(epsilon, rho)`` of :func:`lp_distance` at every threshold of a strictly increasing grid.
 
     The grid goes through the transport kernel in blocks of thresholds, so a
-    whole grid costs a few vectorised passes instead of one solve per point;
-    each ``rho`` is bit-equal to ``lp_distance(p, q, epsilon).rho``.
+    whole grid costs a few vectorised passes instead of one solve per point.
+    After the first block that ends with every unit matched, the kernel is
+    not run again: a wider threshold admits every edge a narrower one did,
+    so the rest of the grid is fully matched and its ``rho`` is ``0.0``.
+    Each ``rho`` is bit-equal to ``lp_distance(p, q, epsilon).rho``.
     """
     grid = validate_epsilon_grid(epsilon_grid)
     units = p.n * q.n

@@ -377,6 +377,18 @@ class TestSimulate:
         perturbed = perturb_sample(read_scores(scores_file), spec)
         assert out.read_text() == "".join(f"{float(v)!r}\n" for v in perturbed.scores)
 
+    def test_edge_values_written_by_repr(self, tmp_path):
+        # A local shift of -0.0 leaves every score, -0.0 included, as it is.
+        values = [-0.0, 5e-324, 1e-05, 0.1, 1e16, 1.7976931348623157e308]
+        scores = tmp_path / "edge.csv"
+        scores.write_text("".join(f"{v!r}\n" for v in values))
+        out = tmp_path / "perturbed.csv"
+        assert main([
+            "simulate", "--scores", str(scores), "--local-law", "point",
+            "--local-value", "-0.0", "--out", str(out),
+        ]) == 0
+        assert out.read_text() == "".join(f"{v!r}\n" for v in values)
+
     def test_deterministic_given_seed(self, scores_file, tmp_path):
         outs = []
         for name in ("p1.csv", "p2.csv"):

@@ -219,6 +219,13 @@ class TestQuantileRuleCutoff:
         for rule in (QuantileRule(1, 0.5), QuantileRule(2, 1.0, 0.0)):
             same_cutoff(rule, zeros)
 
+    def test_offset_stored_as_python_float(self):
+        for offset in (np.float64(0.25), np.float32(0.25), np.float64(-0.0), 1):
+            rule = QuantileRule(1, 0.5, offset)
+            assert type(rule.offset) is float and rule.offset == offset
+            assert math.copysign(1.0, rule.offset) == math.copysign(1.0, offset)
+            assert type(rule.cutoff(np.array([1.0]))) is float
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from(METHOD_NAMES),

@@ -398,11 +398,7 @@ class TestWinfWithinUnequal:
         n, m = 1500, 1600
         x = np.sort(rng.uniform(0, 1, n))
         y = np.sort(rng.uniform(0, 1, m))
-        # The monotone coupling attains the sup-norm distance; its pairs of
-        # order statistics change only at levels k / (n*m) with k a multiple
-        # of n or m.
-        k = np.union1d(np.arange(m, n * m + 1, m), np.arange(n, n * m + 1, n))
-        gap = float(np.max(np.abs(x[(k - 1) // m] - y[(k - 1) // n])))
+        gap = sup_norm_distance(x, y)
         p, q = ScoreSample(x), ScoreSample(y)
         assert winf_within(p, q, gap)
         assert not winf_within(p, q, float(np.nextafter(gap, 0.0)))
@@ -433,6 +429,83 @@ class TestProfileMatchesDistance:
         grid = sorted(set(extra) | {eps})
         with mock.patch.object(lp_metric, "_BLOCK_CELLS", block_cells):
             profile = lp_profile(p, q, grid)
+        assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
+
+
+def sup_norm_distance(x, y):
+    """The sup-norm transport distance between sorted samples ``x`` and ``y``.
+
+    The monotone coupling attains it; its pairs of order statistics change
+    only at levels ``k / (n*m)`` with ``k`` a multiple of ``n`` or ``m``.
+    """
+    n, m = len(x), len(y)
+    k = np.union1d(np.arange(m, n * m + 1, m), np.arange(n, n * m + 1, n))
+    return float(np.max(np.abs(x[(k - 1) // m] - y[(k - 1) // n])))
+
+
+@st.composite
+def stopping_grids(draw):
+    """Sorted samples and a grid split at their sup-norm distance ``gap``.
+
+    Returns ``(x, y, below, above)``: ``below`` holds grid points under
+    ``gap`` and ``above`` those at or past it, each ascending.
+    """
+    atoms = st.one_of(st.floats(-3.0, 3.0), st.integers(0, 6).map(lambda k: k * 0.1))
+    x = np.sort(np.array(draw(st.lists(atoms, min_size=1, max_size=30))))
+    y = np.sort(np.array(draw(st.lists(atoms, min_size=1, max_size=30))))
+    gap = sup_norm_distance(x, y)
+    below = set()
+    if gap > 0.0:
+        below = set(draw(st.lists(st.floats(0.0, gap, exclude_max=True), max_size=6)))
+        if draw(st.booleans()):
+            below.add(float(np.nextafter(gap, 0.0)))
+    above = set(draw(st.lists(st.floats(gap, 10.0), max_size=6)))
+    if draw(st.booleans()) or not (below or above):
+        above.add(gap)
+    return x, y, sorted(below), sorted(above)
+
+
+def counted_profile(p, q, grid, rows):
+    """``lp_profile`` in blocks of ``rows`` thresholds, and its number of kernel calls."""
+    with mock.patch.object(lp_metric, "_BLOCK_CELLS", rows * q.n), \
+            mock.patch.object(lp_metric, "_fills", wraps=lp_metric._fills) as fills:
+        profile = lp_profile(p, q, grid)
+    return profile, fills.call_count
+
+
+class TestProfileStop:
+    """The kernel stops at the first block that ends with every unit matched."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stopping_grids())
+    def test_stops_after_the_first_full_match(self, case):
+        x, y, below, above = case
+        p, q = ScoreSample(x), ScoreSample(y)
+        k = len(below)
+        profile, calls = counted_profile(p, q, below + above, rows=1)
+        assert calls == (k + 1 if above else k)
+        assert all(rho > 0.0 for _, rho in profile[:k])
+        assert all(rho == 0.0 for _, rho in profile[k:])
+        assert profile == [(e, lp_distance(p, q, e).rho) for e in below + above]
+
+    def test_never_fully_matched_runs_every_point(self):
+        p, q = ScoreSample([0.0, 1.0, 2.0]), ScoreSample([0.5, 1.5, 5.0, 5.5])
+        grid = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+        assert sup_norm_distance(p.scores, q.scores) == 4.0
+        profile, calls = counted_profile(p, q, grid, rows=1)
+        assert calls == len(grid)
+        assert all(rho > 0.0 for _, rho in profile)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stopping_grids(), st.integers(2, 5))
+    def test_stops_at_a_block_boundary(self, case, rows):
+        x, y, below, above = case
+        p, q = ScoreSample(x), ScoreSample(y)
+        grid = below + above
+        k = len(below)
+        profile, calls = counted_profile(p, q, grid, rows)
+        # Every block up to the one holding point k runs in full.
+        assert calls == (k // rows + 1 if above else -(-k // rows))
         assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
 
 

@@ -1,5 +1,7 @@
 """Tests for worst-case quantile/coverage formulas and robust thresholds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,3 +351,16 @@ class TestOverflowingThreshold:
             assert res.is_unbounded and res.coverage_bound is None
         finite = lp_threshold(self.HUGE, 0.1, LPParams(1e300, 0.05))
         assert not finite.is_unbounded and finite.coverage_bound >= 0.9
+
+    def test_numpy_radius_overflows_without_warning(self):
+        huge = ScoreSample(np.linspace(1.6e308, 1.7e308, 400))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lp_threshold(huge, 0.1, LPParams(np.float64(1e308), 0.0))
+        assert res.is_unbounded and res.coverage_bound is None
+
+    def test_numpy_radius_gives_a_float_threshold(self):
+        s = ScoreSample(np.arange(1, 101) / 100)
+        res = lp_threshold(s, 0.1, LPParams(np.float64(0.25), 0.0))
+        assert type(res.threshold) is float
+        assert res.threshold == lp_threshold(s, 0.1, LPParams(0.25, 0.0)).threshold
