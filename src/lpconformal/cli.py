@@ -25,6 +25,7 @@ from .harness import (
     read_matrix,
     read_scores,
     read_weighted_scores,
+    reports_json,
     write_report_csv,
 )
 from .shiftlab import PerturbationSpec, PointMass, perturb_sample
@@ -41,12 +42,15 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"could not parse grid {text!r}: {exc}") from exc
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _emit_text(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload: dict, out: str | Path | None) -> None:
+    _emit_text(json.dumps(payload, sort_keys=True, indent=2), out)
 
 
 def _threshold_payload(result) -> dict:
@@ -140,7 +144,7 @@ def _split_kwargs(args) -> dict:
 def _cmd_evaluate(args) -> int:
     matrix = read_matrix(args.matrix)
     report = evaluate(matrix, _method_from_args(args.method, args), **_split_kwargs(args))
-    _emit(report.to_dict(), args.out)
+    _emit_text(report.to_json(), args.out)
     if args.csv:
         write_report_csv([report], args.csv)
     return EXIT_OK
@@ -153,7 +157,7 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"--methods names no method, got {args.methods!r}")
     methods = [_method_from_args(name, args) for name in names]
     reports = compare(matrix, methods, **_split_kwargs(args))
-    _emit({"reports": [r.to_dict() for r in reports]}, args.out)
+    _emit_text(reports_json(reports), args.out)
     if args.csv:
         write_report_csv(reports, args.csv)
     return EXIT_OK
@@ -177,15 +181,8 @@ def _cmd_simulate(args) -> int:
     values = perturbed.scores.tolist()
     # One %-format call; %r of a float is its repr, as an f-string's !r.
     out.write_text(("%r\n" * len(values)) % tuple(values))
-    sidecar = out.with_name(out.stem + "_spec.json")
-    sidecar.write_text(
-        json.dumps(
-            {"source": str(args.scores), "n": sample.n, **perturbation_dict(spec)},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    _emit({"source": str(args.scores), "n": sample.n, **perturbation_dict(spec)},
+          out.with_name(out.stem + "_spec.json"))
     return EXIT_OK
 
 

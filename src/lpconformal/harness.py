@@ -13,6 +13,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import math
 import numbers
 import os
 import warnings
@@ -211,7 +212,78 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """The text of ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``."""
+        return _report_json(self, "", {})
+
+
+def _float_text(value) -> str | None:
+    """The repr of a finite ``float``, which ``json`` and ``csv`` both write for it.
+
+    None for any other value: JSON writes ``NaN`` where CSV writes ``nan``,
+    and ints and bools have texts of their own.
+    """
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return None
+
+
+def _json_object(fields: dict[str, str], pad: str) -> str:
+    """The ``sort_keys=True, indent=2`` layout of a non-empty object starting at indent ``pad``.
+
+    ``fields`` maps each key to its value's text, already laid out for the
+    depth below ``pad``.
+    """
+    inner = pad + "  "
+    body = ",\n".join(f"{inner}{json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    return f"{{\n{body}\n{pad}}}"
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """The ``indent=2`` layout of an array starting at indent ``pad``; ``items`` carry their indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def _report_json(report: EvalReport, pad: str, entries: dict[int, str]) -> str:
+    """``report.to_json()`` laid out at indent ``pad``.
+
+    Every key but ``per_split`` is rendered by ``json.dumps`` and nested by
+    indenting each of its lines, which is exact since JSON strings escape
+    their newlines. The ``per_split`` entries come from one template, and
+    ``entries`` keeps each entry's text at this ``pad`` by the identity of
+    its ``SplitResult``, which ``compare`` shares between methods of a
+    split. Identity, not value: ``-0.0 == 0.0``, but their reprs differ.
+    """
+    payload = report.to_dict()
+    del payload["per_split"]
+    inner = pad + "  "
+    fields = {
+        key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + inner)
+        for key, value in payload.items()
+    }
+    item = inner + "  "
+    template = f'{item}{{\n{item}  "coverage": %s,\n{item}  "mean_set_size": %s\n{item}}}'
+    for r in report.per_split:
+        if id(r) not in entries:
+            coverage, size = r.coverage, r.mean_set_size
+            entries[id(r)] = template % (
+                _float_text(coverage) or json.dumps(coverage),
+                _float_text(size) or json.dumps(size),
+            )
+    fields["per_split"] = _json_array([entries[id(r)] for r in report.per_split], inner)
+    return _json_object(fields, pad)
+
+
+def reports_json(reports: Sequence[EvalReport]) -> str:
+    """``json.dumps({"reports": [r.to_dict() for r in reports]}, sort_keys=True, indent=2)``.
+
+    Each distinct ``SplitResult`` is rendered once for all the reports.
+    """
+    entries: dict[int, str] = {}
+    # Each report is an item of the array one level into the wrapper object.
+    items = ["    " + _report_json(report, "    ", entries) for report in reports]
+    return _json_object({"reports": _json_array(items, "  ")}, "")
 
 
 def _law_dict(law) -> dict:
@@ -539,12 +611,21 @@ def read_matrix(path) -> ScoreMatrix:
 
 
 def write_report_csv(reports: Sequence[EvalReport], path) -> None:
-    """Plot-ready per-split table for one or more reports."""
+    """Plot-ready per-split table for one or more reports.
+
+    The writer gets each finite float as the repr it would write for it,
+    made once per distinct ``SplitResult``, and any other value as it is.
+    """
+    cells: dict[int, tuple] = {}
+    for report in reports:
+        for r in report.per_split:
+            if id(r) not in cells:
+                coverage, size = r.coverage, r.mean_set_size
+                cells[id(r)] = (_float_text(coverage) or coverage, _float_text(size) or size)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "split", "coverage", "mean_set_size"])
         for report in reports:
             writer.writerows(
-                (report.method, j, r.coverage, r.mean_set_size)
-                for j, r in enumerate(report.per_split)
+                [(report.method, j, *cells[id(r)]) for j, r in enumerate(report.per_split)]
             )

@@ -12,8 +12,14 @@ a plain fancy-indexing form; both are kept here as references.
 Three constructions certify the library's numbers without being part of
 it: the optimal coupling cut from the transport kernel's fills, the
 extremal rank-band families that approach the worst-case quantile and
-coverage, and a plain calibration/test split of a score matrix.
+coverage, and a plain calibration/test split of a score matrix. The report
+texts are checked against ``json.dumps`` and a ``csv.writer`` handed the
+raw values.
 """
+
+import csv
+import io
+import json
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -256,3 +262,26 @@ def split(matrix: ScoreMatrix, n_calib: int, k_test: int, seed):
     calib_idx, test_idx = split_indices(matrix.n_rows, n_calib, k_test, seed)
     calib = ScoreSample(matrix.scores[calib_idx, matrix.true_labels[calib_idx]])
     return calib, ScoreMatrix(matrix.scores[test_idx], matrix.true_labels[test_idx])
+
+
+def report_json(reports, wrapped: bool) -> str:
+    """``json.dumps`` of one report's ``to_dict``, or of all of them under ``"reports"``."""
+    if wrapped:
+        payload = {"reports": [r.to_dict() for r in reports]}
+    else:
+        (report,) = reports
+        payload = report.to_dict()
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def report_csv(reports) -> str:
+    """The per-split table with each value handed to ``csv.writer`` as it is."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["method", "split", "coverage", "mean_set_size"])
+    for report in reports:
+        writer.writerows(
+            (report.method, j, r.coverage, r.mean_set_size)
+            for j, r in enumerate(report.per_split)
+        )
+    return fh.getvalue()

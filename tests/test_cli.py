@@ -5,8 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from lpconformal import PerturbationSpec, PointMass, perturb_sample, read_scores
+from lpconformal import (
+    MethodSpec,
+    PerturbationSpec,
+    PointMass,
+    compare,
+    evaluate,
+    perturb_sample,
+    read_matrix,
+    read_scores,
+)
+from lpconformal import cli, harness
 from lpconformal.cli import main
+from lpconformal.harness import EvalReport
+
+from oracles import report_csv, report_json
 
 
 @pytest.fixture
@@ -193,6 +206,70 @@ class TestEvaluateAndCompare:
             "--splits", "3", "--n-calib", "500", "--k-test", "500",
         ])
         assert code == 2
+
+
+class TestReportBytes:
+    """``evaluate`` and ``compare`` write the oracle bytes of the library's reports."""
+
+    SPLITS = ["--alpha", "0.1", "--epsilon", "0.1", "--rho", "0.05", "--splits", "5",
+              "--n-calib", "120", "--k-test", "90", "--seed", "6", "--perturb-epsilon", "0.1",
+              "--perturb-rho", "0.1", "--perturb-global", "50.0", "--perturb-seed", "8"]
+    NAMES = ["sc", "lp", "tv", "winf", "chi2"]
+
+    def _argv(self, command, matrix_file):
+        if command == "evaluate":
+            head = ["evaluate", "--method", "lp"]
+        else:
+            head = ["compare", "--methods", ",".join(self.NAMES)]
+        return [*head, "--matrix", str(matrix_file), *self.SPLITS]
+
+    def _library_reports(self, command, matrix_file):
+        matrix = read_matrix(matrix_file)
+        kwargs = dict(alpha=0.1, n_splits=5, n_calib=120, k_test=90, base_seed=6,
+                      perturbation=PerturbationSpec(epsilon=0.1, rho=0.1,
+                                                    global_law=PointMass(50.0), seed=8))
+        if command == "evaluate":
+            return [evaluate(matrix, MethodSpec("lp", epsilon=0.1, rho=0.05), **kwargs)]
+        return compare(matrix, [MethodSpec(name, epsilon=0.1, rho=0.05) for name in self.NAMES],
+                       **kwargs)
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_oracle_bytes(self, matrix_file, tmp_path, capsys, command, to_stdout):
+        reports = self._library_reports(command, matrix_file)
+        json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+        argv = [*self._argv(command, matrix_file), "--csv", str(csv_out)]
+        if not to_stdout:
+            argv += ["--out", str(json_out)]
+        assert main(argv) == 0
+        written = capsys.readouterr().out if to_stdout else json_out.read_text()
+        assert written == report_json(reports, wrapped=command == "compare") + "\n"
+        with open(csv_out, newline="") as fh:
+            assert fh.read() == report_csv(reports)
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_traced_calls(self, matrix_file, tmp_path, monkeypatch, command):
+        # The benchmark times report writing through these two names, so each
+        # must run on the CLI path: once per table, and once per method.
+        calls = {"write_report_csv": 0, "to_dict": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        original = harness.write_report_csv
+        for module in (harness, cli):
+            if module.write_report_csv is original:
+                monkeypatch.setattr(module, "write_report_csv",
+                                    counted("write_report_csv", original))
+        monkeypatch.setattr(EvalReport, "to_dict", counted("to_dict", EvalReport.to_dict))
+        argv = [*self._argv(command, matrix_file),
+                "--csv", str(tmp_path / "r.csv"), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        methods = 1 if command == "evaluate" else len(self.NAMES)
+        assert calls == {"write_report_csv": 1, "to_dict": methods}
 
 
 class TestArgumentErrors:

@@ -3,6 +3,7 @@
 import codecs
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -52,7 +53,7 @@ from lpconformal.harness import (
 from lpconformal.robust import adjusted_beta
 from lpconformal.shiftlab import perturb_rows
 
-from oracles import split, split_indices
+from oracles import report_csv, report_json, split, split_indices
 
 
 def synthetic_matrix(rng, rows=600, labels=5, sep=2.0):
@@ -605,6 +606,64 @@ class TestFileIngestion:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "method,split,coverage,mean_set_size"
         assert len(lines) == 4
+
+
+# Values whose JSON and CSV texts differ from a plain repr, or whose reprs are
+# edge cases: signed zeros, NaN, infinities, the least subnormal, the switch
+# to exponent notation on both sides, a long repr and an int.
+REPORT_VALUES = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 1 / 3, 1)
+
+
+def _report(method, per_split, aggregate=0.5):
+    return EvalReport(
+        method=method, alpha=0.1, n_splits=len(per_split), n_calib=3, k_test=2,
+        base_seed=4, params={"epsilon": 0.1, "rho": -0.0},
+        perturbation={"global_law": {"kind": "point", "value": math.inf}, "seed": 1},
+        per_split=tuple(per_split), coverage_mean=aggregate, coverage_std=math.nan,
+        set_size_mean=1e16, set_size_std=0.0,
+    )
+
+
+@st.composite
+def _report_lists(draw):
+    """Reports that share ``SplitResult`` objects, as ``compare``'s reports do."""
+    value = st.sampled_from(REPORT_VALUES)
+    # Each result is a new object, so equal values (-0.0 and 0.0 too) sit in distinct ones.
+    pool = [SplitResult(draw(value), draw(value)) for _ in range(draw(st.integers(1, 6)))]
+    picks = st.lists(st.sampled_from(pool), max_size=5)
+    method = st.sampled_from(["sc", "lp", 'a "quoted",\nname'])
+    return [_report(draw(method), draw(picks), draw(value)) for _ in range(draw(st.integers(0, 3)))]
+
+
+class TestReportText:
+    """Report texts are the bytes ``json.dumps`` and a raw-value ``csv.writer`` write."""
+
+    def _check(self, reports, path):
+        assert harness.reports_json(reports) == report_json(reports, wrapped=True)
+        for report in reports:
+            assert report.to_json() == report_json([report], wrapped=False)
+        write_report_csv(reports, path)
+        with open(path, newline="") as fh:
+            assert fh.read() == report_csv(reports)
+
+    @settings(max_examples=60, deadline=None)
+    @given(reports=_report_lists())
+    def test_matches_oracles(self, reports, tmp_path_factory):
+        self._check(reports, tmp_path_factory.getbasetemp() / "report_text.csv")
+
+    def test_edge_values_shared_and_distinct(self, tmp_path):
+        zero, negative_zero = SplitResult(0.0, -0.0), SplitResult(-0.0, 0.0)
+        edges = [SplitResult(v, w) for v, w in zip(REPORT_VALUES, reversed(REPORT_VALUES))]
+        shared = [zero, negative_zero, *edges, zero]
+        reports = [_report("sc", shared), _report("lp", shared[::-1]), _report("tv", [])]
+        self._check(reports, tmp_path / "report.csv")
+        text = harness.reports_json(reports)
+        assert '"coverage": -0.0' in text and '"coverage": 0.0' in text
+        assert '"per_split": []' in text
+
+    def test_empty_report_list(self, tmp_path):
+        self._check([], tmp_path / "report.csv")
+        assert harness.reports_json([]) == '{\n  "reports": []\n}'
 
 
 class TestEvaluateInputs:
