@@ -3,6 +3,7 @@ covariate-shift weighting, smoothing-based, and fine-grained weighted."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    LEVEL_REL_TOL,
     QuantileRule,
     ScoreSample,
     ThresholdResult,
@@ -32,6 +34,7 @@ __all__ = [
     "rscp_rule",
     "rscp_threshold",
     "sc_threshold",
+    "weight_total",
     "weighted_rule",
     "weighted_threshold",
 ]
@@ -70,11 +73,24 @@ class WeightedScores:
     def n(self) -> int:
         return int(self.scores.size)
 
+    def by_score(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scores in ascending order and their weights, ties in input order."""
+        order = np.argsort(self.scores, kind="stable")
+        return self.scores[order], self.weights[order]
+
 
 def check_weights(weights: np.ndarray) -> None:
     """Raise ``ValueError`` unless every likelihood-ratio weight is finite and positive."""
     if not (np.all(np.isfinite(weights)) and np.all(weights > 0.0)):
         raise ValueError("weights must be finite and strictly positive")
+
+
+def weight_total(weights: list[float], test_weight: float) -> float:
+    """The correctly rounded ``math.fsum`` of the weights and the test weight."""
+    try:
+        return math.fsum(weights + [float(test_weight)])
+    except OverflowError:
+        raise ValueError("the total weight overflows; rescale the weights") from None
 
 
 def _check_test_weight(test_weight) -> float:
@@ -128,10 +144,7 @@ def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if chi2_g(mid, rho_chi2) <= tau:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if chi2_g(mid, rho_chi2) <= tau else (lo, mid)
     return lo
 
 
@@ -162,56 +175,38 @@ def chi2_threshold(sample: ScoreSample, alpha: float, rho_chi2: float) -> Thresh
     return chi2_rule(sample.n, alpha, rho_chi2).apply(sample.scores)
 
 
-def _weighted_rule(sorted_weights: np.ndarray, total: float, level: float) -> QuantileRule:
-    """Quantile rule of a weighted empirical distribution with an infinity atom.
+def _weighted_rule(sorted_weights: np.ndarray, test_weight: float, level: float) -> QuantileRule:
+    """The smallest ``k`` whose prefix weight ``S_k`` reaches ``t = level * T``.
 
-    ``sorted_weights`` are the weights of the scores in ascending score
-    order, and ``total`` is the sum of all weights, the test weight
-    included, summed in the scores' input order. The threshold is the
-    smallest score whose cumulative normalized weight reaches ``level``. If
-    the finite atoms cannot reach ``level`` the infinity atom is needed and
-    the threshold is unbounded.
-
-    Cumulative masses are computed as partial raw-weight sums over the total,
-    so uniform weights give exact ``k / (n + 1)`` fractions.
+    ``T`` is the total, ``test_weight`` (the atom at infinity) included, and the rule
+    is unbounded when no ``k <= n`` reaches ``t``. ``S_k`` reaches ``t`` when ``t - S_k``
+    is at most ``LEVEL_REL_TOL * t``, the snap of :func:`snapped_ceil`. ``T`` and the
+    deciding ``S_k`` are ``math.fsum`` sums, the same in any order; a float ``cumsum``
+    only proposes ``k``.
     """
-    if not 0.0 < level <= 1.0:
-        raise ValueError(f"quantile level must be in (0, 1], got {level!r}")
-    cum = np.cumsum(sorted_weights) / total
-    k = int(np.searchsorted(cum, level, side="left")) + 1
-    return QuantileRule(k if k <= sorted_weights.size else None, level)
+    weights = sorted_weights.tolist()
+    n, total = len(weights), weight_total(weights, test_weight)
+    target = level * total
 
+    def reaches(k: int) -> bool:  # nondecreasing in k
+        return k > n or target - math.fsum(weights[:k]) <= LEVEL_REL_TOL * target
 
-def _weighted_quantile(ws: WeightedScores, level: float) -> ThresholdResult:
-    order = np.argsort(ws.scores, kind="stable")
-    total = float(np.sum(ws.weights)) + ws.test_weight
-    return _weighted_rule(ws.weights[order], total, level).apply(ws.scores[order])
-
-
-def _sorted_weight_rule(n: int, sorted_weights: np.ndarray | None, test_weight: float,
-                        level: float) -> QuantileRule:
-    """:func:`_weighted_rule` with the total summed in ascending score order;
-    every weight is one when ``sorted_weights`` is None."""
-    w = np.ones(n) if sorted_weights is None else np.asarray(sorted_weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"need {n} weights, one per score, got shape {w.shape}")
-    check_weights(w)
-    return _weighted_rule(w, float(np.sum(w)) + test_weight, level)
+    k = min(int(np.searchsorted(np.cumsum(sorted_weights / total), level)) + 1, n + 1)
+    if not reaches(k) or (k > 1 and reaches(k - 1)):  # the float sums crossed the snap band
+        k = bisect.bisect_left(range(1, n + 1), True, key=reaches) + 1
+    return QuantileRule(k if k <= n else None, level)
 
 
 def weighted_rule(n: int, alpha: float, test_weight: float,
                   sorted_weights: np.ndarray | None = None) -> QuantileRule:
-    """:func:`weighted_threshold`'s rule for ``n`` scores whose weights, in
-    ascending score order, are ``sorted_weights`` (each one when None)."""
-    tw = _check_test_weight(test_weight)
-    check_alpha(alpha)
-    return _sorted_weight_rule(n, sorted_weights, tw, 1.0 - alpha)
+    """:func:`fg_rule` at ``rho_chi2 = 0``; unit weights give :func:`conformal_rule`'s index."""
+    return fg_rule(n, alpha, 0.0, test_weight, sorted_weights)
 
 
 def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
     """Covariate-shift threshold: ``(1 - alpha)``-quantile of the weighted scores."""
-    check_alpha(alpha)
-    return _weighted_quantile(ws, 1.0 - alpha)
+    scores, weights = ws.by_score()
+    return weighted_rule(ws.n, alpha, ws.test_weight, weights).apply(scores)
 
 
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
@@ -238,21 +233,24 @@ def rscp_threshold(
     return rscp_rule(sample.n, alpha, delta, sigma).apply(sample.scores)
 
 
-def _fg_level(alpha: float, rho_chi2: float) -> float:
+def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
+            sorted_weights: np.ndarray | None = None) -> QuantileRule:
+    """:func:`fg_threshold`'s rule for ``n`` scores whose weights, in ascending score
+    order, are ``sorted_weights`` (each one when None): :func:`_weighted_rule` at level
+    ``g_inv(1 - alpha)``. A total weight past the largest double raises ``ValueError``."""
+    tw = _check_test_weight(test_weight)
     check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)
     if level <= 0.0:
         raise ValueError(f"degenerate weighted level {level!r} for alpha={alpha!r}")
-    return level
-
-
-def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
-            sorted_weights: np.ndarray | None = None) -> QuantileRule:
-    """:func:`fg_threshold`'s rule for ``n`` scores, weighted as in :func:`weighted_rule`."""
-    tw = _check_test_weight(test_weight)
-    return _sorted_weight_rule(n, sorted_weights, tw, _fg_level(alpha, rho_chi2))
+    w = np.ones(n) if sorted_weights is None else np.asarray(sorted_weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"need {n} weights, one per score, got shape {w.shape}")
+    check_weights(w)
+    return _weighted_rule(w, tw, level)
 
 
 def fg_threshold(ws: WeightedScores, alpha: float, rho_chi2: float) -> ThresholdResult:
     """Fine-grained threshold: weighted quantile at level ``g_inv(1 - alpha)``."""
-    return _weighted_quantile(ws, _fg_level(alpha, rho_chi2))
+    scores, weights = ws.by_score()
+    return fg_rule(ws.n, alpha, rho_chi2, ws.test_weight, weights).apply(scores)

@@ -13,7 +13,6 @@ from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
-from .baselines import fg_threshold, weighted_threshold
 from .estimation import default_epsilon_grid, estimate_lp_params
 from .harness import (
     METHOD_NAMES,
@@ -78,11 +77,9 @@ def _cmd_calibrate(args) -> int:
     if args.method in ("weighted", "fg"):
         if not args.weights:
             raise ValueError(f"method {args.method!r} requires --weights")
-        ws = read_weighted_scores(args.weights, args.test_weight)
-        if args.method == "weighted":
-            result = weighted_threshold(ws, alpha)
-        else:
-            result = fg_threshold(ws, alpha, args.rho_chi2)
+        scores, weights = read_weighted_scores(args.weights, args.test_weight).by_score()
+        rule = _method_from_args(args.method, args).rule(scores.size, alpha, weights)
+        result = rule.apply(scores)
     else:
         if not args.scores:
             raise ValueError(f"method {args.method!r} requires --scores")

@@ -231,7 +231,8 @@ def cdf(sample: ScoreSample, q: float) -> float:
 def conformal_rule(n: int, alpha: float) -> QuantileRule:
     """:func:`conformal_quantile`'s rule for ``n`` calibration scores."""
     check_alpha(alpha)
-    k = snapped_ceil((1.0 - alpha) * (n + 1))
+    # At least 1: a level within LEVEL_REL_TOL of zero snaps to index 0.
+    k = max(snapped_ceil((1.0 - alpha) * (n + 1)), 1)
     level = k / n
     if k > n:
         return QuantileRule(None, level)

@@ -31,6 +31,7 @@ from .baselines import (
     check_weights,
     fg_rule,
     rscp_rule,
+    weight_total,
     weighted_rule,
 )
 from .shiftlab import PerturbationSpec, PointMass, perturb_rows
@@ -121,15 +122,16 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
+        LPParams(self.epsilon, self.rho)  # checks both: every report records them
         if self.weights is not None:
             object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     def rule(self, n: int, alpha: float, sorted_weights: np.ndarray | None = None) -> QuantileRule:
         """This method's threshold rule resolved for ``n`` calibration scores.
 
-        ``sorted_weights`` (read by the weighted methods only) are the
-        calibration scores' weights in ascending score order; every weight
-        is one when it is None.
+        ``sorted_weights`` (read by ``weighted`` and ``fg`` only) are the scores'
+        weights in ascending score order (``WeightedScores.by_score``), each one
+        when None. Their sums are exact, so the order of tied rows does not matter.
         """
         if self.name == "sc":
             return conformal_rule(n, alpha)
@@ -148,7 +150,7 @@ class MethodSpec:
         return fg_rule(n, alpha, self.rho_chi2, self.test_weight, sorted_weights)
 
     def threshold(self, calib: ScoreSample, alpha: float) -> ThresholdResult:
-        """Calibrate this method's threshold, with unit weights, on a calibration sample."""
+        """Calibrate this method's threshold with unit weights; :meth:`rule` takes per-row ones."""
         return self.rule(calib.n, alpha).apply(calib.scores)
 
     def params_dict(self) -> dict:
@@ -349,9 +351,9 @@ def compare(
     rule is resolved once, or per split from that split's weights for a
     method with per-row weights. Methods whose thresholds coincide in a split
     share that split's coverage and set-size counts. Every error is raised
-    before the first split: the arguments, split sizes and per-row weights
-    are checked in that order, then the rules are resolved in list order and
-    the first rule error is re-raised with the prefix ``split 0:``.
+    before the first split: the arguments, split sizes, per-row weights and
+    their totals are checked in that order, then the rules are resolved in
+    list order and the first rule error is re-raised with the prefix ``split 0:``.
     """
     methods = list(methods)
     check_alpha(alpha)
@@ -377,9 +379,10 @@ def compare(
             raise ValueError(
                 f"method weights have {have} for {matrix.n_rows} matrix rows; need one per row"
             )
-        # Which rows calibrate is known only once the splits are drawn, so
-        # every row's weight is checked, also rows that no split draws.
+        # Which rows calibrate is known only once the splits are drawn, so every
+        # row's weight is checked, also rows that no split draws, and their total.
         check_weights(method.weights)
+        weight_total(method.weights.tolist(), method.test_weight)
     try:
         rules = [method.rule(n_calib, alpha) for method in methods]
     except ValueError as exc:

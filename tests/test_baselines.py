@@ -1,7 +1,11 @@
 """Tests for the comparison threshold methods."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lpconformal import (
     ScoreSample,
@@ -16,6 +20,8 @@ from lpconformal import (
     sc_threshold,
     weighted_threshold,
 )
+from lpconformal.baselines import fg_rule, weighted_rule
+from lpconformal.core import LEVEL_REL_TOL, conformal_rule
 
 _Z_STEP = 1e-6
 _Z_GRID = np.linspace(0.0, 1.0, 1_000_001)
@@ -197,18 +203,100 @@ class TestWeightedThreshold:
         with pytest.raises(ValueError):
             WeightedScores([1.0, 2.0], [1.0], 1.0)
 
-    def test_uniform_weights_match_augmented_sample_semantics(self):
-        # With uniform weights the weighted rule reproduces the standard
-        # (n+1)-corrected threshold whenever that threshold is finite.
-        rng = np.random.default_rng(0)
-        for n in (9, 20, 57):
-            scores = rng.normal(size=n)
-            ws = WeightedScores(scores, np.ones(n), 1.0)
-            sc = sc_threshold(ScoreSample(scores), 0.1)
-            wt = weighted_threshold(ws, 0.1)
-            assert wt.is_unbounded == sc.is_unbounded
-            if not sc.is_unbounded:
-                assert wt.threshold == sc.threshold
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 400), st.sampled_from([999, 1000, 1999, 5000])),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(5, 1 / 3)  # (1 - 1/3) * 6 is exactly 4.0, but 4 / 6 < 1 - 1/3
+    @example(19, 0.95)
+    @example(5, 1 - 1e-13)  # (1 - alpha) * (n + 1) is within LEVEL_REL_TOL of 0
+    def test_uniform_weights_match_augmented_sample_semantics(self, n, alpha):
+        # With unit weights the weighted rule (and fg at radius zero) picks
+        # split conformal's (n+1)-corrected order statistic, unbounded alike.
+        want = conformal_rule(n, alpha).index
+        assert weighted_rule(n, alpha, 1.0).index == want
+        assert weighted_rule(n, alpha, 1.0, np.ones(n)).index == want
+        assert fg_rule(n, alpha, 0.0, 1.0).index == want
+        scores = np.random.default_rng(n).normal(size=n)
+        sc = sc_threshold(ScoreSample(scores), alpha)
+        wt = weighted_threshold(WeightedScores(scores, np.ones(n), 1.0), alpha)
+        assert (wt.threshold, wt.level_used) == (sc.threshold, 1.0 - alpha)
+
+
+WEIGHTS = [0.1, 0.2, 0.3, 0.7, 1 / 3, 1.1]
+
+
+@st.composite
+def tied_weighted_scores(draw):
+    """Scores with many ties and weights whose sums round, with a row permutation."""
+    n = draw(st.integers(1, 12))
+    scores = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    weights = draw(st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n))
+    return scores, weights, draw(st.sampled_from(WEIGHTS)), draw(st.permutations(range(n)))
+
+
+def exact_weighted_index(sorted_weights, test_weight, level):
+    """The weighted rule's index in exact rationals, or ``"edge"``.
+
+    ``S_k`` reaches ``t = level * T`` when ``t - S_k <= LEVEL_REL_TOL * t``.
+    The rule evaluates that in floats, so a prefix sum within float round-off
+    of the snap band's edge can go either way; those inputs give ``"edge"``.
+    """
+    prefix = np.cumsum([Fraction(0)] + [Fraction(w) for w in sorted_weights])
+    target = Fraction(level) * (prefix[-1] + Fraction(test_weight))
+    tol = Fraction(LEVEL_REL_TOL)
+    gaps = [target - s - tol * target for s in prefix[1:]]
+    if any(abs(gap) <= Fraction(1e-14) * target for gap in gaps):
+        return "edge"
+    return next((k for k, gap in enumerate(gaps, 1) if gap <= 0), None)
+
+
+class TestWeightedRule:
+    """One weighted rule: exact sums, snapped like ``snapped_ceil``, order-free."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_weighted_scores(), st.sampled_from([0.1, 0.2, 0.4, 0.5, 0.8]),
+           st.sampled_from([0.0, 0.01, 0.1]))
+    @example(([1.0, 1.0, 2.0], [1.1, 1 / 3, 1.1], 1 / 3, [0, 2, 1]), 0.5, 0.0)
+    @example(([0.0, 0.0, 2.0, 2.0], [0.3, 0.1, 0.7, 0.1], 0.3, [3, 1, 2, 0]), 0.2, 0.0)
+    def test_row_order_never_changes_a_threshold(self, case, alpha, rho_chi2):
+        scores, weights, tw, perm = case
+        scores, weights, perm = np.asarray(scores, dtype=float), np.asarray(weights), list(perm)
+        given_order = WeightedScores(scores, weights, tw)
+        permuted = WeightedScores(scores[perm], weights[perm], tw)
+        assert weighted_threshold(permuted, alpha) == weighted_threshold(given_order, alpha)
+        assert fg_threshold(permuted, alpha, rho_chi2) == fg_threshold(given_order, alpha, rho_chi2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_weighted_scores(), st.sampled_from([0.1, 0.2, 0.4, 0.5, 0.8]),
+           st.sampled_from([0.0, 0.01, 0.1]))
+    @example(([1.0, 2.0, 1.0], [1.1, 1.1, 1 / 3], 1 / 3, [0, 1, 2]), 0.5, 0.0)
+    @example(([1, 2, 3, 4, 5], [1.0] * 5, 1.0, [0, 1, 2, 3, 4]), 1 / 3, 0.0)
+    def test_matches_exact_rationals(self, case, alpha, rho_chi2):
+        scores, weights, tw, _ = case
+        scores, weights = np.asarray(scores, dtype=float), np.asarray(weights)
+        level = chi2_g_inv(1.0 - alpha, rho_chi2)
+        order = np.argsort(scores, kind="stable")
+        k = exact_weighted_index(weights[order], tw, level)
+        assume(k != "edge")
+        want = None if k is None else float(scores[order][k - 1])
+        assert fg_threshold(WeightedScores(scores, weights, tw), alpha, rho_chi2).threshold == want
+        if rho_chi2 == 0.0:
+            assert weighted_threshold(WeightedScores(scores, weights, tw), alpha).threshold == want
+
+    def test_total_past_largest_double_raises(self):
+        ws = WeightedScores([1.0, 2.0, 3.0], [1e308] * 3, 1.0)
+        message = "^the total weight overflows; rescale the weights$"
+        with pytest.raises(ValueError, match=message):
+            weighted_threshold(ws, 0.9)
+        with pytest.raises(ValueError, match=message):
+            fg_threshold(ws, 0.9, 0.1)
+        with pytest.raises(ValueError, match=message):
+            weighted_rule(2, 0.1, 1e308, np.full(2, 1e308))
+        # Weights a third as large sum to a finite total.
+        ws = WeightedScores([1.0, 2.0, 3.0], [1e308 / 3] * 3, 1.0)
+        assert weighted_threshold(ws, 0.9).threshold == 1.0
 
 
 class TestRscpThreshold:

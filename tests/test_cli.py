@@ -7,6 +7,9 @@ import pytest
 
 from lpconformal import (
     MethodSpec,
+    fg_threshold,
+    read_weighted_scores,
+    weighted_threshold,
     PerturbationSpec,
     PointMass,
     compare,
@@ -89,6 +92,53 @@ class TestCalibrate:
             "--alpha", "0.1", "--test-weight", "1.0",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("alpha", ["0.1", "0.4", "0.5"])
+    def test_weighted_methods_match_the_library(self, tmp_path, capsys, alpha):
+        # Tied scores in no order, with weights whose float sums round.
+        rng = np.random.default_rng(6)
+        scores = (rng.integers(0, 6, 40) / 2.0).tolist()
+        weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1 / 3, 1.1], 40).tolist()
+        path = tmp_path / "w.csv"
+        path.write_text("score,weight\n" + "".join(f"{s!r},{w!r}\n" for s, w in zip(scores, weights)))
+        ws = read_weighted_scores(path, 0.7)
+        sorted_scores, sorted_weights = ws.by_score()
+        library = {"weighted": weighted_threshold(ws, float(alpha)),
+                   "fg": fg_threshold(ws, float(alpha), 0.05)}
+        for name, want in library.items():
+            spec = MethodSpec(name, rho_chi2=0.05, test_weight=0.7)
+            assert spec.rule(ws.n, float(alpha), sorted_weights).apply(sorted_scores) == want
+            assert main(["calibrate", "--weights", str(path), "--method", name, "--alpha", alpha,
+                         "--rho-chi2", "0.05", "--test-weight", "0.7"]) == 0
+            payload = _strict_json(capsys.readouterr().out)
+            assert (payload["threshold"], payload["level_used"]) == (want.threshold, want.level_used)
+
+    @pytest.mark.parametrize("name", ["weighted", "fg"])
+    def test_weight_total_past_the_largest_double_exit_2(self, tmp_path, capsys, name):
+        path = tmp_path / "w.csv"
+        path.write_text("score,weight\n1.0,1e308\n2.0,1e308\n3.0,1e308\n")
+        assert main(["calibrate", "--weights", str(path), "--method", name]) == 2
+        assert capsys.readouterr() == ("", "error: the total weight overflows; rescale the weights\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "sc", "--epsilon", "nan", "--rho", "inf"],
+         "epsilon must be a finite nonnegative real, got nan"),
+        (["--method", "sc", "--rho", "inf"], "rho must lie in [0, 1], got inf"),
+        (["--method", "chi2", "--rho", "-5"], "rho must lie in [0, 1], got -5.0"),
+        (["--method", "rscp", "--epsilon", "-1"], "epsilon must be a finite nonnegative real, got -1.0"),
+    ])
+    def test_epsilon_and_rho_checked_for_every_method(self, scores_file, capsys, argv, message):
+        assert main(["calibrate", "--scores", str(scores_file), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_compare_checks_epsilon_and_rho(self, matrix_file, capsys):
+        split = ["--splits", "2", "--n-calib", "100", "--k-test", "50"]
+        for flags, message in ((["--epsilon", "nan"], "epsilon must be a finite nonnegative real, got nan"),
+                               (["--rho", "inf"], "rho must lie in [0, 1], got inf")):
+            code = main(["compare", "--matrix", str(matrix_file), "--methods", "sc,chi2",
+                         *split, *flags])
+            assert code == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestEstimate:

@@ -3,11 +3,13 @@
 Whatever the float and int flags of a subcommand hold (NaN, infinities,
 ``-0.0``, negative, huge or empty values, empty lists), ``lpconformal`` exits
 0, 2 or 3 with no traceback, and a failure is one ``error:`` line on stderr.
-An argparse rejection (``SystemExit(2)``) passes too.
+An argparse rejection (``SystemExit(2)``) passes too. A run that exits 0
+writes strict JSON: no ``NaN`` or ``Infinity``.
 """
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -84,6 +86,14 @@ def invocations(draw):
     return command, {**flags, **values}, extra
 
 
+def strict_json(text):
+    """Parse JSON, refusing the non-standard constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"not valid JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def argv_for(command, values, extra, files):
     argv = [command] + extra + [f"{flag}={value}" for flag, value in values.items()]
     if command == "calibrate":
@@ -111,6 +121,9 @@ def argv_for(command, values, extra, files):
 @example(case=("simulate", {**FLAGS["simulate"], "--epsilon": "1e308"}, ["--local-law", "uniform"]))
 @example(case=("evaluate", {**SPLIT_FLAGS, "--perturb-epsilon": "1e308", "--perturb-rho": "0.1"},
                ["--method", "sc"]))
+@example(case=("calibrate", {**METHOD_FLAGS, "--epsilon": "nan", "--rho": "inf"}, ["--method", "sc"]))
+@example(case=("calibrate", {**METHOD_FLAGS, "--rho": "-1"}, ["--method", "chi2"]))
+@example(case=("compare", {**SPLIT_FLAGS, "--methods": "sc,lp", "--epsilon": "nan"}, []))
 def test_flag_values_reach_documented_exit_codes(files, case):
     command, values, extra = case
     argv = argv_for(command, values, extra, files)
@@ -130,3 +143,7 @@ def test_flag_values_reach_documented_exit_codes(files, case):
         assert err.getvalue().count("\n") == 1, argv
     else:
         assert err.getvalue() == "", argv
+        if command == "simulate":
+            strict_json(files["out"].with_name("out_spec.json").read_text())
+        else:
+            strict_json(out.getvalue())

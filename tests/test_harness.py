@@ -277,11 +277,10 @@ class TestMethodRules:
         st.sampled_from([0.5, 1.0, 1.5, 50.0]),
     )
     def test_per_row_rule_matches_public_threshold(self, rows, alpha, rho_chi2, tw):
-        # Scores in ascending order, so the public thresholds' input-order
-        # weight total is also the rule's ascending-score-order total.
-        rows = sorted(rows)
-        sample = ScoreSample([score / 4.0 for score, _ in rows])
-        ws = WeightedScores(sample.scores, [weight / 3.0 for _, weight in rows], tw)
+        # Rows in any order: the rule takes the weights sorted by score.
+        ws = WeightedScores([score / 4.0 for score, _ in rows],
+                            [weight / 3.0 for _, weight in rows], tw)
+        scores, weights = ws.by_score()
         public = {
             "weighted": lambda: weighted_threshold(ws, alpha),
             "fg": lambda: fg_threshold(ws, alpha, rho_chi2),
@@ -289,7 +288,7 @@ class TestMethodRules:
         for name, threshold in public.items():
             spec = MethodSpec(name, rho_chi2=rho_chi2, test_weight=tw)
             want = self._outcome(threshold)
-            got = self._outcome(lambda: spec.rule(sample.n, alpha, ws.weights).apply(sample.scores))
+            got = self._outcome(lambda: spec.rule(ws.n, alpha, weights).apply(scores))
             assert got == want
 
     @pytest.mark.parametrize("name", ["weighted", "fg"])
@@ -304,7 +303,37 @@ class TestMethodRules:
                 spec.rule(5, 0.1, np.array([1.0, 2.0, bad, 1.0, 1.0]))
 
 
+    @pytest.mark.parametrize("name", ["weighted", "fg"])
+    def test_per_row_rule_refuses_a_total_past_the_largest_double(self, name):
+        spec = MethodSpec(name, rho_chi2=0.1)
+        with pytest.raises(ValueError, match="^the total weight overflows; rescale the weights$"):
+            spec.rule(3, 0.1, np.full(3, 1e308))
+        assert spec.rule(3, 0.1, np.full(3, 1e308 / 4)).index is not None
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_epsilon_and_rho_checked_for_every_method(self, name):
+        with pytest.raises(ValueError, match="^epsilon must be a finite nonnegative real, got nan$"):
+            MethodSpec(name, epsilon=np.nan)
+        with pytest.raises(ValueError, match="^epsilon must be a finite nonnegative real, got -1.0$"):
+            MethodSpec(name, epsilon=-1.0)
+        for rho in (np.inf, -5.0, np.nan, 1.5):
+            with pytest.raises(ValueError, match=rf"^rho must lie in \[0, 1\], got {rho!r}$"):
+                MethodSpec(name, rho=rho)
+        assert MethodSpec(name, epsilon=1e308, rho=1.0).params_dict()["rho"] == 1.0
+
+
 class TestCompare:
+    def test_per_row_total_past_the_largest_double(self):
+        m = synthetic_matrix(np.random.default_rng(16), rows=60)
+        weights = np.ones(m.n_rows)
+        weights[[3, 7]] = 1e308
+        methods = [MethodSpec("sc"), MethodSpec("fg", weights=weights)]
+        # Refused before the first split, from the total over all rows.
+        with pytest.raises(ValueError, match="^the total weight overflows; rescale the weights$"):
+            compare(m, methods, 0.1, 3, 20, 10, base_seed=0)
+        weights[[3, 7]] = 1e307
+        assert len(compare(m, methods, 0.1, 3, 20, 10, base_seed=0)) == 2
+
     def test_singleton_equals_evaluate(self):
         rng = np.random.default_rng(13)
         m = synthetic_matrix(rng, rows=300)
