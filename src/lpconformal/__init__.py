@@ -20,6 +20,7 @@ from .lp_metric import (
     lp_distance,
     lp_profile,
     tv_distance,
+    winf_distance,
     winf_within,
 )
 from .robust import (
@@ -118,6 +119,7 @@ __all__ = [
     "tv_distance",
     "tv_threshold",
     "weighted_threshold",
+    "winf_distance",
     "winf_threshold",
     "winf_within",
     "worst_case_coverage",

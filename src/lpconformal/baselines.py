@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedScores:
     """Calibration scores with unnormalized likelihood-ratio weights.
 

@@ -61,7 +61,7 @@ class FileFormatError(Exception):
     """An input file could not be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Rectangular matrix of nonconformity scores with per-row true labels."""
 
@@ -101,7 +101,7 @@ class ScoreMatrix:
         return int(self.scores.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodSpec:
     """A named threshold method plus the parameters it needs.
 

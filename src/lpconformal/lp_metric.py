@@ -22,14 +22,10 @@ With the sources' units laid end to end (source ``i`` owns units
 compose into clips: a log-depth prefix scan on int64 arrays yields every
 ``P_j`` without a Python loop. One numpy kernel does this for a block of
 thresholds at once. :func:`lp_profile` runs a grid through it in blocks of
-about cache size, and :func:`lp_distance` is the one-threshold case.
-
-The exact test compares the same rounded differences with every threshold,
-so a wider threshold admits every edge a narrower one did and the matched
-units never decrease along an ascending grid. Once a block ends with every
-unit matched (the grid has reached the sup-norm distance), the rest of the
-grid is fully matched too: :func:`lp_profile` fills it in with
-``rho == 0.0`` without running the kernel again.
+about cache size, and :func:`lp_distance` is the one-threshold case. Only
+the thresholds below the sup-norm distance (:func:`winf_distance`, found in
+``O(n + m)`` on the kernel's rounded differences) reach the kernel; at or
+past it every unit is matched.
 
 The interval ends are found with ``np.searchsorted`` on the rounded bounds
 ``y_j - eps`` and ``y_j + eps`` and then checked with the exact test; the
@@ -41,6 +37,7 @@ that ``(x + eps) - x`` can exceed ``eps`` by one ulp in floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +51,7 @@ __all__ = [
     "lp_distance",
     "lp_profile",
     "tv_distance",
+    "winf_distance",
     "winf_within",
 ]
 
@@ -157,12 +155,10 @@ def _fills(x: np.ndarray, y: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _matched_units(p: ScoreSample, q: ScoreSample, grid: list[float]) -> list[int]:
-    """Maximum matched units at every threshold of ``grid``, in kernel blocks.
+    """Maximum matched units at every threshold of the ascending ``grid``.
 
-    ``grid`` must be ascending: :func:`lp_distance` passes one threshold and
-    :func:`lp_profile` a validated strictly increasing grid. The blocks stop
-    at the first one that ends fully matched, and every later threshold
-    counts ``n * m`` units.
+    The kernel runs, in blocks, on the thresholds below :func:`winf_distance`;
+    every later threshold matches all ``n * m`` units.
     """
     n, m = p.n, q.n
     if n * m >= 2**62:
@@ -170,14 +166,13 @@ def _matched_units(p: ScoreSample, q: ScoreSample, grid: list[float]) -> list[in
             f"samples of {n} and {m} scores are too large for exact transport: "
             "n * m must be below 2**62"
         )
+    below = grid[:bisect_left(grid, winf_distance(p, q))]
     rows = max(1, _BLOCK_CELLS // m)
     matched: list[int] = []
-    for first in range(0, len(grid), rows):
-        if matched and matched[-1] == n * m:
-            return matched + [n * m] * (len(grid) - first)
-        start, end = _fills(p.scores, q.scores, np.array(grid[first:first + rows]))
+    for first in range(0, len(below), rows):
+        start, end = _fills(p.scores, q.scores, np.array(below[first:first + rows]))
         matched += (end - start).sum(axis=1).tolist()
-    return matched
+    return matched + [n * m] * (len(grid) - len(below))
 
 
 def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResult:
@@ -195,8 +190,8 @@ def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResu
     Returns
     -------
     TransportResult
-        ``rho`` is the exact optimum, from one call of the transport kernel
-        (``O((n + m) log(n + m))`` numpy work).
+        ``rho`` is the exact optimum: ``0.0`` from :func:`winf_distance` on,
+        else from one transport kernel call (``O((n + m) log(n + m))`` work).
 
     Raises ``ValueError`` when ``n * m`` is not below ``2**62``.
     """
@@ -212,13 +207,25 @@ def tv_distance(p: ScoreSample, q: ScoreSample) -> float:
     return lp_distance(p, q, 0.0).rho
 
 
-def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
-    """Whether the sup-norm transport distance between the samples is <= epsilon.
+def winf_distance(p: ScoreSample, q: ScoreSample) -> float:
+    """Sup-norm (W-infinity) transport distance between the samples, in ``O(n + m)``.
 
-    True when :func:`lp_distance` at ``epsilon`` matches every unit; for equal
-    sizes that is the order-statistic test ``max_i |x_(i) - y_(i)| <= epsilon``.
+    The monotone coupling is optimal: source ``i`` (units ``[i*m, (i+1)*m)``)
+    meets targets ``(i*m)//n`` to ``((i+1)*m - 1)//n``. The gaps are rounded as
+    in the transport kernel, so :func:`lp_distance` matches every unit at
+    ``epsilon`` exactly when ``epsilon`` is at least this value; a gap past
+    the largest double is ``inf``.
     """
-    return lp_distance(p, q, epsilon).matched_units == p.n * q.n
+    x, y, n, m = p.scores, q.scores, p.n, q.n
+    i = np.arange(n, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        return float(max(np.max(y[((i + 1) * m - 1) // n] - x), np.max(x - y[i * m // n])))
+
+
+def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
+    """Whether :func:`winf_distance` between the samples is at most ``epsilon``."""
+    check_finite_nonnegative(epsilon, "epsilon")
+    return winf_distance(p, q) <= float(epsilon)
 
 
 def validate_epsilon_grid(epsilon_grid: Sequence[float]) -> list[float]:
@@ -238,11 +245,9 @@ def lp_profile(
 ) -> list[tuple[float, float]]:
     """``(epsilon, rho)`` of :func:`lp_distance` at every threshold of a strictly increasing grid.
 
-    The grid goes through the transport kernel in blocks of thresholds, so a
-    whole grid costs a few vectorised passes instead of one solve per point.
-    After the first block that ends with every unit matched, the kernel is
-    not run again: a wider threshold admits every edge a narrower one did,
-    so the rest of the grid is fully matched and its ``rho`` is ``0.0``.
+    The thresholds below :func:`winf_distance` go through the transport
+    kernel in blocks, so a whole grid costs a few vectorised passes instead
+    of one solve per point; the rest have ``rho == 0.0`` without the kernel.
     Each ``rho`` is bit-equal to ``lp_distance(p, q, epsilon).rho``.
     """
     grid = validate_epsilon_grid(epsilon_grid)

@@ -105,7 +105,7 @@ class PerturbationSpec:
         return Uniform(-self.epsilon, self.epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationDraw:
     """Perturbed values plus the mask of globally replaced positions."""
 

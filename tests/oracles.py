@@ -5,9 +5,10 @@ source atom ``i`` supplies ``m`` units, target atom ``j`` absorbs ``n``
 units, and only admissible pairs may carry flow. Here it is built as a
 network and handed to ``scipy.sparse.csgraph.maximum_flow``, which works on
 any admissibility pattern, not only the interval structure of one
-dimension that the sorted sweep relies on. For equal sizes the sup-norm
-test has a closed form over order statistics, and the row perturbation has
-a plain fancy-indexing form; both are kept here as references.
+dimension that the sorted sweep relies on. The sup-norm distance has a
+closed form over the pairs of order statistics that the monotone coupling
+meets (for equal sizes, a test on sorted gaps), and the row perturbation
+has a plain fancy-indexing form; all are kept here as references.
 
 Three constructions certify the library's numbers without being part of
 it: the optimal coupling cut from the transport kernel's fills, the
@@ -87,6 +88,21 @@ def sorted_gap_within(x, y, eps: float) -> bool:
     assert x.size == y.size, "the order-statistic test needs equal sizes"
     with np.errstate(over="ignore"):
         return bool(np.all(np.abs(x - y) <= eps))
+
+
+def sup_norm_distance(x, y) -> float:
+    """The sup-norm transport distance between samples ``x`` and ``y``.
+
+    The monotone coupling attains it; its pairs of order statistics change
+    only at levels ``k / (n*m)`` with ``k`` a multiple of ``n`` or ``m``.
+    An overflowing gap is inf.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    n, m = len(x), len(y)
+    k = np.union1d(np.arange(m, n * m + 1, m), np.arange(n, n * m + 1, n))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(x[(k - 1) // m] - y[(k - 1) // n])))
 
 
 def perturb_rows_reference(scores, true_labels, spec, rng):

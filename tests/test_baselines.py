@@ -195,6 +195,11 @@ class TestWeightedThreshold:
         ws = WeightedScores([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 1e9)
         assert weighted_threshold(ws, 0.1).is_unbounded
 
+    def test_compared_and_hashed_by_identity(self):
+        a, b = (WeightedScores([1.0, 2.0], [0.5, 1.5], 1.0) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             WeightedScores([1.0], [0.0], 1.0)

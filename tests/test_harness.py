@@ -90,6 +90,11 @@ class TestScoreMatrix:
         m = ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], labels)
         assert m.true_labels.tolist() == [1, 0]
 
+    def test_compared_and_hashed_by_identity(self):
+        a, b = (ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], [1, 0]) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestSplit:
     """The split ``evaluate`` and ``compare`` draw, checked on the library;
@@ -227,6 +232,15 @@ class TestEvaluate:
         # n_calib = 8 makes the coverage adjustment infeasible at alpha 0.1
         with pytest.raises(ValueError, match="split 0"):
             evaluate(m, MethodSpec("lp"), 0.1, 2, 8, 10, base_seed=0)
+
+
+class TestMethodSpecIdentity:
+    def test_compared_and_hashed_by_identity(self):
+        # Distinct specs differ even with equal fields, with or without weights.
+        for weights in (None, [1.0, 2.0]):
+            a, b = (MethodSpec("weighted", test_weight=0.5, weights=weights) for _ in range(2))
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
 
 class TestMethodRules:

@@ -6,6 +6,7 @@ integer-scaled transport polytope for small cases, and the scipy max-flow
 oracle of ``oracles.py`` on the same integer scaling for larger ones.
 """
 
+import contextlib
 import itertools
 import pickle
 import warnings
@@ -20,16 +21,24 @@ from scipy.optimize import linprog
 
 from lpconformal import (
     ScoreSample,
+    TransportResult,
     cdf,
     lp_distance,
     lp_profile,
     tv_distance,
+    winf_distance,
     winf_within,
 )
 from lpconformal import lp_metric
 from lpconformal.lp_metric import LPParams
 
-from oracles import certificate, eager_complete, sorted_gap_within, transport_matched_units
+from oracles import (
+    certificate,
+    eager_complete,
+    sorted_gap_within,
+    sup_norm_distance,
+    transport_matched_units,
+)
 
 
 def lp_rho_linprog(x, y, eps):
@@ -432,17 +441,6 @@ class TestProfileMatchesDistance:
         assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
 
 
-def sup_norm_distance(x, y):
-    """The sup-norm transport distance between sorted samples ``x`` and ``y``.
-
-    The monotone coupling attains it; its pairs of order statistics change
-    only at levels ``k / (n*m)`` with ``k`` a multiple of ``n`` or ``m``.
-    """
-    n, m = len(x), len(y)
-    k = np.union1d(np.arange(m, n * m + 1, m), np.arange(n, n * m + 1, n))
-    return float(np.max(np.abs(x[(k - 1) // m] - y[(k - 1) // n])))
-
-
 @st.composite
 def stopping_grids(draw):
     """Sorted samples and a grid split at their sup-norm distance ``gap``.
@@ -465,48 +463,152 @@ def stopping_grids(draw):
     return x, y, sorted(below), sorted(above)
 
 
+def kernel_units(x, y, eps):
+    """Matched units from one direct run of the transport kernel at ``eps``."""
+    start, end = lp_metric._fills(np.sort(x), np.sort(y), np.array([float(eps)]))
+    return int((end - start).sum())
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """Counts the transport kernel's calls; each call's ``args[2]`` is its block of thresholds."""
+    with mock.patch.object(lp_metric, "_fills", wraps=lp_metric._fills) as fills:
+        yield fills
+
+
 def counted_profile(p, q, grid, rows):
-    """``lp_profile`` in blocks of ``rows`` thresholds, and its number of kernel calls."""
-    with mock.patch.object(lp_metric, "_BLOCK_CELLS", rows * q.n), \
-            mock.patch.object(lp_metric, "_fills", wraps=lp_metric._fills) as fills:
+    """``lp_profile`` in blocks of ``rows`` thresholds, and the blocks the kernel ran."""
+    with mock.patch.object(lp_metric, "_BLOCK_CELLS", rows * q.n), kernel_calls() as fills:
         profile = lp_profile(p, q, grid)
-    return profile, fills.call_count
+    return profile, [call.args[2].tolist() for call in fills.call_args_list]
+
+
+def kernel_profile(x, y, grid):
+    """``(epsilon, rho)`` at every grid point, each from its own kernel run."""
+    units = len(x) * len(y)
+    return [(e, (units - kernel_units(x, y, e)) / units) for e in grid]
 
 
 class TestProfileStop:
-    """The kernel stops at the first block that ends with every unit matched."""
+    """The kernel runs on exactly the grid points below the sup-norm distance."""
 
     @settings(max_examples=200, deadline=None)
     @given(stopping_grids())
-    def test_stops_after_the_first_full_match(self, case):
+    def test_kernel_runs_only_below_the_sup_norm_distance(self, case):
         x, y, below, above = case
-        p, q = ScoreSample(x), ScoreSample(y)
-        k = len(below)
-        profile, calls = counted_profile(p, q, below + above, rows=1)
-        assert calls == (k + 1 if above else k)
-        assert all(rho > 0.0 for _, rho in profile[:k])
-        assert all(rho == 0.0 for _, rho in profile[k:])
-        assert profile == [(e, lp_distance(p, q, e).rho) for e in below + above]
+        profile, blocks = counted_profile(ScoreSample(x), ScoreSample(y), below + above, rows=1)
+        assert blocks == [[e] for e in below]
+        assert all(rho > 0.0 for _, rho in profile[:len(below)])
+        assert all(rho == 0.0 for _, rho in profile[len(below):])
+        assert profile == kernel_profile(x, y, below + above)
 
     def test_never_fully_matched_runs_every_point(self):
         p, q = ScoreSample([0.0, 1.0, 2.0]), ScoreSample([0.5, 1.5, 5.0, 5.5])
         grid = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
         assert sup_norm_distance(p.scores, q.scores) == 4.0
-        profile, calls = counted_profile(p, q, grid, rows=1)
-        assert calls == len(grid)
+        profile, blocks = counted_profile(p, q, grid, rows=1)
+        assert blocks == [[e] for e in grid]
         assert all(rho > 0.0 for _, rho in profile)
 
     @settings(max_examples=200, deadline=None)
     @given(stopping_grids(), st.integers(2, 5))
-    def test_stops_at_a_block_boundary(self, case, rows):
+    def test_blocks_hold_only_the_points_below_it(self, case, rows):
+        # ceil(k / rows) blocks; the last one may be short.
         x, y, below, above = case
+        profile, blocks = counted_profile(ScoreSample(x), ScoreSample(y), below + above, rows)
+        assert blocks == [below[i:i + rows] for i in range(0, len(below), rows)]
+        assert profile == kernel_profile(x, y, below + above)
+
+    def test_no_kernel_call_when_the_grid_starts_at_the_distance(self):
+        p, q = ScoreSample([0.0, 0.25, 1.0]), ScoreSample([0.25, 0.5, 1.25])
+        assert winf_distance(p, q) == 0.25
+        profile, blocks = counted_profile(p, q, [0.25, 0.5], rows=1)
+        assert blocks == [] and profile == [(0.25, 0.0), (0.5, 0.0)]
+        with kernel_calls() as fills:
+            assert tv_distance(p, p) == 0.0
+        assert fills.call_count == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(stopping_grids())
+    def test_distance_at_or_past_it_skips_the_kernel(self, case):
+        x, y, _, above = case
         p, q = ScoreSample(x), ScoreSample(y)
-        grid = below + above
-        k = len(below)
-        profile, calls = counted_profile(p, q, grid, rows)
-        # Every block up to the one holding point k runs in full.
-        assert calls == (k // rows + 1 if above else -(-k // rows))
-        assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
+        n, m = len(x), len(y)
+        for e in above:
+            with kernel_calls() as fills:
+                res = lp_distance(p, q, e)
+            assert fills.call_count == 0
+            rho = (n * m - kernel_units(x, y, e)) / (n * m)
+            assert res == TransportResult(rho, 1.0 - rho, n, m, n * m)
+            assert res.rho == 0.0
+
+
+@st.composite
+def winf_samples(draw):
+    """Two samples of 1-40 atoms: normal, on a 0.1 lattice, or within 3 ulps of one value.
+
+    Half the draws have equal sizes.
+    """
+    family = draw(st.sampled_from(["normal", "lattice", "ulps"]))
+    base = draw(st.floats(-3.0, 3.0))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=2))
+    if draw(st.booleans()):
+        sizes[1] = sizes[0]
+
+    def side(size):
+        if family == "normal":
+            return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=size)
+        steps = np.array(draw(st.lists(st.integers(-3, 3) if family == "ulps" else st.integers(0, 6),
+                                       min_size=size, max_size=size)))
+        return base + steps * np.spacing(base) if family == "ulps" else steps * 0.1
+
+    return side(sizes[0]), side(sizes[1])
+
+
+class TestWinfDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(winf_samples(), instances().map(lambda inst: inst[:2])))
+    def test_equals_the_oracle_and_is_symmetric(self, xy):
+        x, y = xy
+        p, q = ScoreSample(x), ScoreSample(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = winf_distance(p, q)
+            assert winf_distance(q, p) == got
+        assert got == sup_norm_distance(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-_MAX_FLOAT, -1.6e308), min_size=1, max_size=10),
+           st.lists(st.floats(1.6e308, _MAX_FLOAT), min_size=1, max_size=10))
+    def test_gap_past_the_largest_double_is_inf(self, low, high):
+        p, q = ScoreSample(low), ScoreSample(high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert winf_distance(p, q) == winf_distance(q, p) == np.inf
+            assert not winf_within(p, q, _MAX_FLOAT)
+
+    @settings(max_examples=200, deadline=None)
+    @given(winf_samples())
+    def test_within_equals_a_full_kernel_match(self, xy):
+        # At the distance, its float neighbours and half of it.
+        x, y = xy
+        p, q = ScoreSample(x), ScoreSample(y)
+        units = len(x) * len(y)
+        gap = winf_distance(p, q)
+        for e in (gap, float(np.nextafter(gap, np.inf)), max(0.0, float(np.nextafter(gap, 0.0))),
+                  gap / 2):
+            full = kernel_units(x, y, e) == units
+            assert winf_within(p, q, e) == full == (transport_matched_units(x, y, e) == units)
+            assert full == (e >= gap)
+
+    def test_within_makes_no_kernel_call(self):
+        rng = np.random.default_rng(29)
+        pairs = [(ScoreSample(rng.normal(size=n)), ScoreSample(rng.normal(size=m)))
+                 for n, m in [(1, 1), (5, 5), (7, 3), (200, 300)]]
+        with kernel_calls() as fills:
+            answers = [winf_within(p, q, e) for p, q in pairs for e in (0.0, 0.3, 10.0)]
+        assert fills.call_count == 0
+        assert answers == [winf_distance(p, q) <= e for p, q in pairs for e in (0.0, 0.3, 10.0)]
 
 
 class TestSizeLimit:

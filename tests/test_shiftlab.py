@@ -69,6 +69,14 @@ class TestPerturbationSpec:
 
 
 class TestPerturbSample:
+    def test_draws_compared_and_hashed_by_identity(self):
+        base = ScoreSample([1.0, 2.0, 3.0])
+        spec = PerturbationSpec(epsilon=0.1, rho=0.5, seed=3)
+        a, b = perturb_draws(base, spec), perturb_draws(base, spec)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.replaced, b.replaced)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_identity(self):
         base = ScoreSample([1.0, 2.0, 3.0])
         spec = PerturbationSpec(epsilon=0.0, rho=0.0, local_law=PointMass(0.0))

@@ -168,7 +168,8 @@ PUBLIC_NAMES = {
     "lp_threshold", "perturb_draws", "perturb_sample", "prediction_set", "propagate_params",
     "quantile", "read_matrix", "read_scores", "read_weighted_scores", "robust_threshold",
     "rscp_threshold", "sc_threshold", "tv_distance", "tv_threshold", "weighted_threshold",
-    "winf_threshold", "winf_within", "worst_case_coverage", "worst_case_quantile",
+    "winf_distance", "winf_threshold", "winf_within", "worst_case_coverage",
+    "worst_case_quantile",
 }
 
 
