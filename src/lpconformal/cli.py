@@ -26,6 +26,7 @@ from .harness import (
     read_weighted_scores,
     reports_json,
     write_report_csv,
+    write_text,
 )
 from .shiftlab import PerturbationSpec, PointMass, perturb_sample
 
@@ -43,7 +44,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _emit_text(text: str, out: str | Path | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        write_text(out, text + "\n")
     else:
         print(text)
 
@@ -177,7 +178,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     values = perturbed.scores.tolist()
     # One %-format call; %r of a float is its repr, as an f-string's !r.
-    out.write_text(("%r\n" * len(values)) % tuple(values))
+    write_text(out, ("%r\n" * len(values)) % tuple(values))
     _emit({"source": str(args.scores), "n": sample.n, **perturbation_dict(spec)},
           out.with_name(out.stem + "_spec.json"))
     return EXIT_OK

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 import math
 import numbers
 import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -625,10 +627,28 @@ def write_report_csv(reports: Sequence[EvalReport], path) -> None:
             if id(r) not in cells:
                 coverage, size = r.coverage, r.mean_set_size
                 cells[id(r)] = (_float_text(coverage) or coverage, _float_text(size) or size)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "split", "coverage", "mean_set_size"])
-        for report in reports:
-            writer.writerows(
-                [(report.method, j, *cells[id(r)]) for j, r in enumerate(report.per_split)]
-            )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["method", "split", "coverage", "mean_set_size"])
+    for report in reports:
+        writer.writerows(
+            [(report.method, j, *cells[id(r)]) for j, r in enumerate(report.per_split)]
+        )
+    write_text(path, buf.getvalue(), newline="")
+
+
+def write_text(path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path`` as the bytes ``open(path, "w", newline=newline)`` writes.
+
+    Every file the package writes goes through here. An existing file is
+    rewritten in place and then cut to the written length, so it keeps its
+    inode and permission bits; a new one gets mode ``0o666`` less the umask.
+    ``open(path, "w")`` truncates to zero first, and on ext4 (default
+    ``auto_da_alloc``) that starts writeback at close, which costs more
+    than writing a small output. A target that is not a regular file, such
+    as ``/dev/null`` or a FIFO, is written but never truncated.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()

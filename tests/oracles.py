@@ -15,12 +15,15 @@ it: the optimal coupling cut from the transport kernel's fills, the
 extremal rank-band families that approach the worst-case quantile and
 coverage, and a plain calibration/test split of a score matrix. The report
 texts are checked against ``json.dumps`` and a ``csv.writer`` handed the
-raw values.
+raw values, and every output file against what ``open(path, "w")`` writes.
 """
 
+import contextlib
 import csv
 import io
 import json
+import os
+import threading
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -301,3 +304,28 @@ def report_csv(reports) -> str:
             for j, r in enumerate(report.per_split)
         )
     return fh.getvalue()
+
+
+def written_by_open(path, text: str, newline=None) -> bytes:
+    """The bytes ``open(path, "w", newline=newline)`` leaves in ``path`` for ``text``."""
+    with open(path, "w", newline=newline) as fh:
+        fh.write(text)
+    return path.read_bytes()
+
+
+def fifo_receives(path, write) -> tuple:
+    """``write()``'s result and every byte a reader of the new named pipe ``path`` gets."""
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        result = write()
+    finally:
+        # A writer that failed before opening the pipe leaves the reader
+        # waiting for one: open and close one, so that it reads to the end.
+        with contextlib.suppress(OSError):
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(10)
+    assert not reader.is_alive()
+    return result, received[0]

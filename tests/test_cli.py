@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import csv
+import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from lpconformal import cli, harness
 from lpconformal.cli import main
 from lpconformal.harness import EvalReport
 
-from oracles import report_csv, report_json
+from oracles import fifo_receives, report_csv, report_json
 
 
 @pytest.fixture
@@ -574,3 +578,111 @@ class TestParserReuse:
         assert main(["calibrate", "--scores", str(scores_file), "--method", "sc"]) == 0
         capsys.readouterr()
         assert [outcome(argv) for argv in (missing, domain, usage)] == first
+
+
+def _command_head(command, scores_file, matrix_file):
+    scores, matrix = str(scores_file), str(matrix_file)
+    splits = ["--matrix", matrix, "--epsilon", "0.1", "--rho", "0.05", "--splits", "3",
+              "--n-calib", "100", "--k-test", "80", "--seed", "5"]
+    return {
+        "simulate": ["simulate", "--scores", scores, "--epsilon", "0.1", "--rho", "0.2",
+                     "--global-value", "25.0", "--seed", "11"],
+        "estimate": ["estimate", "--calib-a", scores, "--calib-b", scores, "--test", scores,
+                     "--grid", "0.05,0.1,0.2"],
+        "calibrate": ["calibrate", "--scores", scores, "--method", "lp",
+                      "--epsilon", "0.1", "--rho", "0.05"],
+        "evaluate": ["evaluate", "--method", "lp", *splits],
+        "compare": ["compare", "--methods", "sc,lp,tv,chi2", *splits],
+    }[command]
+
+
+def _expected_bytes(path, data: bytes) -> bytes:
+    """What ``open(path, "w")`` writes for the text parsed back out of ``data``."""
+    text = data.decode()
+    if path.suffix == ".json":
+        return (json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n").encode()
+    if path.name == "report.csv":
+        fh = io.StringIO(newline="")
+        csv.writer(fh).writerows(csv.reader(io.StringIO(text, newline="")))
+        return fh.getvalue().encode()
+    return "".join(f"{float(v)!r}\n" for v in text.split()).encode()
+
+
+class TestOutputFiles:
+    """Each output is rewritten in place to the bytes ``open(path, "w")`` writes."""
+
+    COMMANDS = ["simulate", "estimate", "calibrate", "evaluate", "compare"]
+    TARGETS = [("simulate", "--out"), ("estimate", "--out"), ("calibrate", "--out"),
+               ("evaluate", "--out"), ("evaluate", "--csv"), ("compare", "--out"),
+               ("compare", "--csv")]
+
+    def _run(self, command, scores_file, matrix_file, out_dir):
+        """Run ``command`` with every output in ``out_dir``; return the output paths."""
+        if command == "simulate":
+            outputs = [out_dir / "test.csv", out_dir / "test_spec.json"]
+            flags = ["--out", str(outputs[0])]
+        elif command in ("evaluate", "compare"):
+            outputs = [out_dir / "report.json", out_dir / "report.csv"]
+            flags = ["--out", str(outputs[0]), "--csv", str(outputs[1])]
+        else:
+            outputs = [out_dir / f"{command}.json"]
+            flags = ["--out", str(outputs[0])]
+        assert main(_command_head(command, scores_file, matrix_file) + flags) == 0
+        return outputs
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fresh_and_rewritten_outputs_are_the_same_bytes(
+            self, scores_file, matrix_file, tmp_path, command):
+        fresh_dir, rewritten_dir = tmp_path / "fresh", tmp_path / "rewritten"
+        fresh_dir.mkdir()
+        rewritten_dir.mkdir()
+        fresh = {p.name: p.read_bytes() for p in self._run(command, scores_file, matrix_file,
+                                                             fresh_dir)}
+        for path in (fresh_dir / name for name in fresh):
+            assert fresh[path.name] == _expected_bytes(path, fresh[path.name])
+        for junk in (lambda data: b"\x00junk\r\n" * (len(data) // 3 + 100), lambda data: b"{"):
+            for name, data in fresh.items():
+                (rewritten_dir / name).write_bytes(junk(data))
+                os.chmod(rewritten_dir / name, 0o640)
+            before = {name: os.stat(rewritten_dir / name).st_ino for name in fresh}
+            outputs = self._run(command, scores_file, matrix_file, rewritten_dir)
+            assert {p.name: p.read_bytes() for p in outputs} == fresh
+            for path in outputs:
+                assert os.stat(path).st_ino == before[path.name]
+                assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command, flag", TARGETS)
+    def test_unwritable_target_exit_3(self, scores_file, matrix_file, tmp_path, capsys,
+                                      command, flag, target):
+        path = tmp_path / "out.d" if target == "directory" else tmp_path / "no" / "out"
+        if target == "directory":
+            path.mkdir()
+        with pytest.raises(OSError) as expected:
+            open(path, "w")
+        argv = _command_head(command, scores_file, matrix_file) + [flag, str(path)]
+        if flag == "--csv":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    @pytest.mark.parametrize("command, flag", [t for t in TARGETS if t[0] != "simulate"])
+    def test_null_device_exit_0(self, scores_file, matrix_file, capsys, command, flag):
+        argv = _command_head(command, scores_file, matrix_file) + [flag, os.devnull]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("command, flag", [("calibrate", "--out"), ("estimate", "--out"),
+                                               ("compare", "--out"), ("compare", "--csv")])
+    def test_named_pipe_receives_the_bytes(self, scores_file, matrix_file, tmp_path, capsys,
+                                           command, flag):
+        regular = tmp_path / "regular"
+        pipe = tmp_path / "pipe"
+        head = _command_head(command, scores_file, matrix_file)
+        assert main(head + [flag, str(regular)]) == 0
+        code, received = fifo_receives(pipe, lambda: main(head + [flag, str(pipe)]))
+        assert code == 0
+        assert received == regular.read_bytes()
+        assert capsys.readouterr().err == ""

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import threading
 import warnings
@@ -49,11 +50,19 @@ from lpconformal.harness import (
     SplitResult,
     perturbation_dict,
     write_report_csv,
+    write_text,
 )
 from lpconformal.robust import adjusted_beta
 from lpconformal.shiftlab import perturb_rows
 
-from oracles import report_csv, report_json, split, split_indices
+from oracles import (
+    fifo_receives,
+    report_csv,
+    report_json,
+    split,
+    split_indices,
+    written_by_open,
+)
 
 
 def synthetic_matrix(rng, rows=600, labels=5, sep=2.0):
@@ -707,6 +716,88 @@ class TestReportText:
     def test_empty_report_list(self, tmp_path):
         self._check([], tmp_path / "report.csv")
         assert harness.reports_json([]) == '{\n  "reports": []\n}'
+
+    @pytest.mark.parametrize("old", [b"junk\n" * 5000, b"x"], ids=["longer", "shorter"])
+    def test_rewrite_leaves_exactly_the_table(self, tmp_path, old):
+        shared = [SplitResult(v, v) for v in REPORT_VALUES]
+        reports = [_report("sc", shared), _report("lp", shared[::-1])]
+        path = tmp_path / "report.csv"
+        path.write_bytes(old)
+        write_report_csv(reports, path)
+        assert path.read_bytes() == written_by_open(tmp_path / "ref.csv", report_csv(reports), "")
+        assert path.read_bytes().count(b"\r\n") == 1 + 2 * len(shared)
+
+
+WRITE_TEXTS = ["", "a", "one\ntwo\n", "crlf\r\nand cr\rend\n", "caf\u00e9 \u2014 \u00b5s\n",
+               "0.1\n" * 40000]
+
+
+class TestWriteText:
+    """``write_text`` leaves the bytes ``open(path, "w")`` writes, rewriting in place."""
+
+    @pytest.mark.parametrize("newline", [None, "", "\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("text", WRITE_TEXTS, ids=range(len(WRITE_TEXTS)))
+    def test_bytes_of_open(self, tmp_path, text, newline):
+        try:
+            expected = written_by_open(tmp_path / "ref", text, newline)
+        except UnicodeEncodeError:
+            # A locale encoding without these characters fails both writers alike.
+            with pytest.raises(UnicodeEncodeError):
+                write_text(tmp_path / "out", text, newline)
+            return
+        write_text(tmp_path / "out", text, newline)
+        assert (tmp_path / "out").read_bytes() == expected
+
+    @pytest.mark.parametrize("old", [b"z" * 300000, b"0123456789", b"", b"ab"],
+                             ids=["much-longer", "longer", "empty", "shorter"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "out"
+        path.write_bytes(old)
+        write_text(path, "new\ntext\n")
+        assert path.read_bytes() == b"new\ntext\n"
+
+    @pytest.mark.parametrize("mode", [0o640, 0o604, 0o600])
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path, mode):
+        path = tmp_path / "out"
+        path.write_text("old\n" * 1000)
+        os.chmod(path, mode)
+        before = os.stat(path)
+        write_text(path, "new\n")
+        after = os.stat(path)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        assert stat.S_IMODE(after.st_mode) == mode
+        assert path.read_text() == "new\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_0o666_less_the_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_text(tmp_path / "new", "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(tmp_path / "new").st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_error_is_the_error_of_open(self, tmp_path, target):
+        path = tmp_path if target == "directory" else tmp_path / "no" / "out.json"
+        with pytest.raises(OSError) as expected:
+            open(path, "w")
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            write_text(path, "x\n")
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_null_device_is_not_truncated(self):
+        # /dev/null is seekable, yet ftruncate on it fails with EINVAL.
+        write_text(os.devnull, "x" * 100000)
+        write_text(os.devnull, "y\n", newline="")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_named_pipe_receives_the_bytes(self, tmp_path, newline):
+        text = "a,b\r\n" * 20000 + "end\n"
+        path = tmp_path / "pipe"
+        _, received = fifo_receives(path, lambda: write_text(path, text, newline))
+        assert received == written_by_open(tmp_path / "ref", text, newline)
 
 
 class TestEvaluateInputs:

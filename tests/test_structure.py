@@ -7,9 +7,10 @@ path and builds no ``ScoreSample`` or ``ThresholdResult``, and one
 transport solver runs with numpy as the only third-party dependency. Every
 CSV input goes through two parsers and no other: one ``np.loadtxt`` call for
 speed, and one ``csv.reader`` that reads whatever numpy might read
-differently and reports every error. The public surface is pinned, every
-exported name resolves, and so does every callable the benchmark's tracer
-wraps by name.
+differently and reports every error. Every output file is opened for
+writing in one function, ``harness.write_text``. The public surface is
+pinned, every exported name resolves, and so does every callable the
+benchmark's tracer wraps by name.
 """
 
 import argparse
@@ -128,6 +129,74 @@ def test_one_csv_reader():
 def test_one_loadtxt_call():
     calls = _calls("np.loadtxt")
     assert len(calls) == 1, f"np.loadtxt( should appear once, found at {calls}"
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` is a ``write_text``/``write_bytes`` method, or an ``open`` that may write."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name in ("write_text", "write_bytes"):
+        return isinstance(func, ast.Attribute)
+    if name != "open":
+        return False
+    if ast.unparse(func) == "os.open":
+        flags = ast.unparse(call)
+        return any(f in flags for f in ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"))
+    # The mode follows the path in open() and io.open(), and leads in Path.open().
+    builtin = isinstance(func, ast.Name) or ast.unparse(func) == "io.open"
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if builtin else call.args[:1]
+    return any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+")
+               for mode in modes)
+
+
+def _file_writers(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of each call in ``source`` that opens a file for writing."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append((where, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("Path(p).write_text(t)", True),
+    ("p.write_bytes(b)", True),
+    ("open(p, 'w', newline='')", True),
+    ("open(p, mode='a')", True),
+    ("open(p, 'r+b')", True),
+    ("open(p, 'x')", True),
+    ("open(p, m)", True),
+    ("io.open(p, 'wb')", True),
+    ("Path(p).open('w')", True),
+    ("os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)", True),
+    ("os.open(p, os.O_RDWR)", True),
+    ("open(p)", False),
+    ("open(p, 'rb')", False),
+    ("open(p, newline='', encoding='utf-8-sig')", False),
+    ("Path(p).open()", False),
+    ("os.open(p, os.O_RDONLY)", False),
+    ("write_text(p, t)", False),
+])
+def test_file_writer_rule(source, writes):
+    assert bool(_file_writers(source)) == writes
+
+
+def test_one_file_writer():
+    writers = [
+        (path.name, where, line)
+        for path in SOURCES
+        for where, line in _file_writers(path.read_text())
+    ]
+    assert writers and {(name, where) for name, where, _ in writers} == {
+        ("harness.py", "write_text")
+    }, f"files are opened for writing outside harness.write_text: {writers}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
