@@ -352,7 +352,8 @@ def compare(
     paired. Every split calibrates on ``n_calib`` scores, so each method's
     rule is resolved once, or per split from that split's weights for a
     method with per-row weights. Methods whose thresholds coincide in a split
-    share that split's coverage and set-size counts. Every error is raised
+    share that split's coverage and set-size counts. The test block and the
+    masks that count it are allocated once per call. Every error is raised
     before the first split: the arguments, split sizes, per-row weights and
     their totals are checked in that order, then the rules are resolved in
     list order and the first rule error is re-raised with the prefix ``split 0:``.
@@ -402,6 +403,12 @@ def compare(
         np.arange(matrix.n_rows) * matrix.n_labels + matrix.true_labels
     ]
     test_cells = np.arange(k_test) * matrix.n_labels
+    redraw = perturbation is not None and redraw_per_split
+    # One C-ordered test block and its masks, overwritten by every split.
+    test_scores = np.empty((k_test, matrix.n_labels))
+    test_flat = test_scores.reshape(-1)
+    cell_mask = np.empty(test_flat.size, dtype=bool)
+    row_mask = np.empty(k_test, dtype=bool)
     for j in range(n_splits):
         calib_idx, test_idx = _split_indices(matrix.n_rows, n_calib, k_test, [seed, j, 0])
         calib_raw = row_true[calib_idx]
@@ -410,22 +417,25 @@ def compare(
         if per_row:
             # The row of each of calib's sorted scores, to pair per-row weights.
             calib_rows = calib_idx[np.argsort(calib_raw, kind="stable")]
-        # A new C-ordered array, so a redrawn perturbation can overwrite it.
-        test_scores = np.take(source, test_idx, axis=0)
+        # test_idx holds row numbers of source, so "clip" never acts; under the
+        # default "raise", np.take would buffer a whole block before writing out.
+        np.take(source, test_idx, axis=0, out=test_scores, mode="clip")
         test_labels = matrix.true_labels[test_idx]
-        if perturbation is not None and redraw_per_split:
+        if redraw:
             rng = np.random.default_rng([int(perturbation.seed), seed, j, 1])
             perturb_rows(test_scores, test_labels, perturbation, rng, out=test_scores)
-        true_scores = test_scores.reshape(-1)[test_cells + test_labels]
+        true_scores = test_flat[test_cells + test_labels]
         counts: dict[float, SplitResult] = {}  # equal cutoffs (-0.0 and 0.0 too) share one count
         for method, rule, per_split in zip(methods, rules, results):
             if method.weights is not None:
                 rule = method.rule(n_calib, alpha, method.weights[calib_rows])
             cutoff = rule.cutoff(calib)
             if cutoff not in counts:
+                covered = np.less_equal(true_scores, cutoff, out=row_mask)
+                members = np.less_equal(test_flat, cutoff, out=cell_mask)
                 counts[cutoff] = SplitResult(
-                    coverage=int(np.count_nonzero(true_scores <= cutoff)) / k_test,
-                    mean_set_size=int(np.count_nonzero(test_scores <= cutoff)) / k_test,
+                    coverage=int(np.count_nonzero(covered)) / k_test,
+                    mean_set_size=int(np.count_nonzero(members)) / k_test,
                 )
             per_split.append(counts[cutoff])
     ddof = 1 if n_splits > 1 else 0

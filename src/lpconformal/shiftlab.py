@@ -8,6 +8,7 @@ matrix, and propagates ball parameters through Lipschitz maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +59,10 @@ class Uniform:
 Law = PointMass | Uniform
 
 
-def _draw_law(law: Law, rng: np.random.Generator, size) -> np.ndarray:
+def _draw_law(law: Law, rng: np.random.Generator, size) -> np.ndarray | float:
+    """``size`` draws from ``law``; a point mass is its value as one float, which broadcasts."""
     if isinstance(law, PointMass):
-        return np.full(size, law.value, dtype=float)
+        return float(law.value)
     return rng.uniform(law.low, law.high, size)
 
 
@@ -102,6 +104,11 @@ class PerturbationSpec:
     def resolved_local_law(self) -> Law:
         if self.local_law is not None:
             return self.local_law
+        return self._default_local_law
+
+    @cached_property
+    def _default_local_law(self) -> Uniform:
+        # Built on first use, so a width too large to sample raises only when drawn.
         return Uniform(-self.epsilon, self.epsilon)
 
 
@@ -118,8 +125,12 @@ def _clamp_displacement(values: np.ndarray, center: np.ndarray, eps: float) -> n
 
     Floating-point addition can overshoot the nominal bound by an ulp, which
     would silently break exact ball membership; a couple of nextafter steps
-    repair it.
+    repair it. A sum that overflowed to ±inf is brought back to ±max double,
+    which lies within ``eps`` of a finite center. ``values`` itself is
+    returned when no value needs a nudge.
     """
+    if not (np.abs(values - center) > eps).any():
+        return values
     out = np.array(values, dtype=float)
     for _ in range(4):
         delta = out - center
@@ -144,7 +155,8 @@ def perturb_draws(base: ScoreSample, spec: PerturbationSpec) -> PerturbationDraw
     replaced = rng.random(n) < spec.rho
     noise = _draw_law(spec.resolved_local_law(), rng, n)
     global_vals = _draw_law(spec.global_law, rng, n)
-    shifted = _clamp_displacement(x + noise, x, spec.epsilon)
+    with np.errstate(over="ignore"):  # the clamp repairs a sum past the largest double
+        shifted = _clamp_displacement(x + noise, x, spec.epsilon)
     values = np.where(replaced, global_vals, shifted)
     return PerturbationDraw(values=values, replaced=replaced)
 
@@ -190,10 +202,12 @@ def perturb_rows(
     flat = out.reshape(-1)  # a view: out is C-ordered
     corrupt = rng.random(n_rows) < spec.rho
     noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
-    keep = np.flatnonzero(~corrupt)
-    true_cells = keep * n_labels + true_labels[keep]
+    # Every row's true cell is displaced, the corrupt rows' too: they are
+    # overwritten whole below, so their displacement never shows.
+    true_cells = np.arange(n_rows) * n_labels + true_labels
     original = flat[true_cells]
-    flat[true_cells] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
+    with np.errstate(over="ignore"):  # the clamp repairs a sum past the largest double
+        flat[true_cells] = _clamp_displacement(original + noise, original, spec.epsilon)
     rows = np.flatnonzero(corrupt)  # with no rows, the empty draw takes nothing from rng
     out[rows] = _draw_law(spec.global_law, rng, (rows.size, n_labels))
     return out

@@ -8,7 +8,8 @@ any admissibility pattern, not only the interval structure of one
 dimension that the sorted sweep relies on. The sup-norm distance has a
 closed form over the pairs of order statistics that the monotone coupling
 meets (for equal sizes, a test on sorted gaps), and the row perturbation
-has a plain fancy-indexing form; all are kept here as references.
+has a plain fancy-indexing form, with its own copy of the clamp loop; all
+are kept here as references.
 
 Three constructions certify the library's numbers without being part of
 it: the optimal coupling cut from the transport kernel's fills, the
@@ -29,10 +30,9 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
-from lpconformal import LPParams, ScoreMatrix, ScoreSample, cdf, lp_distance
+from lpconformal import LPParams, PointMass, ScoreMatrix, ScoreSample, cdf, lp_distance
 from lpconformal.core import snapped_ceil
 from lpconformal.lp_metric import _fills
-from lpconformal.shiftlab import _clamp_displacement, _draw_law
 
 
 def max_flow_matched_units(admissible) -> int:
@@ -108,23 +108,50 @@ def sup_norm_distance(x, y) -> float:
         return float(np.max(np.abs(x[(k - 1) // m] - y[(k - 1) // n])))
 
 
+def clamp_displacement(values, center, eps: float) -> np.ndarray:
+    """Nudge ``values`` until each lies within ``eps`` of its center.
+
+    The sampler's clamp as a plain loop without its early return, kept here
+    so that the references below do not run the code they check.
+    """
+    out = np.array(values, dtype=float)
+    for _ in range(4):
+        delta = out - center
+        over = delta > eps
+        under = delta < -eps
+        if not (over.any() or under.any()):
+            break
+        out[over] = np.nextafter(out[over], -np.inf)
+        out[under] = np.nextafter(out[under], np.inf)
+    return out
+
+
+def _draw(law, rng, size) -> np.ndarray:
+    if isinstance(law, PointMass):
+        return np.full(size, law.value, dtype=float)
+    return rng.uniform(law.low, law.high, size)
+
+
 def perturb_rows_reference(scores, true_labels, spec, rng):
     """``shiftlab.perturb_rows`` written with 2-d fancy indexing and a boolean row mask.
 
     Same draws in the same order: replacement mask, local noise, then the
-    global draws for the replaced rows.
+    global draws for the replaced rows. Only the rows that are not replaced
+    are displaced.
     """
     n_rows, n_labels = scores.shape
     out = scores.copy()
     corrupt = rng.random(n_rows) < spec.rho
-    noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
+    noise = _draw(spec.resolved_local_law(), rng, n_rows)
     keep = np.nonzero(~corrupt)[0]
     cols = true_labels[keep]
     original = out[keep, cols]
-    out[keep, cols] = _clamp_displacement(original + noise[keep], original, spec.epsilon)
+    with np.errstate(over="ignore"):
+        shifted = original + noise[keep]
+    out[keep, cols] = clamp_displacement(shifted, original, spec.epsilon)
     n_corrupt = int(corrupt.sum())
     if n_corrupt:
-        out[corrupt] = _draw_law(spec.global_law, rng, (n_corrupt, n_labels))
+        out[corrupt] = _draw(spec.global_law, rng, (n_corrupt, n_labels))
     return out
 
 
@@ -182,7 +209,7 @@ def snapped_floor(value: float) -> int:
 
 
 def _shifted_scores(base: ScoreSample, eps: float) -> np.ndarray:
-    return _clamp_displacement(base.scores + eps, base.scores, eps)
+    return clamp_displacement(base.scores + eps, base.scores, eps)
 
 
 def _rank_band(n: int, lo_level: float, hi_level: float, rho: float) -> tuple[int, int]:

@@ -427,6 +427,46 @@ class TestOverflowingThreshold:
         )
 
 
+class TestOverflowingPerturbation:
+    """A displaced score past the largest double is clamped to it, without a warning.
+
+    Warnings are errors under this suite, so an overflowing add would fail the run.
+    """
+
+    def test_simulate(self, tmp_path):
+        scores = tmp_path / "huge.csv"
+        scores.write_text("1.7e+308\n" * 50 + "1.0\n" * 50)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--scores", str(scores), "--epsilon", "8e307",
+                     "--rho", "0.1", "--out", str(out)]) == 0
+        values = np.array([float(v) for v in out.read_text().split()])
+        assert values.size == 100 and np.isfinite(values).all()
+        assert (values == np.finfo(float).max).any()
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--methods", "sc,lp"],
+        ["compare", "--methods", "sc,lp", "--fixed-perturbation"],
+        ["evaluate", "--method", "sc", "--fixed-perturbation"],
+    ], ids=["compare", "compare_fixed", "evaluate_fixed"])
+    def test_split_loop(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(2)
+        rows, labels = 120, 3
+        true = rng.integers(0, labels, rows)
+        scores = rng.normal(size=(rows, labels))
+        scores[np.arange(rows), true] = 1.7e308
+        matrix = tmp_path / "huge.csv"
+        matrix.write_text("true_label,s_0,s_1,s_2\n" + "".join(
+            f"{label}," + ",".join(repr(float(v)) for v in row) + "\n"
+            for label, row in zip(true, scores)
+        ))
+        assert main([*command, "--matrix", str(matrix), "--splits", "3", "--n-calib", "60",
+                     "--k-test", "50", "--perturb-epsilon", "8e307", "--perturb-rho", "0.1",
+                     "--csv", str(tmp_path / "report.csv")]) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        reports = payload["reports"] if "reports" in payload else [payload]
+        assert all(0.0 < r["aggregate"]["coverage_mean"] <= 1.0 for r in reports)
+
+
 class TestMalformedFiles:
     """Inputs that once ended in a traceback or in the wrong exit code."""
 

@@ -25,6 +25,7 @@ from lpconformal import (
     PointMass,
     ScoreMatrix,
     ScoreSample,
+    Uniform,
     chi2_threshold,
     compare,
     conformal_quantile,
@@ -1062,6 +1063,23 @@ class TestSharedSplits:
         sc = MethodSpec("sc")
         assert any(np.signbit(sc.threshold(split(signed, 120, 90, [17, j, 0])[0], 0.1).threshold)
                    for j in range(n_splits))
+
+    @pytest.mark.parametrize("shift", [
+        PerturbationSpec(epsilon=0.1, rho=1.0, global_law=PointMass(40.0), seed=2),
+        PerturbationSpec(epsilon=0.1, rho=0.3, global_law=Uniform(-3.0, 3.0), seed=4),
+    ], ids=["rho_one", "uniform_global"])
+    @pytest.mark.parametrize("redraw", [True, False], ids=["per_split", "fixed"])
+    def test_reused_test_block_matches_per_method_oracle(self, shift, redraw):
+        # Every split overwrites the one test block of the call: a cell left
+        # from the split before, or a row the perturbation missed, would show.
+        kwargs = dict(perturbation=shift, redraw_per_split=redraw)
+        methods = all_methods()
+        for k_test in (90, 1):
+            args = (0.1, 7, 120, k_test, 17)
+            for m in self._layouts(self.MATRIX):
+                want = oracle_outcome(m, methods, *args, **kwargs)
+                assert isinstance(want, list)
+                same_outcome(compare_outcome(m, methods, *args, **kwargs), want)
 
     @pytest.mark.parametrize("mode", ["none", "per_split", "fixed"])
     def test_inputs_not_mutated(self, mode):

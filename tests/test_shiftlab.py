@@ -22,6 +22,7 @@ from lpconformal import (
 from lpconformal.shiftlab import perturb_rows
 
 from oracles import (
+    clamp_displacement,
     perturb_rows_reference,
     pushforward_check,
     wc_coverage_family,
@@ -114,6 +115,23 @@ class TestPerturbSample:
         spec = PerturbationSpec(epsilon=0.2, rho=0.4, global_law=PointMass(7.0), seed=9)
         assert perturb_sample(base, spec) == perturb_sample(base, spec)
 
+    def test_sum_past_the_largest_double_is_clamped_without_a_warning(self):
+        # Warnings are errors under this suite, so an overflowing add would fail here.
+        base = ScoreSample(np.r_[np.full(50, 1.7e308), np.ones(50)])
+        eps = 8e307
+        draw = perturb_draws(base, PerturbationSpec(epsilon=eps, rho=0.1))
+        kept = ~draw.replaced
+        assert np.isfinite(draw.values).all()
+        assert (np.abs(draw.values[kept] - base.scores[kept]) <= eps).all()
+        # Some sums did overflow: they came back as the largest double.
+        assert (draw.values[kept] == np.finfo(float).max).any()
+
+    def test_default_local_law_built_once(self):
+        spec = PerturbationSpec(epsilon=0.3, rho=0.1)
+        assert spec.resolved_local_law() is spec.resolved_local_law()
+        own = Uniform(-0.1, 0.2)
+        assert PerturbationSpec(0.3, 0.1, local_law=own).resolved_local_law() is own
+
     def test_two_step_membership_is_exact(self):
         # Displacement within eps plus replacement of a realized fraction
         # keeps the distance at or below that fraction, exactly.
@@ -172,6 +190,42 @@ class TestPerturbRows:
         # Both generators end in one state: the same draws, in the same sizes.
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (scores.tobytes(), true_labels.tobytes()) == saved
+
+    def test_overflowing_true_score_in_a_replaced_row(self):
+        # Every row's true cell is displaced before the replaced rows are
+        # overwritten. The only huge true score sits in a replaced row whose
+        # noise carries it past the largest double: no warning, no trace.
+        eps, seed = 8e307, 5
+        draw = np.random.default_rng(seed)
+        corrupt = draw.random(6) < 0.5
+        noise = draw.uniform(-eps, eps, 6)
+        row = int(np.flatnonzero(corrupt & (noise > 1e307))[0])
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        scores = np.arange(18.0).reshape(6, 3)
+        scores[row, labels[row]] = 1.7e308
+        spec = PerturbationSpec(eps, 0.5, global_law=PointMass(2.0))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = perturb_rows(scores, labels, spec, rng)
+        want = perturb_rows_reference(scores, labels, spec, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (got[row] == 2.0).all()
+
+    @pytest.mark.parametrize("eps", [0.25, 0.1, 8e307])
+    def test_clamped_shift_matches_the_reference_loop(self, eps):
+        # A shift by exactly +-eps often rounds past eps and is nudged back;
+        # values that need no nudge are kept as they are.
+        rng = np.random.default_rng(8)
+        base = ScoreSample(np.r_[rng.integers(-8, 9, 300) * 0.25, rng.normal(size=300),
+                                 np.full(20, 1.7e308), np.full(20, -1.7e308)])
+        x = base.scores
+        for shift in (eps, -eps):
+            spec = PerturbationSpec(eps, 0.0, local_law=PointMass(shift))
+            got = perturb_draws(base, spec).values
+            with np.errstate(over="ignore"):
+                want = clamp_displacement(x + shift, x, eps)
+                assert (want != x + shift).any()
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("out", [
         np.zeros((3, 2)), np.zeros(6), np.zeros((2, 3), dtype=np.float32),

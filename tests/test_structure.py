@@ -3,14 +3,14 @@
 No module imports another module's ``_private`` names, the CLI offers
 exactly the method names the harness knows, ``harness.evaluate`` holds no
 split loop of its own beside ``compare``, whose split loop has no error
-path and builds no ``ScoreSample`` or ``ThresholdResult``, and one
-transport solver runs with numpy as the only third-party dependency. Every
-CSV input goes through two parsers and no other: one ``np.loadtxt`` call for
-speed, and one ``csv.reader`` that reads whatever numpy might read
-differently and reports every error. Every output file is opened for
-writing in one function, ``harness.write_text``. The public surface is
-pinned, every exported name resolves, and so does every callable the
-benchmark's tracer wraps by name.
+path, builds no ``ScoreSample`` or ``ThresholdResult`` and allocates no
+test block or mask per split, and one transport solver runs with numpy as
+the only third-party dependency. Every CSV input goes through two parsers
+and no other: one ``np.loadtxt`` call for speed, and one ``csv.reader``
+that reads whatever numpy might read differently and reports every error.
+Every output file is opened for writing in one function,
+``harness.write_text``. The public surface is pinned, every exported name
+resolves, and so does every callable the benchmark's tracer wraps by name.
 """
 
 import argparse
@@ -110,6 +110,32 @@ def test_compare_split_loop_builds_no_result_objects():
              or (isinstance(node.func, ast.Attribute) and node.func.attr == "apply"))
     ]
     assert not calls, f"harness.compare's split loop builds per-split objects: {calls}"
+
+
+def test_compare_split_loop_reuses_its_buffers():
+    # The test block and its masks are made once per call. Each split
+    # gathers into the block under mode "clip" (under the default "raise",
+    # out= still buffers a whole block), and compares only into a mask:
+    # an operator comparison, or np.less_equal without out=, would
+    # allocate a fresh one.
+    loop = _compare_split_loop()
+    calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
+    takes = [call for call in calls if ast.unparse(call.func) == "np.take"]
+    assert takes, "harness.compare's split loop no longer gathers with np.take"
+    for call in takes:
+        keywords = {k.arg: ast.unparse(k.value) for k in call.keywords}
+        assert "out" in keywords and keywords.get("mode") == "'clip'", (
+            f"line {call.lineno}: {ast.unparse(call)} allocates or buffers its block"
+        )
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+    fresh = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(loop)
+        if (isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops))
+        or (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.less_equal"
+            and "out" not in {k.arg for k in node.keywords})
+    ]
+    assert not fresh, f"harness.compare's split loop compares into a fresh mask: {fresh}"
 
 
 def _calls(name):
