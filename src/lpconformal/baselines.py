@@ -19,7 +19,6 @@ from .core import (
     check_finite_nonnegative,
     conformal_quantile,
     level_at_most_one,
-    quantile_index,
 )
 
 __all__ = [
@@ -154,14 +153,13 @@ def chi2_rule(n: int, alpha: float, rho_chi2: float) -> QuantileRule:
     inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
     if not level_at_most_one(inner):
         return QuantileRule(None, inner)
-    inner = min(inner, 1.0)
-    alpha_n = 1.0 - chi2_g(inner, rho_chi2)
+    alpha_n = 1.0 - chi2_g(min(inner, 1.0), rho_chi2)
     level = chi2_g_inv(1.0 - alpha_n, rho_chi2)
     if level <= 0.0:
         raise ValueError(
             f"degenerate chi-square level {level!r} for alpha={alpha!r}, rho={rho_chi2!r}"
         )
-    return QuantileRule(quantile_index(n, level), level)
+    return QuantileRule.at_level(n, level)
 
 
 def chi2_threshold(sample: ScoreSample, alpha: float, rho_chi2: float) -> ThresholdResult:
@@ -215,11 +213,7 @@ def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
     check_finite_nonnegative(delta, "delta")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be a finite positive real, got {sigma!r}")
-    level = (1.0 - alpha) * (2 + n) / (1 + n)
-    if not level_at_most_one(level):
-        return QuantileRule(None, level)
-    level = min(level, 1.0)
-    return QuantileRule(quantile_index(n, level), level, delta / sigma)
+    return QuantileRule.at_level(n, (1.0 - alpha) * (2 + n) / (1 + n), delta / sigma)
 
 
 def rscp_threshold(

@@ -21,6 +21,7 @@ __all__ = [
     "ThresholdResult",
     "cdf",
     "check_alpha",
+    "check_calibration_size",
     "check_finite_nonnegative",
     "check_rho",
     "conformal_quantile",
@@ -48,6 +49,12 @@ def check_alpha(alpha: float) -> None:
     """Raise ``ValueError`` unless the miscoverage ``alpha`` lies in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def check_calibration_size(n: int) -> None:
+    """Raise ``ValueError`` unless the calibration size ``n`` is at least one."""
+    if n < 1:
+        raise ValueError(f"calibration size must be positive, got {n!r}")
 
 
 def check_finite_nonnegative(value: float, name: str) -> None:
@@ -176,6 +183,19 @@ class QuantileRule:
         # and makes every threshold a Python float; float() keeps -0.0.
         object.__setattr__(self, "offset", float(self.offset))
 
+    @classmethod
+    def at_level(cls, n: int, level: float, offset: float = -0.0) -> QuantileRule:
+        """The ``level``-quantile of ``n`` scores plus ``offset``.
+
+        The one place a level becomes an order statistic. A level within
+        ``LEVEL_REL_TOL`` above one snaps to one; past that the rule is
+        unbounded and keeps the level for diagnosis.
+        """
+        if not level_at_most_one(level):
+            return cls(None, level)
+        level = min(level, 1.0)
+        return cls(quantile_index(n, level), level, offset)
+
     def cutoff(self, sorted_scores) -> float:
         """The threshold on ``sorted_scores`` as a float, ``math.inf`` when unbounded.
 
@@ -233,10 +253,7 @@ def conformal_rule(n: int, alpha: float) -> QuantileRule:
     check_alpha(alpha)
     # At least 1: a level within LEVEL_REL_TOL of zero snaps to index 0.
     k = max(snapped_ceil((1.0 - alpha) * (n + 1)), 1)
-    level = k / n
-    if k > n:
-        return QuantileRule(None, level)
-    return QuantileRule(quantile_index(n, level), level)
+    return QuantileRule.at_level(n, k / n)
 
 
 def conformal_quantile(sample: ScoreSample, alpha: float) -> ThresholdResult:

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InfeasibleLevelError, ScoreSample, check_alpha, level_at_most_one
+from .core import InfeasibleLevelError, ScoreSample, check_alpha
 from .lp_metric import LPParams, lp_profile, validate_epsilon_grid
-from .robust import adjusted_beta, worst_case_quantile
+from .robust import adjusted_beta, worst_case_rule
 
 __all__ = [
     "EstimationResult",
@@ -97,15 +97,12 @@ def estimate_lp_params(
         try:
             beta = adjusted_beta(n_b, alpha, rho)
         except InfeasibleLevelError:
-            trace.append(
-                GridPoint(eps, rho, None, None, False, "coverage adjustment infeasible")
-            )
+            trace.append(GridPoint(eps, rho, None, None, False, "coverage adjustment infeasible"))
             continue
-        result = worst_case_quantile(calib_b, 1.0 - beta, LPParams(eps, rho))
-        q = result.threshold
-        if q is None:
-            reason = ("threshold overflows" if level_at_most_one(result.level_used)
-                      else "quantile level above one")
+        rule = worst_case_rule(n_b, 1.0 - beta, LPParams(eps, rho))
+        q = rule.cutoff(calib_b.scores)
+        if np.isinf(q):
+            reason = "quantile level above one" if rule.index is None else "threshold overflows"
             trace.append(GridPoint(eps, rho, beta, None, False, reason))
             continue
         point = GridPoint(eps, rho, beta, q, True)
@@ -116,13 +113,8 @@ def estimate_lp_params(
         counts = Counter(p.reason for p in trace)
         raise NoFeasibleGridError("no feasible ambiguity set: " + "; ".join(
             f"{k} of {len(trace)} grid points: {reason}" for reason, k in counts.items()))
-    return EstimationResult(
-        epsilon=best.epsilon,
-        rho=best.rho,
-        beta=best.beta,
-        q=best.q,
-        grid_trace=tuple(trace),
-    )
+    return EstimationResult(epsilon=best.epsilon, rho=best.rho, beta=best.beta, q=best.q,
+                            grid_trace=tuple(trace))
 
 
 def default_epsilon_grid(*samples: ScoreSample) -> list[float]:

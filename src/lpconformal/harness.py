@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QuantileRule, ScoreSample, ThresholdResult, check_alpha, conformal_rule
+from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha,
+                   check_calibration_size, conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -134,7 +135,9 @@ class MethodSpec:
         ``sorted_weights`` (read by ``weighted`` and ``fg`` only) are the scores'
         weights in ascending score order (``WeightedScores.by_score``), each one
         when None. Their sums are exact, so the order of tied rows does not matter.
+        Raises ``ValueError`` for every method when ``n`` is below one.
         """
+        check_calibration_size(n)
         if self.name == "sc":
             return conformal_rule(n, alpha)
         if self.name == "lp":

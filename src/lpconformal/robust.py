@@ -22,9 +22,8 @@ from .core import (
     ThresholdResult,
     cdf,
     check_alpha,
+    check_calibration_size,
     check_rho,
-    level_at_most_one,
-    quantile_index,
     snapped_ceil,
 )
 from .lp_metric import LPParams
@@ -62,11 +61,7 @@ def worst_case_rule(n: int, beta: float, params: LPParams) -> QuantileRule:
     """:func:`worst_case_quantile`'s rule for ``n`` scores."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    level = beta + params.rho
-    if not level_at_most_one(level):
-        return QuantileRule(None, level)
-    level = min(level, 1.0)
-    return QuantileRule(quantile_index(n, level), level, params.epsilon)
+    return QuantileRule.at_level(n, beta + params.rho, params.epsilon)
 
 
 def worst_case_quantile(
@@ -95,8 +90,7 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     Equals ``ceil(n * (1 - alpha + rho)) / (n + 1) - rho``, clamped to
     [0, 1]. Valid for calibration size ``n >= 1`` and ``rho < 1``.
     """
-    if n < 1:
-        raise ValueError(f"calibration size must be positive, got {n!r}")
+    check_calibration_size(n)
     check_alpha(alpha)
     check_rho(rho)
     if rho == 1.0:
@@ -135,8 +129,7 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     the calibration sample is too small to certify ``1 - alpha`` coverage at
     this ``rho``.
     """
-    if n < 1:
-        raise ValueError(f"calibration size must be positive, got {n!r}")
+    check_calibration_size(n)
     check_alpha(alpha)
     check_rho(rho)
     beta = alpha + (alpha - rho - 2.0) / n

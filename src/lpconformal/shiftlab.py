@@ -143,6 +143,14 @@ def _clamp_displacement(values: np.ndarray, center: np.ndarray, eps: float) -> n
     return out
 
 
+def _displace(values: np.ndarray, spec: PerturbationSpec, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the replacement mask, then the local noise; return the mask and the clamped shift."""
+    replaced = rng.random(values.size) < spec.rho
+    noise = _draw_law(spec.resolved_local_law(), rng, values.size)
+    with np.errstate(over="ignore"):  # the clamp repairs a sum past the largest double
+        return replaced, _clamp_displacement(values + noise, values, spec.epsilon)
+
+
 def perturb_draws(base: ScoreSample, spec: PerturbationSpec) -> PerturbationDraw:
     """Raw perturbation outcome, exposing which atoms were globally replaced.
 
@@ -150,14 +158,8 @@ def perturb_draws(base: ScoreSample, spec: PerturbationSpec) -> PerturbationDraw
     draws) so results are reproducible from the seed alone.
     """
     rng = np.random.default_rng(spec.seed)
-    x = base.scores
-    n = base.n
-    replaced = rng.random(n) < spec.rho
-    noise = _draw_law(spec.resolved_local_law(), rng, n)
-    global_vals = _draw_law(spec.global_law, rng, n)
-    with np.errstate(over="ignore"):  # the clamp repairs a sum past the largest double
-        shifted = _clamp_displacement(x + noise, x, spec.epsilon)
-    values = np.where(replaced, global_vals, shifted)
+    replaced, shifted = _displace(base.scores, spec, rng)
+    values = np.where(replaced, _draw_law(spec.global_law, rng, base.n), shifted)
     return PerturbationDraw(values=values, replaced=replaced)
 
 
@@ -200,14 +202,10 @@ def perturb_rows(
     elif out is not scores:
         out[...] = scores
     flat = out.reshape(-1)  # a view: out is C-ordered
-    corrupt = rng.random(n_rows) < spec.rho
-    noise = _draw_law(spec.resolved_local_law(), rng, n_rows)
     # Every row's true cell is displaced, the corrupt rows' too: they are
     # overwritten whole below, so their displacement never shows.
     true_cells = np.arange(n_rows) * n_labels + true_labels
-    original = flat[true_cells]
-    with np.errstate(over="ignore"):  # the clamp repairs a sum past the largest double
-        flat[true_cells] = _clamp_displacement(original + noise, original, spec.epsilon)
+    corrupt, flat[true_cells] = _displace(flat[true_cells], spec, rng)
     rows = np.flatnonzero(corrupt)  # with no rows, the empty draw takes nothing from rng
     out[rows] = _draw_law(spec.global_law, rng, (rows.size, n_labels))
     return out

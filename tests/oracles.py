@@ -17,6 +17,9 @@ extremal rank-band families that approach the worst-case quantile and
 coverage, and a plain calibration/test split of a score matrix. The report
 texts are checked against ``json.dumps`` and a ``csv.writer`` handed the
 raw values, and every output file against what ``open(path, "w")`` writes.
+The conformal, worst-case, chi-square and smoothed-score rules are kept in
+the form that decides each level's snap, clamp and order statistic inline,
+as a reference for ``QuantileRule.at_level``.
 """
 
 import contextlib
@@ -31,7 +34,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from lpconformal import LPParams, PointMass, ScoreMatrix, ScoreSample, cdf, lp_distance
-from lpconformal.core import snapped_ceil
+from lpconformal.baselines import chi2_g, chi2_g_inv
+from lpconformal.core import QuantileRule, level_at_most_one, quantile_index, snapped_ceil
 from lpconformal.lp_metric import _fills
 
 
@@ -201,6 +205,42 @@ def certificate(p: ScoreSample, q: ScoreSample, epsilon: float):
     source = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans - first, spans)
     units = np.minimum(end[target], (source + 1) * m) - np.maximum(start[target], source * m)
     return eager_complete(n, m, list(zip(source.tolist(), target.tolist(), units.tolist())))
+
+
+def conformal_rule_inline(n: int, alpha: float) -> QuantileRule:
+    k = max(snapped_ceil((1.0 - alpha) * (n + 1)), 1)
+    level = k / n
+    if k > n:
+        return QuantileRule(None, level)
+    return QuantileRule(quantile_index(n, level), level)
+
+
+def worst_case_rule_inline(n: int, beta: float, params: LPParams) -> QuantileRule:
+    level = beta + params.rho
+    if not level_at_most_one(level):
+        return QuantileRule(None, level)
+    level = min(level, 1.0)
+    return QuantileRule(quantile_index(n, level), level, params.epsilon)
+
+
+def rscp_rule_inline(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
+    level = (1.0 - alpha) * (2 + n) / (1 + n)
+    if not level_at_most_one(level):
+        return QuantileRule(None, level)
+    level = min(level, 1.0)
+    return QuantileRule(quantile_index(n, level), level, delta / sigma)
+
+
+def chi2_rule_inline(n: int, alpha: float, rho_chi2: float) -> QuantileRule:
+    inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
+    if not level_at_most_one(inner):
+        return QuantileRule(None, inner)
+    inner = min(inner, 1.0)
+    alpha_n = 1.0 - chi2_g(inner, rho_chi2)
+    level = chi2_g_inv(1.0 - alpha_n, rho_chi2)
+    if level <= 0.0:
+        raise ValueError(f"degenerate chi-square level {level!r}")
+    return QuantileRule(quantile_index(n, level), level)
 
 
 def snapped_floor(value: float) -> int:

@@ -4,18 +4,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lpconformal import MethodSpec, ScoreSample, cdf, conformal_quantile, quantile
+from lpconformal import LPParams, MethodSpec, ScoreSample, cdf, conformal_quantile, quantile
+from lpconformal.baselines import chi2_rule, rscp_rule
 from lpconformal.core import (
     QuantileRule,
     check_alpha,
+    check_calibration_size,
     check_finite_nonnegative,
     check_rho,
+    conformal_rule,
     level_at_most_one,
 )
 from lpconformal.harness import METHOD_NAMES
+from lpconformal.robust import worst_case_rule
+from oracles import (
+    chi2_rule_inline,
+    conformal_rule_inline,
+    rscp_rule_inline,
+    worst_case_rule_inline,
+)
 
 
 def quantile_scan_oracle(scores, beta):
@@ -245,12 +255,91 @@ class TestQuantileRuleCutoff:
         same_cutoff(rule, np.sort(np.array(values)))
 
 
+def rule_outcome(make):
+    """``make()``'s rule with each float as its bits (so ``-0.0`` differs from
+    ``0.0``), or the type of the error it raises."""
+    try:
+        rule = make()
+    except ValueError as exc:
+        return type(exc)
+    bits = [None if x is None else np.float64(x).tobytes()
+            for x in (rule.level_used, rule.offset, rule.coverage_bound)]
+    return rule.index, *bits
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+sizes = st.one_of(st.integers(1, 30), st.integers(1, 10**6))
+radii = st.one_of(st.sampled_from([-0.0, 0.0, 1e308, MAX]), st.floats(0.0, MAX))
+
+
+class TestAtLevel:
+    """``QuantileRule.at_level`` is the one place a level becomes an order statistic."""
+
+    def test_level_within_the_snap_of_one_is_clamped(self):
+        rule = QuantileRule.at_level(5, 1.0 + 1e-13, 0.5)
+        assert (rule.index, rule.level_used, rule.offset) == (5, 1.0, 0.5)
+        assert rule.cutoff(np.arange(5.0)) == 4.5
+
+    def test_level_past_the_snap_is_unbounded_and_kept(self):
+        rule = QuantileRule.at_level(5, 1.0 + 1e-9, 0.5)
+        assert rule.index is None and rule.level_used == 1.0 + 1e-9
+        assert rule.cutoff(np.arange(5.0)) == math.inf
+
+    def test_default_offset_keeps_a_negative_zero(self):
+        zeros = np.array([-0.0, 0.0])
+        assert math.copysign(1.0, QuantileRule.at_level(2, 0.5).cutoff(zeros)) == -1.0
+        assert math.copysign(1.0, QuantileRule.at_level(2, 0.5, 0.0).cutoff(zeros)) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes, open_unit)
+    @example(5, 1.0 - 1e-13)
+    @example(19, 0.95)
+    @example(1, 0.5)
+    def test_conformal_rule_equals_the_inline_rule(self, n, alpha):
+        assert rule_outcome(lambda: conformal_rule(n, alpha)) == rule_outcome(
+            lambda: conformal_rule_inline(n, alpha))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes, st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0), radii)
+    @example(5, 1.0, 5e-13, 0.1)
+    @example(5, 1.0, 1e-9, 0.1)
+    @example(5, 1.0, 1e-11, 0.1)
+    @example(10, 0.9, 0.1, -0.0)
+    @example(10, 0.7, 0.3, 0.0)
+    def test_worst_case_rule_equals_the_inline_rule(self, n, beta, rho, epsilon):
+        params = LPParams(epsilon, rho)
+        assert rule_outcome(lambda: worst_case_rule(n, beta, params)) == rule_outcome(
+            lambda: worst_case_rule_inline(n, beta, params))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes, open_unit, radii, st.floats(1e-300, 1e300))
+    @example(9, 0.1, 0.05, 2.0)
+    @example(1, 0.5, 1e308, 1e-300)
+    def test_rscp_rule_equals_the_inline_rule(self, n, alpha, delta, sigma):
+        assert rule_outcome(lambda: rscp_rule(n, alpha, delta, sigma)) == rule_outcome(
+            lambda: rscp_rule_inline(n, alpha, delta, sigma))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sizes, open_unit, st.one_of(st.sampled_from([0.0, 0.1, 2.0]), st.floats(0.0, 100.0)))
+    @example(9, 0.1, 0.0)
+    @example(100, 0.1, 0.1)
+    def test_chi2_rule_equals_the_inline_rule(self, n, alpha, rho_chi2):
+        assert rule_outcome(lambda: chi2_rule(n, alpha, rho_chi2)) == rule_outcome(
+            lambda: chi2_rule_inline(n, alpha, rho_chi2))
+
+
 class TestValidators:
     def test_check_alpha(self):
         check_alpha(0.5)
         for bad in (0.0, 1.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
                 check_alpha(bad)
+
+    def test_check_calibration_size(self):
+        check_calibration_size(1)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"^calibration size must be positive, got {bad}$"):
+                check_calibration_size(bad)
 
     def test_check_epsilon(self):
         check_finite_nonnegative(0.0, "epsilon")

@@ -334,6 +334,14 @@ class TestMethodRules:
             spec.rule(3, 0.1, np.full(3, 1e308))
         assert spec.rule(3, 0.1, np.full(3, 1e308 / 4)).index is not None
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_calibration_size_below_one_refused_by_every_method(self, name, n):
+        spec = MethodSpec(name, epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0,
+                          test_weight=1.5)
+        with pytest.raises(ValueError, match=f"^calibration size must be positive, got {n}$"):
+            spec.rule(n, 0.1)
+
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_epsilon_and_rho_checked_for_every_method(self, name):
         with pytest.raises(ValueError, match="^epsilon must be a finite nonnegative real, got nan$"):

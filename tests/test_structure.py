@@ -9,8 +9,10 @@ the only third-party dependency. Every CSV input goes through two parsers
 and no other: one ``np.loadtxt`` call for speed, and one ``csv.reader``
 that reads whatever numpy might read differently and reports every error.
 Every output file is opened for writing in one function,
-``harness.write_text``. The public surface is pinned, every exported name
-resolves, and so does every callable the benchmark's tracer wraps by name.
+``harness.write_text``. Every threshold level becomes an order statistic in
+``core``: only ``QuantileRule.at_level`` and ``quantile`` index one. The
+public surface is pinned, every exported name resolves, and so does every
+callable the benchmark's tracer wraps by name.
 """
 
 import argparse
@@ -155,6 +157,23 @@ def test_one_csv_reader():
 def test_one_loadtxt_call():
     calls = _calls("np.loadtxt")
     assert len(calls) == 1, f"np.loadtxt( should appear once, found at {calls}"
+
+
+def test_levels_indexed_only_in_core():
+    # QuantileRule.at_level snaps, clamps and indexes every rule's level, and
+    # estimate_lp_params reads an unbounded point's reason off the rule.
+    calls = _calls("quantile_index")
+    assert calls and {c.split(":")[0] for c in calls} == {"core.py"}, (
+        f"quantile_index( is called outside core.py: {calls}")
+    for name in ("robust.py", "estimation.py"):
+        tree = ast.parse((ROOT / "src" / "lpconformal" / name).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        found = imported & {"quantile_index", "level_at_most_one"}
+        assert not found, f"{name} imports {sorted(found)}"
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
