@@ -16,6 +16,7 @@ from .core import (
     ScoreSample,
     ThresholdResult,
     check_alpha,
+    check_calibration_size,
     check_finite_nonnegative,
     conformal_quantile,
     level_at_most_one,
@@ -149,6 +150,7 @@ def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
 
 def chi2_rule(n: int, alpha: float, rho_chi2: float) -> QuantileRule:
     """:func:`chi2_threshold`'s rule for ``n`` scores."""
+    check_calibration_size(n)
     check_alpha(alpha)
     inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
     if not level_at_most_one(inner):
@@ -232,6 +234,7 @@ def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
     """:func:`fg_threshold`'s rule for ``n`` scores whose weights, in ascending score
     order, are ``sorted_weights`` (each one when None): :func:`_weighted_rule` at level
     ``g_inv(1 - alpha)``. A total weight past the largest double raises ``ValueError``."""
+    check_calibration_size(n)
     tw = _check_test_weight(test_weight)
     check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)

@@ -189,8 +189,10 @@ class QuantileRule:
 
         The one place a level becomes an order statistic. A level within
         ``LEVEL_REL_TOL`` above one snaps to one; past that the rule is
-        unbounded and keeps the level for diagnosis.
+        unbounded and keeps the level for diagnosis. Raises ``ValueError``
+        when ``n`` is below one.
         """
+        check_calibration_size(n)
         if not level_at_most_one(level):
             return cls(None, level)
         level = min(level, 1.0)
@@ -250,6 +252,7 @@ def cdf(sample: ScoreSample, q: float) -> float:
 
 def conformal_rule(n: int, alpha: float) -> QuantileRule:
     """:func:`conformal_quantile`'s rule for ``n`` calibration scores."""
+    check_calibration_size(n)
     check_alpha(alpha)
     # At least 1: a level within LEVEL_REL_TOL of zero snaps to index 0.
     k = max(snapped_ceil((1.0 - alpha) * (n + 1)), 1)

@@ -20,6 +20,7 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +175,11 @@ class SplitResult:
     coverage: float
     mean_set_size: float
 
+    @cached_property
+    def texts(self) -> tuple[str | None, str | None]:
+        """The :func:`_float_text` of coverage and mean set size, which both report writers use."""
+        return _float_text(self.coverage), _float_text(self.mean_set_size)
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -220,7 +226,7 @@ class EvalReport:
 
     def to_json(self) -> str:
         """The text of ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``."""
-        return _report_json(self, "", {})
+        return _report_json(self, "")
 
 
 def _float_text(value) -> str | None:
@@ -252,15 +258,13 @@ def _json_array(items: list[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _report_json(report: EvalReport, pad: str, entries: dict[int, str]) -> str:
+def _report_json(report: EvalReport, pad: str) -> str:
     """``report.to_json()`` laid out at indent ``pad``.
 
     Every key but ``per_split`` is rendered by ``json.dumps`` and nested by
     indenting each of its lines, which is exact since JSON strings escape
-    their newlines. The ``per_split`` entries come from one template, and
-    ``entries`` keeps each entry's text at this ``pad`` by the identity of
-    its ``SplitResult``, which ``compare`` shares between methods of a
-    split. Identity, not value: ``-0.0 == 0.0``, but their reprs differ.
+    their newlines. The ``per_split`` entries come from one template filled
+    with each ``SplitResult``'s ``texts``.
     """
     payload = report.to_dict()
     del payload["per_split"]
@@ -271,25 +275,19 @@ def _report_json(report: EvalReport, pad: str, entries: dict[int, str]) -> str:
     }
     item = inner + "  "
     template = f'{item}{{\n{item}  "coverage": %s,\n{item}  "mean_set_size": %s\n{item}}}'
-    for r in report.per_split:
-        if id(r) not in entries:
-            coverage, size = r.coverage, r.mean_set_size
-            entries[id(r)] = template % (
-                _float_text(coverage) or json.dumps(coverage),
-                _float_text(size) or json.dumps(size),
-            )
-    fields["per_split"] = _json_array([entries[id(r)] for r in report.per_split], inner)
+    entries = [
+        template % (c or json.dumps(r.coverage), s or json.dumps(r.mean_set_size))
+        for r in report.per_split
+        for c, s in (r.texts,)
+    ]
+    fields["per_split"] = _json_array(entries, inner)
     return _json_object(fields, pad)
 
 
 def reports_json(reports: Sequence[EvalReport]) -> str:
-    """``json.dumps({"reports": [r.to_dict() for r in reports]}, sort_keys=True, indent=2)``.
-
-    Each distinct ``SplitResult`` is rendered once for all the reports.
-    """
-    entries: dict[int, str] = {}
+    """``json.dumps({"reports": [r.to_dict() for r in reports]}, sort_keys=True, indent=2)``."""
     # Each report is an item of the array one level into the wrapper object.
-    items = ["    " + _report_json(report, "    ", entries) for report in reports]
+    items = ["    " + _report_json(report, "    ") for report in reports]
     return _json_object({"reports": _json_array(items, "  ")}, "")
 
 
@@ -631,21 +629,16 @@ def read_matrix(path) -> ScoreMatrix:
 def write_report_csv(reports: Sequence[EvalReport], path) -> None:
     """Plot-ready per-split table for one or more reports.
 
-    The writer gets each finite float as the repr it would write for it,
-    made once per distinct ``SplitResult``, and any other value as it is.
+    The writer gets each finite float as its ``SplitResult``'s ``texts``,
+    the repr it would write for it, and any other value as it is.
     """
-    cells: dict[int, tuple] = {}
-    for report in reports:
-        for r in report.per_split:
-            if id(r) not in cells:
-                coverage, size = r.coverage, r.mean_set_size
-                cells[id(r)] = (_float_text(coverage) or coverage, _float_text(size) or size)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["method", "split", "coverage", "mean_set_size"])
     for report in reports:
         writer.writerows(
-            [(report.method, j, *cells[id(r)]) for j, r in enumerate(report.per_split)]
+            [(report.method, j, c or r.coverage, s or r.mean_set_size)
+             for j, r in enumerate(report.per_split) for c, s in (r.texts,)]
         )
     write_text(path, buf.getvalue(), newline="")
 

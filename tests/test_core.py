@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import LPParams, MethodSpec, ScoreSample, cdf, conformal_quantile, quantile
-from lpconformal.baselines import chi2_rule, rscp_rule
+from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule, weighted_rule
 from lpconformal.core import (
     QuantileRule,
     check_alpha,
@@ -19,7 +19,7 @@ from lpconformal.core import (
     level_at_most_one,
 )
 from lpconformal.harness import METHOD_NAMES
-from lpconformal.robust import worst_case_rule
+from lpconformal.robust import lp_rule, robust_rule, worst_case_rule
 from oracles import (
     chi2_rule_inline,
     conformal_rule_inline,
@@ -340,6 +340,23 @@ class TestValidators:
         for bad in (0, -3):
             with pytest.raises(ValueError, match=f"^calibration size must be positive, got {bad}$"):
                 check_calibration_size(bad)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("make", [
+        lambda n: conformal_rule(n, 0.1),
+        lambda n: QuantileRule.at_level(n, 0.5),
+        lambda n: worst_case_rule(n, 0.5, LPParams(0.1, 0.05)),
+        lambda n: robust_rule(n, 0.1, LPParams(0.1, 0.05)),
+        lambda n: lp_rule(n, 0.1, LPParams(0.1, 0.05)),
+        lambda n: chi2_rule(n, 0.1, 0.1),
+        lambda n: rscp_rule(n, 0.1, 0.05, 2.0),
+        lambda n: weighted_rule(n, 0.1, 1.5),
+        lambda n: fg_rule(n, 0.1, 0.1, 1.5),
+    ], ids=["conformal", "at_level", "worst_case", "robust", "lp", "chi2", "rscp", "weighted",
+            "fg"])
+    def test_every_rule_refuses_a_calibration_size_below_one(self, make, n):
+        with pytest.raises(ValueError, match=f"^calibration size must be positive, got {n}$"):
+            make(n)
 
     def test_check_epsilon(self):
         check_finite_nonnegative(0.0, "epsilon")

@@ -696,16 +696,39 @@ def _report_lists(draw):
     return [_report(draw(method), draw(picks), draw(value)) for _ in range(draw(st.integers(0, 3)))]
 
 
+class TestSplitResultTexts:
+    """``SplitResult.texts`` is the repr of each finite float, None for any other value."""
+
+    @pytest.mark.parametrize("coverage, size, texts", [
+        (0.5, -0.0, ("0.5", "-0.0")),
+        (5e-324, 1e16, ("5e-324", "1e+16")),
+        (math.nan, math.inf, (None, None)),
+        (-math.inf, 1, (None, None)),
+        (True, 0.25, (None, "0.25")),
+    ])
+    def test_values(self, coverage, size, texts):
+        assert SplitResult(coverage, size).texts == texts
+
+    def test_reading_texts_keeps_equality_and_hash(self):
+        read, fresh = SplitResult(0.5, -0.0), SplitResult(0.5, -0.0)
+        before = hash(read)
+        assert read.texts == ("0.5", "-0.0")
+        assert read == fresh and hash(read) == hash(fresh) == before
+        assert repr(read) == repr(fresh)
+
+
 class TestReportText:
     """Report texts are the bytes ``json.dumps`` and a raw-value ``csv.writer`` write."""
 
     def _check(self, reports, path):
-        assert harness.reports_json(reports) == report_json(reports, wrapped=True)
-        for report in reports:
-            assert report.to_json() == report_json([report], wrapped=False)
-        write_report_csv(reports, path)
-        with open(path, newline="") as fh:
-            assert fh.read() == report_csv(reports)
+        # The second pass renders from the texts the first one cached.
+        for _ in range(2):
+            assert harness.reports_json(reports) == report_json(reports, wrapped=True)
+            for report in reports:
+                assert report.to_json() == report_json([report], wrapped=False)
+            write_report_csv(reports, path)
+            with open(path, newline="") as fh:
+                assert fh.read() == report_csv(reports)
 
     @settings(max_examples=60, deadline=None)
     @given(reports=_report_lists())

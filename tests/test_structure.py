@@ -11,8 +11,10 @@ that reads whatever numpy might read differently and reports every error.
 Every output file is opened for writing in one function,
 ``harness.write_text``. Every threshold level becomes an order statistic in
 ``core``: only ``QuantileRule.at_level`` and ``quantile`` index one. The
-public surface is pinned, every exported name resolves, and so does every
-callable the benchmark's tracer wraps by name.
+report writers key nothing by object identity: each split result renders
+its own numbers once, in ``SplitResult.texts``. The public surface is
+pinned, every exported name resolves, and so does every callable the
+benchmark's tracer wraps by name.
 """
 
 import argparse
@@ -174,6 +176,22 @@ def test_levels_indexed_only_in_core():
         }
         found = imported & {"quantile_index", "level_at_most_one"}
         assert not found, f"{name} imports {sorted(found)}"
+
+
+def test_report_writers_key_nothing_by_identity():
+    path = next(p for p in SOURCES if p.name == "harness.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    ids = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    assert not ids, f"harness.py calls id(): {ids}"
+    report_json = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_report_json"
+    )
+    assert [a.arg for a in report_json.args.args] == ["report", "pad"]
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
