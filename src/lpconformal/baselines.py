@@ -18,6 +18,8 @@ from .core import (
     check_alpha,
     check_calibration_size,
     check_finite_nonnegative,
+    check_finite_positive,
+    check_probability,
     conformal_quantile,
     level_at_most_one,
 )
@@ -64,7 +66,7 @@ class WeightedScores:
         if not np.all(np.isfinite(s)):
             raise ValueError("scores must be finite")
         check_weights(w)
-        tw = _check_test_weight(test_weight)
+        tw = check_finite_positive(test_weight, "test weight")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "test_weight", tw)
@@ -93,13 +95,6 @@ def weight_total(weights: list[float], test_weight: float) -> float:
         raise ValueError("the total weight overflows; rescale the weights") from None
 
 
-def _check_test_weight(test_weight) -> float:
-    tw = float(test_weight)
-    if not (np.isfinite(tw) and tw > 0.0):
-        raise ValueError(f"test weight must be finite and positive, got {test_weight!r}")
-    return tw
-
-
 def sc_threshold(sample: ScoreSample, alpha: float) -> ThresholdResult:
     """Standard split conformal threshold (finite-sample corrected quantile)."""
     return conformal_quantile(sample, alpha)
@@ -114,8 +109,7 @@ def chi2_g(beta: float, rho_chi2: float) -> float:
     ``max(0, beta - sqrt(rho_chi2 * beta * (1 - beta)))``; endpoints map to
     themselves by convention.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
+    check_probability(beta, "beta")
     check_finite_nonnegative(rho_chi2, "rho_chi2")
     if beta in (0.0, 1.0):
         return beta
@@ -129,8 +123,7 @@ def chi2_g_inv(tau: float, rho_chi2: float) -> float:
     by property tests rather than assumed blindly). Results are memoised,
     since repeated calibrations ask for the same few levels.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
+    check_probability(tau, "tau")
     check_finite_nonnegative(rho_chi2, "rho_chi2")
     return _chi2_g_inv(float(tau), float(rho_chi2))
 
@@ -211,10 +204,10 @@ def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
 
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
     """:func:`rscp_threshold`'s rule for ``n`` scores."""
+    check_calibration_size(n)
     check_alpha(alpha)
     check_finite_nonnegative(delta, "delta")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be a finite positive real, got {sigma!r}")
+    sigma = check_finite_positive(sigma, "sigma")
     return QuantileRule.at_level(n, (1.0 - alpha) * (2 + n) / (1 + n), delta / sigma)
 
 
@@ -235,7 +228,7 @@ def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
     order, are ``sorted_weights`` (each one when None): :func:`_weighted_rule` at level
     ``g_inv(1 - alpha)``. A total weight past the largest double raises ``ValueError``."""
     check_calibration_size(n)
-    tw = _check_test_weight(test_weight)
+    tw = check_finite_positive(test_weight, "test weight")
     check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)
     if level <= 0.0:

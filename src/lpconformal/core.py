@@ -23,7 +23,8 @@ __all__ = [
     "check_alpha",
     "check_calibration_size",
     "check_finite_nonnegative",
-    "check_rho",
+    "check_finite_positive",
+    "check_probability",
     "conformal_quantile",
     "conformal_rule",
     "level_at_most_one",
@@ -63,10 +64,18 @@ def check_finite_nonnegative(value: float, name: str) -> None:
         raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
 
 
-def check_rho(rho: float) -> None:
-    """Raise ``ValueError`` unless the global mass budget ``rho`` lies in [0, 1]."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+def check_finite_positive(value: float, name: str) -> float:
+    """``float(value)``, or ``ValueError`` unless the parameter ``name`` is finite and positive."""
+    number = float(value)
+    if not (np.isfinite(number) and number > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
+def check_probability(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless the parameter ``name``, such as ``rho``, lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 class InfeasibleLevelError(ValueError):
@@ -243,9 +252,9 @@ def quantile(sample: ScoreSample, beta: float) -> float:
 
 
 def cdf(sample: ScoreSample, q: float) -> float:
-    """Right-continuous empirical CDF: fraction of scores <= q."""
-    if not np.isfinite(q):
-        raise ValueError(f"cdf argument must be finite, got {q!r}")
+    """Right-continuous empirical CDF: fraction of scores <= q, 0 at -inf and 1 at inf."""
+    if np.isnan(q):
+        raise ValueError(f"cdf argument must not be NaN, got {q!r}")
     count = int(np.searchsorted(sample.scores, q, side="right"))
     return count / sample.n
 

@@ -25,8 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha,
-                   check_calibration_size, conformal_rule)
+from .core import QuantileRule, ScoreSample, ThresholdResult, check_alpha, conformal_rule
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -138,7 +137,6 @@ class MethodSpec:
         when None. Their sums are exact, so the order of tied rows does not matter.
         Raises ``ValueError`` for every method when ``n`` is below one.
         """
-        check_calibration_size(n)
         if self.name == "sc":
             return conformal_rule(n, alpha)
         if self.name == "lp":

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreSample, check_finite_nonnegative, check_rho
+from .core import ScoreSample, check_finite_nonnegative, check_probability
 
 __all__ = [
     "LPParams",
@@ -70,7 +70,7 @@ class LPParams:
 
     def __post_init__(self) -> None:
         check_finite_nonnegative(self.epsilon, "epsilon")
-        check_rho(self.rho)
+        check_probability(self.rho, "rho")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .core import (
     cdf,
     check_alpha,
     check_calibration_size,
-    check_rho,
+    check_probability,
     snapped_ceil,
 )
 from .lp_metric import LPParams
@@ -92,7 +92,7 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     """
     check_calibration_size(n)
     check_alpha(alpha)
-    check_rho(rho)
+    check_probability(rho, "rho")
     if rho == 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
     k = snapped_ceil(n * (1.0 - alpha + rho))
@@ -131,7 +131,7 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     """
     check_calibration_size(n)
     check_alpha(alpha)
-    check_rho(rho)
+    check_probability(rho, "rho")
     beta = alpha + (alpha - rho - 2.0) / n
     if beta <= 0.0:
         raise InfeasibleLevelError(

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ScoreSample, check_finite_nonnegative, check_rho
+from .core import ScoreSample, check_finite_positive
 from .lp_metric import LPParams
 
 __all__ = [
@@ -90,8 +90,7 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_finite_nonnegative(self.epsilon, "epsilon")
-        check_rho(self.rho)
+        LPParams(self.epsilon, self.rho)  # checks the ball's parameters
         if self.local_law is not None:
             lo, hi = _law_support(self.local_law)
             if lo < -self.epsilon or hi > self.epsilon:
@@ -213,6 +212,5 @@ def perturb_rows(
 
 def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:
     """Ball parameters after pushing through a ``k_lipschitz``-Lipschitz map."""
-    if not (np.isfinite(k_lipschitz) and k_lipschitz > 0.0):
-        raise ValueError(f"Lipschitz constant must be finite and positive, got {k_lipschitz!r}")
+    check_finite_positive(k_lipschitz, "Lipschitz constant")
     return LPParams(k_lipschitz * params.epsilon, params.rho)

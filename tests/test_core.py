@@ -14,7 +14,8 @@ from lpconformal.core import (
     check_alpha,
     check_calibration_size,
     check_finite_nonnegative,
-    check_rho,
+    check_finite_positive,
+    check_probability,
     conformal_rule,
     level_at_most_one,
 )
@@ -132,9 +133,15 @@ class TestCdf:
         assert cdf(s, 1.0) == 0.5
         assert cdf(s, np.nextafter(1.0, 0.0)) == 0.0
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError) as info:
             cdf(ScoreSample([1.0]), float("nan"))
+        assert str(info.value) == "cdf argument must not be NaN, got nan"
+
+    def test_infinities_lie_beyond_every_score(self):
+        s = ScoreSample([-1e308, 0.0, 1e308])
+        assert cdf(s, float("inf")) == 1.0
+        assert cdf(s, float("-inf")) == 0.0
 
     @given(small_samples, st.floats(min_value=-1e6, max_value=1e6),
            st.floats(min_value=-1e6, max_value=1e6))
@@ -380,12 +387,55 @@ class TestValidators:
                 call()
             assert str(info.value) == f"{name} must be a finite nonnegative real, got {bad!r}"
 
-    def test_check_rho(self):
+    def test_check_probability(self):
         for good in (0.0, -0.0, 0.5, 1.0):
-            check_rho(good)
+            check_probability(good, "rho")
         for bad in (float("nan"), np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -1.0, 1.5):
             with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\], got"):
-                check_rho(bad)
+                check_probability(bad, "rho")
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.nextafter(0.0, -1.0),
+                                     np.nextafter(1.0, 2.0), -1.0, 1.5])
+    def test_probability_message_names_each_parameter(self, bad):
+        from lpconformal import (LPParams, PerturbationSpec, adjusted_beta, chi2_g, chi2_g_inv,
+                                 coverage_lower_bound)
+
+        calls = [
+            ("rho", lambda: LPParams(0.0, bad)),
+            ("rho", lambda: PerturbationSpec(0.0, bad)),
+            ("rho", lambda: adjusted_beta(100, 0.1, bad)),
+            ("rho", lambda: coverage_lower_bound(100, 0.1, bad)),
+            ("beta", lambda: chi2_g(bad, 0.1)),
+            ("tau", lambda: chi2_g_inv(bad, 0.1)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name} must lie in [0, 1], got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_finite_positive_message_names_each_parameter(self, bad):
+        from lpconformal import WeightedScores, propagate_params, rscp_threshold
+
+        sample = ScoreSample([1.0, 2.0])
+        calls = [
+            ("test weight", lambda: WeightedScores([1.0, 2.0], [1.0, 1.0], bad)),
+            ("test weight", lambda: fg_rule(2, 0.1, 0.1, bad)),
+            ("sigma", lambda: rscp_threshold(sample, 0.1, 0.05, bad)),
+            ("Lipschitz constant", lambda: propagate_params(bad, LPParams(0.1, 0.05))),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name} must be finite and positive, got {bad!r}"
+
+    def test_check_finite_positive_returns_a_float(self):
+        value = check_finite_positive(np.float32(2.5), "sigma")
+        assert type(value) is float and value == 2.5
+
+    def test_rscp_rule_checks_the_calibration_size_first(self):
+        with pytest.raises(ValueError, match="^calibration size must be positive, got 0$"):
+            rscp_rule(0, 2.0, 0.1, 1.0)
 
     def test_rho_validated_by_every_caller(self):
         from lpconformal import LPParams, PerturbationSpec, adjusted_beta, coverage_lower_bound

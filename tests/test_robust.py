@@ -78,6 +78,12 @@ class TestWorstCaseCoverage:
         s = ScoreSample([1, 2, 3, 4])
         assert worst_case_coverage(s, 0.0, LPParams(1.0, 0.5)) == 0.0
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_shift_past_the_largest_double_covers_nothing(self, rho):
+        # q - epsilon overflows to -inf, below every score.
+        s = ScoreSample([0.0, 1.0, 2.0])
+        assert worst_case_coverage(s, -1.7e308, LPParams(1e308, rho)) == 0.0
+
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(2)
         s = ScoreSample(rng.normal(size=20))

@@ -12,7 +12,9 @@ Every output file is opened for writing in one function,
 ``harness.write_text``. Every threshold level becomes an order statistic in
 ``core``: only ``QuantileRule.at_level`` and ``quantile`` index one. The
 report writers key nothing by object identity: each split result renders
-its own numbers once, in ``SplitResult.texts``. The public surface is
+its own numbers once, in ``SplitResult.texts``. Each parameter kind has one
+check in ``core``, and ``MethodSpec.rule`` leaves the calibration size to the
+rules it picks. The public surface is
 pinned, every exported name resolves, and so does every callable the
 benchmark's tracer wraps by name.
 """
@@ -192,6 +194,36 @@ def test_report_writers_key_nothing_by_identity():
         if isinstance(node, ast.FunctionDef) and node.name == "_report_json"
     )
     assert [a.arg for a in report_json.args.args] == ["report", "pad"]
+
+
+@pytest.mark.parametrize("name", ["check_rho", "_check_test_weight"])
+def test_replaced_checks_not_defined(name):
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    ]
+    assert not found, f"{name} is defined at {found}"
+
+
+@pytest.mark.parametrize("text", ["must lie in [0, 1]", "must be finite and positive"])
+def test_parameter_kind_checked_only_in_core(text):
+    found = [p.name for p in SOURCES if text in p.read_text()]
+    assert found == ["core.py"], f"{text!r} appears in {found}"
+
+
+def test_method_rule_leaves_the_calibration_size_to_its_rules():
+    tree = ast.parse((ROOT / "src" / "lpconformal" / "harness.py").read_text())
+    spec = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "MethodSpec"
+    )
+    rule = next(
+        node for node in spec.body if isinstance(node, ast.FunctionDef) and node.name == "rule"
+    )
+    calls = [ast.unparse(node.func) for node in ast.walk(rule) if isinstance(node, ast.Call)]
+    assert calls and "check_calibration_size" not in calls
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
