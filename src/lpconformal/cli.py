@@ -101,10 +101,8 @@ def _cmd_estimate(args) -> int:
     calib_a = read_scores(args.calib_a, has_header=args.has_header)
     calib_b = read_scores(args.calib_b, has_header=args.has_header)
     test = read_scores(args.test, has_header=args.has_header)
-    if args.grid is not None:
-        grid = _parse_grid(args.grid)
-    else:
-        grid = default_epsilon_grid(calib_a, calib_b, test)
+    grid = (default_epsilon_grid(calib_a, calib_b, test) if args.grid is None
+            else _parse_grid(args.grid))
     result = estimate_lp_params(calib_a, calib_b, test, grid, args.alpha)
     payload = {
         "alpha": args.alpha,
@@ -163,10 +161,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sample = read_scores(args.scores, has_header=args.has_header)
-    if args.local_law == "uniform":
-        local = None
-    else:
-        local = PointMass(args.local_value)
+    local = None if args.local_law == "uniform" else PointMass(args.local_value)
     spec = PerturbationSpec(
         epsilon=args.epsilon,
         rho=args.rho,

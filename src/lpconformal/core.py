@@ -9,6 +9,7 @@ no interpolation is ever applied.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "check_finite_nonnegative",
     "check_finite_positive",
     "check_probability",
+    "check_seed",
     "conformal_quantile",
     "conformal_rule",
     "level_at_most_one",
@@ -53,7 +55,9 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_calibration_size(n: int) -> None:
-    """Raise ``ValueError`` unless the calibration size ``n`` is at least one."""
+    """Raise ``ValueError`` unless the calibration size ``n`` is an integer of at least one."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"calibration size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"calibration size must be positive, got {n!r}")
 
@@ -76,6 +80,13 @@ def check_probability(value: float, name: str) -> None:
     """Raise ``ValueError`` unless the parameter ``name``, such as ``rho``, lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def check_seed(value) -> int:
+    """``int(value)``, or ``ValueError`` unless the seed ``value`` is a non-negative integer."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class InfeasibleLevelError(ValueError):
@@ -199,7 +210,7 @@ class QuantileRule:
         The one place a level becomes an order statistic. A level within
         ``LEVEL_REL_TOL`` above one snaps to one; past that the rule is
         unbounded and keeps the level for diagnosis. Raises ``ValueError``
-        when ``n`` is below one.
+        unless ``n`` is an integer of at least one.
         """
         check_calibration_size(n)
         if not level_at_most_one(level):

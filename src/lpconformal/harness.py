@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import QuantileRule, ScoreSample, ThresholdResult, check_alpha, conformal_rule
+from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_seed,
+                   conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -37,7 +38,7 @@ from .baselines import (
     weight_total,
     weighted_rule,
 )
-from .shiftlab import PerturbationSpec, PointMass, perturb_rows
+from .shiftlab import PerturbationSpec, PointMass, perturb_cells, perturb_rows
 
 __all__ = [
     "EvalReport",
@@ -135,7 +136,7 @@ class MethodSpec:
         ``sorted_weights`` (read by ``weighted`` and ``fg`` only) are the scores'
         weights in ascending score order (``WeightedScores.by_score``), each one
         when None. Their sums are exact, so the order of tied rows does not matter.
-        Raises ``ValueError`` for every method when ``n`` is below one.
+        Raises ``ValueError`` for every method unless ``n`` is an integer of at least one.
         """
         if self.name == "sc":
             return conformal_rule(n, alpha)
@@ -301,7 +302,7 @@ def perturbation_dict(spec: PerturbationSpec) -> dict:
         "rho": spec.rho,
         "local_law": _law_dict(spec.resolved_local_law()),
         "global_law": _law_dict(spec.global_law),
-        "seed": int(spec.seed),
+        "seed": spec.seed,
     }
 
 
@@ -359,15 +360,15 @@ def compare(
     """
     methods = list(methods)
     check_alpha(alpha)
-    for count, least, message in (
-        (n_splits, 1, f"need at least one split, got {n_splits!r}"),
-        (k_test, 1, f"need at least one test row, got {k_test!r}"),
-        (base_seed, 0, f"seed must be a non-negative integer, got {base_seed!r}"),
-        (n_calib, 1, "need n_calib >= 1 and k_test >= 0"),
+    for count, message in (
+        (n_splits, f"need at least one split, got {n_splits!r}"),
+        (k_test, f"need at least one test row, got {k_test!r}"),
+        (n_calib, "need n_calib >= 1 and k_test >= 0"),
     ):
-        if not (isinstance(count, numbers.Integral) and count >= least):
+        if not (isinstance(count, numbers.Integral) and count >= 1):
             raise ValueError(message)
-    n_splits, n_calib, k_test, seed = map(int, (n_splits, n_calib, k_test, base_seed))
+    seed = check_seed(base_seed)
+    n_splits, n_calib, k_test = map(int, (n_splits, n_calib, k_test))
     if n_calib + k_test > matrix.n_rows:
         raise ValueError(
             f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"
@@ -393,7 +394,7 @@ def compare(
         return []
     source = matrix.scores
     if perturbation is not None and not redraw_per_split:
-        rng = np.random.default_rng([int(perturbation.seed), seed, 1])
+        rng = np.random.default_rng([perturbation.seed, seed, 1])
         source = perturb_rows(matrix.scores, matrix.true_labels, perturbation, rng)
     results: list[list[SplitResult]] = [[] for _ in methods]
     per_row = any(method.weights is not None for method in methods)
@@ -419,11 +420,12 @@ def compare(
         # test_idx holds row numbers of source, so "clip" never acts; under the
         # default "raise", np.take would buffer a whole block before writing out.
         np.take(source, test_idx, axis=0, out=test_scores, mode="clip")
-        test_labels = matrix.true_labels[test_idx]
+        cells = test_cells + matrix.true_labels[test_idx]
         if redraw:
-            rng = np.random.default_rng([int(perturbation.seed), seed, j, 1])
-            perturb_rows(test_scores, test_labels, perturbation, rng, out=test_scores)
-        true_scores = test_flat[test_cells + test_labels]
+            rng = np.random.default_rng([perturbation.seed, seed, j, 1])
+            true_scores = perturb_cells(test_flat, cells, matrix.n_labels, perturbation, rng)
+        else:
+            true_scores = test_flat[cells]
         counts: dict[float, SplitResult] = {}  # equal cutoffs (-0.0 and 0.0 too) share one count
         for method, rule, per_split in zip(methods, rules, results):
             if method.weights is not None:

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ScoreSample, check_finite_positive
+from .core import ScoreSample, check_finite_positive, check_seed
 from .lp_metric import LPParams
 
 __all__ = [
@@ -66,12 +66,6 @@ def _draw_law(law: Law, rng: np.random.Generator, size) -> np.ndarray | float:
     return rng.uniform(law.low, law.high, size)
 
 
-def _law_support(law: Law) -> tuple[float, float]:
-    if isinstance(law, PointMass):
-        return law.value, law.value
-    return law.low, law.high
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Recipe for corrupting a score sample inside a known ambiguity ball.
@@ -91,19 +85,17 @@ class PerturbationSpec:
 
     def __post_init__(self) -> None:
         LPParams(self.epsilon, self.rho)  # checks the ball's parameters
-        if self.local_law is not None:
-            lo, hi = _law_support(self.local_law)
+        law = self.local_law
+        if law is not None:
+            lo, hi = (law.value, law.value) if isinstance(law, PointMass) else (law.low, law.high)
             if lo < -self.epsilon or hi > self.epsilon:
                 raise ValueError(
                     f"local law support [{lo!r}, {hi!r}] exceeds [-epsilon, epsilon]"
                 )
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def resolved_local_law(self) -> Law:
-        if self.local_law is not None:
-            return self.local_law
-        return self._default_local_law
+        return self._default_local_law if self.local_law is None else self.local_law
 
     @cached_property
     def _default_local_law(self) -> Uniform:
@@ -167,13 +159,8 @@ def perturb_sample(base: ScoreSample, spec: PerturbationSpec) -> ScoreSample:
     return ScoreSample(perturb_draws(base, spec).values)
 
 
-def perturb_rows(
-    scores: np.ndarray,
-    true_labels: np.ndarray,
-    spec: PerturbationSpec,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def perturb_rows(scores: np.ndarray, true_labels: np.ndarray, spec: PerturbationSpec,
+                 rng: np.random.Generator) -> np.ndarray:
     """Score-space surrogate for test-time corruption of a score matrix.
 
     The local component displaces each row's true-label score within
@@ -181,36 +168,40 @@ def perturb_rows(
     profile of a ``rho`` fraction of rows from the global law. The induced
     true-label score distribution is a member of the nominal ball around the
     clean one. Draw order: replacement mask, local noise, global draws.
-
-    The result is written to ``out`` and returned when it is given: a
-    writeable C-contiguous float64 array of ``scores``' shape, which may be
-    ``scores`` itself. Otherwise it is a new array, and ``scores`` is left
-    untouched.
+    Returns a new C-ordered array; ``scores`` is left untouched.
     """
     n_rows, n_labels = scores.shape
     # Checked, since the flat cell of a label outside the row lies in another row.
     if true_labels.size and not 0 <= true_labels.min() <= true_labels.max() < n_labels:
         raise ValueError("true labels must index a score column")
-    if out is None:
-        out = scores.copy()
-    elif not (isinstance(out, np.ndarray) and out.shape == scores.shape
-              and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(
-            "out must be a writeable C-contiguous float64 array of the scores' shape"
-        )
-    elif out is not scores:
-        out[...] = scores
-    flat = out.reshape(-1)  # a view: out is C-ordered
+    out = scores.copy()
+    perturb_cells(out.reshape(-1), np.arange(n_rows) * n_labels + true_labels, n_labels, spec, rng)
+    return out
+
+
+def perturb_cells(flat: np.ndarray, cells: np.ndarray, n_labels: int,
+                  spec: PerturbationSpec, rng: np.random.Generator) -> np.ndarray:
+    """:func:`perturb_rows` in place, on a C-ordered block ``flat`` of rows of ``n_labels``.
+
+    ``cells`` are the flat indices of the rows' true-label cells, already
+    checked. Returns the rows' true-label scores after the perturbation.
+    """
     # Every row's true cell is displaced, the corrupt rows' too: they are
     # overwritten whole below, so their displacement never shows.
-    true_cells = np.arange(n_rows) * n_labels + true_labels
-    corrupt, flat[true_cells] = _displace(flat[true_cells], spec, rng)
+    corrupt, true_scores = _displace(flat[cells], spec, rng)
+    flat[cells] = true_scores
     rows = np.flatnonzero(corrupt)  # with no rows, the empty draw takes nothing from rng
-    out[rows] = _draw_law(spec.global_law, rng, (rows.size, n_labels))
-    return out
+    block = flat.reshape(cells.size, n_labels)  # a view, with (0, n_labels) for no rows
+    block[rows] = _draw_law(spec.global_law, rng, (rows.size, n_labels))
+    true_scores[rows] = flat[cells[rows]]
+    return true_scores
 
 
 def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:
     """Ball parameters after pushing through a ``k_lipschitz``-Lipschitz map."""
-    check_finite_positive(k_lipschitz, "Lipschitz constant")
-    return LPParams(k_lipschitz * params.epsilon, params.rho)
+    # Python floats: a numpy scalar would warn where the product overflows.
+    epsilon = check_finite_positive(k_lipschitz, "Lipschitz constant") * float(params.epsilon)
+    if not np.isfinite(epsilon):
+        raise ValueError(f"Lipschitz constant {k_lipschitz!r} times epsilon "
+                         f"{params.epsilon!r} overflows")
+    return LPParams(epsilon, params.rho)

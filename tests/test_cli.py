@@ -335,6 +335,31 @@ class TestArgumentErrors:
         assert code == 2
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_perturbation_seed_exit_2(self, scores_file, matrix_file, tmp_path,
+                                               capsys, command):
+        if command == "simulate":
+            argv = ["simulate", "--scores", str(scores_file), "--seed", "-1"]
+        else:
+            argv = ["compare", "--matrix", str(matrix_file), "--methods", "sc,lp",
+                    "--n-calib", "100", "--k-test", "50", "--perturb-rho", "0.3",
+                    "--perturb-seed", "-1"]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_seeds_past_64_bits_exit_0(self, scores_file, matrix_file, tmp_path, capsys):
+        # numpy's SeedSequence takes a non-negative integer of any size.
+        big = str(2**64)
+        out = tmp_path / "perturbed.csv"
+        assert main(["simulate", "--scores", str(scores_file), "--rho", "0.2", "--seed", big,
+                     "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "perturbed_spec.json").read_text())["seed"] == 2**64
+        assert main(["compare", "--matrix", str(matrix_file), "--methods", "sc,lp",
+                     "--splits", "2", "--n-calib", "100", "--k-test", "50", "--seed", big,
+                     "--perturb-rho", "0.3", "--perturb-seed", big]) == 0
+        config = json.loads(capsys.readouterr().out)["reports"][0]["config"]
+        assert config["seed"] == 2**64 and config["perturbation"]["seed"] == 2**64
+
     def test_tv_unbounded_exit_0(self, scores_file, capsys):
         # rho above the adjusted miscoverage: unbounded, as for lp.
         code = main([

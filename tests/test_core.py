@@ -1,13 +1,23 @@
 """Tests for empirical quantiles, CDFs, and the conformal quantile."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lpconformal import LPParams, MethodSpec, ScoreSample, cdf, conformal_quantile, quantile
+from lpconformal import (
+    LPParams,
+    MethodSpec,
+    ScoreSample,
+    adjusted_beta,
+    cdf,
+    conformal_quantile,
+    coverage_lower_bound,
+    quantile,
+)
 from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule, weighted_rule
 from lpconformal.core import (
     QuantileRule,
@@ -16,6 +26,7 @@ from lpconformal.core import (
     check_finite_nonnegative,
     check_finite_positive,
     check_probability,
+    check_seed,
     conformal_rule,
     level_at_most_one,
 )
@@ -348,8 +359,7 @@ class TestValidators:
             with pytest.raises(ValueError, match=f"^calibration size must be positive, got {bad}$"):
                 check_calibration_size(bad)
 
-    @pytest.mark.parametrize("n", [0, -3])
-    @pytest.mark.parametrize("make", [
+    RULES = [
         lambda n: conformal_rule(n, 0.1),
         lambda n: QuantileRule.at_level(n, 0.5),
         lambda n: worst_case_rule(n, 0.5, LPParams(0.1, 0.05)),
@@ -359,11 +369,40 @@ class TestValidators:
         lambda n: rscp_rule(n, 0.1, 0.05, 2.0),
         lambda n: weighted_rule(n, 0.1, 1.5),
         lambda n: fg_rule(n, 0.1, 0.1, 1.5),
-    ], ids=["conformal", "at_level", "worst_case", "robust", "lp", "chi2", "rscp", "weighted",
-            "fg"])
+    ]
+    RULE_IDS = ["conformal", "at_level", "worst_case", "robust", "lp", "chi2", "rscp",
+                "weighted", "fg"]
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("make", RULES, ids=RULE_IDS)
     def test_every_rule_refuses_a_calibration_size_below_one(self, make, n):
         with pytest.raises(ValueError, match=f"^calibration size must be positive, got {n}$"):
             make(n)
+
+    @pytest.mark.parametrize("n", [20.5, 20.0, np.float64(20.0), "20", None])
+    @pytest.mark.parametrize("make", RULES + [
+        lambda n: coverage_lower_bound(n, 0.1, 0.05),
+        lambda n: adjusted_beta(n, 0.1, 0.05),
+    ], ids=RULE_IDS + ["coverage_lower_bound", "adjusted_beta"])
+    def test_every_rule_refuses_a_calibration_size_that_is_not_an_integer(self, make, n):
+        # 20.5 used to resolve index 20.5, whose cutoff leaked numpy's IndexError.
+        message = f"^calibration size must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            make(n)
+
+    @pytest.mark.parametrize("n", [20, np.int64(20), np.uint8(20)])
+    def test_numpy_integer_calibration_size_accepted(self, n):
+        assert QuantileRule.at_level(n, 0.5).index == 10
+        assert coverage_lower_bound(n, 0.1, 0.0) == coverage_lower_bound(20, 0.1, 0.0)
+
+    def test_check_seed(self):
+        for good in (0, 7, True, np.int64(3), np.uint64(2**64 - 1), 2**64, 2**70):
+            got = check_seed(good)
+            assert type(got) is int and got == int(good)
+        for bad in (-1, np.int8(-1), 1.5, 2.0, np.float64(2.0), "3", None):
+            with pytest.raises(ValueError) as info:
+                check_seed(bad)
+            assert str(info.value) == f"seed must be a non-negative integer, got {bad!r}"
 
     def test_check_epsilon(self):
         check_finite_nonnegative(0.0, "epsilon")

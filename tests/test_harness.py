@@ -864,6 +864,17 @@ class TestEvaluateInputs:
         with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got -1"):
             evaluate(m, MethodSpec("sc"), 0.1, n_splits=2, n_calib=20, k_test=10, base_seed=-1)
 
+    @pytest.mark.parametrize("redraw", [True, False])
+    def test_seed_past_64_bits(self, redraw):
+        # The split and perturbation seeds feed numpy's SeedSequence, which takes
+        # a non-negative integer of any size.
+        m = synthetic_matrix(np.random.default_rng(14), rows=50)
+        spec = PerturbationSpec(0.1, 0.3, seed=2**70)
+        report = evaluate(m, MethodSpec("sc"), 0.1, n_splits=2, n_calib=20, k_test=10,
+                          base_seed=2**64, perturbation=spec, redraw_per_split=redraw)
+        config = json.loads(report.to_json())["config"]
+        assert config["seed"] == 2**64 and config["perturbation"]["seed"] == 2**70
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", None])
     def test_non_integer_seed(self, seed):
         m = synthetic_matrix(np.random.default_rng(14), rows=50)
@@ -1161,17 +1172,22 @@ class TestSharedSplits:
 
     @pytest.mark.parametrize("redraw, expected", [(True, 5), (False, 1)])
     def test_each_perturbation_drawn_once_for_all_methods(self, monkeypatch, redraw, expected):
-        calls = []
+        # A redrawn split perturbs its test block in place through perturb_cells;
+        # a fixed perturbation is one perturb_rows call on the whole matrix.
+        calls = Counter()
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return perturb_rows(*args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(harness, "perturb_rows", counting)
+        for name in ("perturb_rows", "perturb_cells"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
         reports = compare(self.MATRIX, all_methods(), 0.1, 5, 100, 80, 3,
                           perturbation=self.SHIFT, redraw_per_split=redraw)
         assert len(reports) == len(METHOD_NAMES)
-        assert len(calls) == expected
+        assert calls == {"perturb_cells" if redraw else "perturb_rows": expected}
 
     @pytest.mark.parametrize("n_splits", [1, 6])
     def test_each_rule_resolved_once_per_call(self, monkeypatch, n_splits):

@@ -19,7 +19,7 @@ from lpconformal import (
     quantile,
     worst_case_quantile,
 )
-from lpconformal.shiftlab import perturb_rows
+from lpconformal.shiftlab import perturb_cells, perturb_rows
 
 from oracles import (
     clamp_displacement,
@@ -58,14 +58,17 @@ class TestPerturbationSpec:
         with pytest.raises(ValueError):
             PerturbationSpec(epsilon=0.1, rho=1.5)
 
-    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", None, -1, 2**64])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", None, -1])
     def test_rejects_a_seed_that_is_not_a_64_bit_unsigned_integer(self, seed):
-        with pytest.raises(ValueError, match=r"seed must be a 64-bit unsigned integer, got "):
+        # Nor a non-negative integer of any width: core.check_seed's message.
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
             PerturbationSpec(0.1, 0.1, seed=seed)
 
-    @pytest.mark.parametrize("seed", [0, 3, np.int64(3), np.uint64(2**64 - 1)])
+    @pytest.mark.parametrize("seed", [0, 3, np.int64(3), np.uint64(2**64 - 1), 2**64, 2**70])
     def test_accepts_python_and_numpy_integer_seeds(self, seed):
+        # numpy's SeedSequence takes a non-negative integer of any size.
         spec = PerturbationSpec(0.1, 0.1, seed=seed)
+        assert type(spec.seed) is int and spec.seed == int(seed)
         assert perturb_sample(ScoreSample([0.0, 1.0]), spec).n == 2
 
 
@@ -158,10 +161,10 @@ class TestPerturbRows:
         st.sampled_from([None, PointMass(0.0), PointMass(-0.25), Uniform(-0.1, 0.25)]),
         st.sampled_from([PointMass(40.0), PointMass(-0.0), Uniform(-2.0, 3.0)]),
         st.booleans(),
-        st.sampled_from(["copy", "out", "in place"]),
+        st.sampled_from(["rows", "cells"]),
         st.integers(0, 2**32 - 1),
     )
-    def test_bit_identical_to_reference(self, rows, labels, rho, local, glob, fortran, into,
+    def test_bit_identical_to_reference(self, rows, labels, rho, local, glob, fortran, call,
                                         seed):
         draw = np.random.default_rng(seed)
         # Some lattice scores, so a shift by epsilon is exact or lands on a tie.
@@ -174,17 +177,15 @@ class TestPerturbRows:
         saved = scores.tobytes(), true_labels.tobytes()
         spec = PerturbationSpec(self.EPS, rho, local_law=local, global_law=glob)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if into == "copy":
+        if call == "rows":
             got = perturb_rows(scores, true_labels, spec, rng)
-        elif into == "out":
-            out = np.full((rows, labels), np.nan)  # every cell must be overwritten
-            got = perturb_rows(scores, true_labels, spec, rng, out=out)
-            assert got is out
+            assert got.flags.c_contiguous
         else:
-            # A C-ordered copy is overwritten, and the scores stay untouched.
-            target = scores.copy(order="C")
-            got = perturb_rows(target, true_labels, spec, rng, out=target)
-            assert got is target
+            # A C-ordered copy is perturbed in place, and the scores stay untouched.
+            got = scores.copy(order="C")
+            cells = np.arange(rows) * labels + true_labels
+            true_scores = perturb_cells(got.reshape(-1), cells, labels, spec, rng)
+            assert true_scores.tobytes() == got[np.arange(rows), true_labels].tobytes()
         want = perturb_rows_reference(scores, true_labels, spec, ref_rng)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # Both generators end in one state: the same draws, in the same sizes.
@@ -227,27 +228,27 @@ class TestPerturbRows:
                 assert (want != x + shift).any()
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("out", [
-        np.zeros((3, 2)), np.zeros(6), np.zeros((2, 3), dtype=np.float32),
-        np.zeros((2, 3), dtype=int), np.zeros((2, 3), order="F"), np.zeros((2, 6))[:, ::2],
-        np.zeros((2, 3)).tolist(),
-    ], ids=["shape", "flat", "float32", "int", "fortran", "strided", "list"])
-    def test_bad_out_rejected(self, out):
-        scores = np.arange(6.0).reshape(2, 3)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="^out must be a writeable C-contiguous float64"):
-            perturb_rows(scores, np.array([0, 2]), PerturbationSpec(0.1, 0.5), rng, out=out)
-        assert scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
-        assert rng.bit_generator.state == state
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    @pytest.mark.parametrize("glob", [PointMass(40.0), Uniform(-2.0, 3.0)])
+    def test_matrix_without_rows(self, n_labels, glob):
+        # The row width is passed to perturb_cells, not inferred from no cells.
+        scores = np.empty((0, n_labels))
+        spec = PerturbationSpec(self.EPS, 0.5, global_law=glob)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = perturb_rows(scores, np.empty(0, dtype=int), spec, rng)
+        want = perturb_rows_reference(scores, np.empty(0, dtype=int), spec, ref_rng)
+        assert got.shape == want.shape == (0, n_labels)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_read_only_out_rejected(self):
         scores = np.arange(6.0).reshape(2, 3)
         scores.flags.writeable = False
-        with pytest.raises(ValueError, match="^out must be a writeable C-contiguous float64"):
-            perturb_rows(scores, np.array([0, 2]), PerturbationSpec(0.1, 0.5),
-                         np.random.default_rng(0), out=scores)
-        # Without out the read-only scores are copied, not written.
+        # perturb_cells writes into its block, so a read-only one is refused unwritten.
+        with pytest.raises(ValueError, match="read-only"):
+            perturb_cells(scores.reshape(-1), np.array([0, 5]), 3, PerturbationSpec(0.1, 0.5),
+                          np.random.default_rng(0))
+        assert scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        # perturb_rows copies the read-only scores, and does not write them.
         got = perturb_rows(scores, np.array([0, 2]), PerturbationSpec(0.1, 0.5),
                            np.random.default_rng(0))
         assert got.flags.writeable and scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
@@ -359,6 +360,16 @@ class TestPropagateParams:
         # data-space radius u = 1.0 with Lipschitz constant 2 gives eps = 2.0
         out = propagate_params(2.0, LPParams(1.0, 0.05))
         assert out.epsilon == 2.0 and out.rho == 0.05
+
+    @pytest.mark.parametrize("k, epsilon", [
+        (2.0, 1e308), (1e300, 1e10), (np.float64(4.0), 1e308), (2.0, np.float64(1e308)),
+    ])
+    def test_overflowing_radius_names_both_factors(self, k, epsilon):
+        # The product overflows: the message names what the caller passed, not inf.
+        with pytest.raises(ValueError) as info:
+            propagate_params(k, LPParams(epsilon, 0.1))
+        assert str(info.value) == (
+            f"Lipschitz constant {k!r} times epsilon {epsilon!r} overflows")
 
 
 def random_max_affine(rng, dim, pieces=4):

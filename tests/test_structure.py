@@ -3,8 +3,9 @@
 No module imports another module's ``_private`` names, the CLI offers
 exactly the method names the harness knows, ``harness.evaluate`` holds no
 split loop of its own beside ``compare``, whose split loop has no error
-path, builds no ``ScoreSample`` or ``ThresholdResult`` and allocates no
-test block or mask per split, and one transport solver runs with numpy as
+path, builds no ``ScoreSample`` or ``ThresholdResult``, allocates no
+test block or mask per split and perturbs a split's block in place with
+``perturb_cells``, and one transport solver runs with numpy as
 the only third-party dependency. Every CSV input goes through two parsers
 and no other: one ``np.loadtxt`` call for speed, and one ``csv.reader``
 that reads whatever numpy might read differently and reports every error.
@@ -144,6 +145,14 @@ def test_compare_split_loop_reuses_its_buffers():
     assert not fresh, f"harness.compare's split loop compares into a fresh mask: {fresh}"
 
 
+def test_compare_split_loop_perturbs_cells_in_place():
+    # perturb_rows checks labels and copies a block; a split's labels are
+    # checked with the matrix, and its test block is its own to overwrite.
+    called = {ast.unparse(node.func) for node in ast.walk(_compare_split_loop())
+              if isinstance(node, ast.Call)}
+    assert "perturb_cells" in called and "perturb_rows" not in called, sorted(called)
+
+
 def _calls(name):
     return [
         f"{path.name}:{lineno}"
@@ -207,7 +216,8 @@ def test_replaced_checks_not_defined(name):
     assert not found, f"{name} is defined at {found}"
 
 
-@pytest.mark.parametrize("text", ["must lie in [0, 1]", "must be finite and positive"])
+@pytest.mark.parametrize("text", ["must lie in [0, 1]", "must be finite and positive",
+                                  "must be a non-negative integer"])
 def test_parameter_kind_checked_only_in_core(text):
     found = [p.name for p in SOURCES if text in p.read_text()]
     assert found == ["core.py"], f"{text!r} appears in {found}"
