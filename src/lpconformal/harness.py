@@ -489,18 +489,18 @@ def _build(path, kind, *args):
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _loadtxt(path, header_line, build, **options):
-    """``build(*columns)`` for the data records of ``path``, read by one ``np.loadtxt``.
+def _loadtxt(path, header_line, **options):
+    """The data records of ``path`` read by one ``np.loadtxt``, as a tuple of columns.
 
-    ``options`` give a structured ``dtype``, whose fields become the
-    contiguous ``columns``, and the ``usecols`` it reads. ``header_line`` is
-    the header's record number, or 0 for a file without one.
+    ``options`` give a structured ``dtype``, whose fields become the contiguous
+    columns, and the ``usecols`` it reads. ``header_line`` is the header's record
+    number, or 0 for a file without one. The caller checks the values.
 
     Returns None whenever numpy's result could differ from the caller's
     ``_records`` parser, which then reads the file: that parser alone reports
-    errors, and it reads every token that ``int()`` and ``float()`` read.
-    numpy reads a subset of those tokens to the same bits, except in the
-    cases below, which all return None:
+    format errors, and it reads every token that ``int()`` and ``float()``
+    read. numpy reads a subset of those tokens to the same bits, except in
+    the cases below, which all return None:
 
     - ``path`` is not a regular file. A pipe can be read only once, by the
       ``_records`` parser.
@@ -521,7 +521,6 @@ def _loadtxt(path, header_line, build, **options):
       ``1_0`` or ``١``.
     - ``np.loadtxt`` warns. It warns on a file without data records, and
       numpy before 2.0 reads a label ``1.0`` as an integer with a warning.
-    - ``build`` raises ``ValueError``, so that the message names the file.
     """
     if not os.path.isfile(path) or header_line not in (0, 1):
         return None
@@ -543,9 +542,9 @@ def _loadtxt(path, header_line, build, **options):
             parsed = np.loadtxt(
                 fh, delimiter=",", comments=None, skiprows=header_line, ndmin=1, **options
             )
-        return build(*(np.ascontiguousarray(parsed[name]) for name in parsed.dtype.names))
     except (ValueError, Warning):
         return None
+    return tuple(np.ascontiguousarray(parsed[name]) for name in parsed.dtype.names)
 
 
 def read_scores(path, has_header: bool = False) -> ScoreSample:
@@ -556,17 +555,17 @@ def read_scores(path, has_header: bool = False) -> ScoreSample:
     """
     records = _records(path)
     header_line = next(records, (None,))[0] if has_header else 0
-    sample = _loadtxt(path, header_line, ScoreSample, dtype=[("score", float)], usecols=0)
-    if sample is not None:
-        records.close()
-        return sample
-    values = []
-    for line, fields in records:
-        try:
-            values.append(float(fields[0]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{line}: not a score: {fields[0]!r}") from exc
-    return _build(path, ScoreSample, values)
+    columns = _loadtxt(path, header_line, dtype=[("score", float)], usecols=0)
+    if columns is None:
+        values = []
+        for line, fields in records:
+            try:
+                values.append(float(fields[0]))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{line}: not a score: {fields[0]!r}") from exc
+        columns = (values,)
+    records.close()
+    return _build(path, ScoreSample, *columns)
 
 
 def read_weighted_scores(path, test_weight: float) -> WeightedScores:
@@ -578,11 +577,10 @@ def read_weighted_scores(path, test_weight: float) -> WeightedScores:
     header_line, header = next(records, (None, None))
     if header is None or [c.strip().lower() for c in header[:2]] != ["score", "weight"]:
         raise FileFormatError(f"{path}: expected header 'score,weight'")
-    ws = _loadtxt(
-        path, header_line, lambda scores, weights: WeightedScores(scores, weights, 1.0),
-        dtype=[("score", float), ("weight", float)], usecols=(0, 1),
+    columns = _loadtxt(
+        path, header_line, dtype=[("score", float), ("weight", float)], usecols=(0, 1)
     )
-    if ws is None:
+    if columns is None:
         scores, weights = [], []
         for line, fields in records:
             if len(fields) < 2:
@@ -592,9 +590,10 @@ def read_weighted_scores(path, test_weight: float) -> WeightedScores:
                 weights.append(float(fields[1]))
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
-        # The file is checked on its own first, so a bad test weight is no file error.
-        ws = _build(path, WeightedScores, scores, weights, 1.0)
+        columns = (scores, weights)
     records.close()
+    # The file is checked on its own first, so a bad test weight is no file error.
+    ws = _build(path, WeightedScores, *columns, 1.0)
     return WeightedScores(ws.scores, ws.weights, test_weight)
 
 
@@ -607,22 +606,20 @@ def read_matrix(path) -> ScoreMatrix:
     width = len(header)
     if width < 2:
         raise FileFormatError(f"{path}: header names no score columns")
-    matrix = _loadtxt(
-        path, header_line, lambda labels, scores: ScoreMatrix(scores, labels),
-        dtype=[("label", int), ("scores", float, (width - 1,))],
-    )
-    if matrix is not None:
-        records.close()
-        return matrix
-    labels, rows = [], []
-    for line, fields in records:
-        if len(fields) != width:
-            raise FileFormatError(f"{path}:{line}: expected {width} fields, got {len(fields)}")
-        try:
-            labels.append(int(fields[0]))
-            rows.append([float(v) for v in fields[1:]])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
+    columns = _loadtxt(path, header_line, dtype=[("label", int), ("scores", float, (width - 1,))])
+    if columns is None:
+        labels, rows = [], []
+        for line, fields in records:
+            if len(fields) != width:
+                raise FileFormatError(f"{path}:{line}: expected {width} fields, got {len(fields)}")
+            try:
+                labels.append(int(fields[0]))
+                rows.append([float(v) for v in fields[1:]])
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
+        columns = (labels, rows)
+    records.close()
+    labels, rows = columns
     return _build(path, ScoreMatrix, rows, labels)
 
 

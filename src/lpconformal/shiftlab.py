@@ -171,6 +171,8 @@ def perturb_rows(scores: np.ndarray, true_labels: np.ndarray, spec: Perturbation
     Returns a new C-ordered array; ``scores`` is left untouched.
     """
     n_rows, n_labels = scores.shape
+    if true_labels.shape != (n_rows,):
+        raise ValueError("true labels must be one per score row")
     # Checked, since the flat cell of a label outside the row lies in another row.
     if true_labels.size and not 0 <= true_labels.min() <= true_labels.max() < n_labels:
         raise ValueError("true labels must index a score column")

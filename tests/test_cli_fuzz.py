@@ -3,7 +3,8 @@
 Whatever a score, weight or matrix file holds, ``calibrate``, ``estimate`` and
 ``evaluate`` exit 0, 2 or 3, and a failure is one ``error:`` line on stderr.
 Each reader returns the same arrays, or raises the same error, with its
-``np.loadtxt`` fast path as with the ``csv`` parser alone.
+``np.loadtxt`` fast path as with the ``csv`` parser alone, a value its builder
+refuses included.
 """
 
 import contextlib
@@ -62,6 +63,22 @@ COMMANDS = {
     ),
 }
 HEADERS = [header for _, header, _ in COMMANDS.values()]
+# Each command's well-formed record holding a value its reader's builder refuses:
+# a score that is not finite, a weight that is not positive, a label past the last column.
+NONFINITE = st.sampled_from(["nan", "inf", "-inf", "1e999"])
+REFUSED = {
+    "calibrate": NONFINITE,
+    "calibrate-header": NONFINITE,
+    "calibrate-weighted": st.one_of(
+        st.tuples(NONFINITE, st.floats(0.1, 5).map(repr)),
+        st.tuples(SCORE, st.sampled_from(["0", "-0.0", "-1", "nan", "inf"])),
+    ).map(",".join),
+    "estimate": NONFINITE,
+    "evaluate": st.one_of(
+        st.tuples(st.sampled_from(["2", "7"]), SCORE, SCORE),
+        st.tuples(st.sampled_from("01"), NONFINITE, SCORE),
+    ).map(",".join),
+}
 
 
 @st.composite
@@ -137,9 +154,12 @@ def _refuse(*args, **kwargs):
 
 @st.composite
 def clean_files(draw):
-    """A header on line 1 and well-formed records, with at most one junk line."""
-    _, header, record = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    """A header on line 1 and well-formed records, at most one refused and one junk."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    _, header, record = COMMANDS[command]
     lines = [header] + draw(st.lists(record, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(REFUSED[command]))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(1, len(lines))), draw(JUNK))
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode() + b"\n"

@@ -2,6 +2,7 @@
 
 import codecs
 import contextlib
+import csv
 import json
 import math
 import os
@@ -401,6 +402,10 @@ class TestCompare:
             assert b.coverage >= a.coverage - 1e-12
 
 
+def _refuse_loadtxt(*args, **kwargs):
+    raise ValueError("np.loadtxt is switched off")
+
+
 class TestFileIngestion:
     def test_score_roundtrip(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -657,6 +662,45 @@ class TestFileIngestion:
         path.write_text("score\n")
         with pytest.raises(FileFormatError, match="a score sample needs at least one score"):
             read_scores(path, has_header=True)
+
+    @pytest.mark.parametrize("reader, text, headers, message", [
+        (read_scores, "0.5\nnan\n0.25\n", 0, "scores must be finite (no NaN or infinities)"),
+        (lambda path: read_scores(path, has_header=True), "score\n0.5\n-inf\n", 1,
+         "scores must be finite (no NaN or infinities)"),
+        (lambda path: read_weighted_scores(path, 1.0), "score,weight\n0.5,2.0\n0.25,0\n", 1,
+         "weights must be finite and strictly positive"),
+        (read_matrix, "true_label,s_0,s_1\n0,0.1,0.9\n2,0.8,0.2\n", 1,
+         "true labels must index a matrix column"),
+        (read_matrix, "true_label,s_0,s_1\n0,0.1,nan\n1,0.8,0.2\n", 1,
+         "score matrix entries must be finite"),
+    ], ids=["scores-nan", "scores-header-inf", "zero-weight", "label-past-last-column",
+            "matrix-nan"])
+    def test_refused_value_is_parsed_by_numpy_only(self, tmp_path, monkeypatch, reader, text,
+                                                   headers, message):
+        # A file numpy parses is built once from numpy's columns: a value the
+        # builder refuses sends no data record through csv, and its message
+        # is the one the csv parser's columns give.
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        rows = []
+        csv_reader = csv.reader
+
+        def spy(*args, **kwargs):
+            for row in csv_reader(*args, **kwargs):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", spy)
+        with pytest.raises(FileFormatError) as fast:
+            reader(path)
+        assert rows == [line.split(",") for line in text.splitlines()[:headers]]
+        assert str(fast.value) == f"{path}: {message}"
+        rows.clear()
+        monkeypatch.setattr(np, "loadtxt", _refuse_loadtxt)
+        with pytest.raises(FileFormatError) as slow:
+            reader(path)
+        assert rows == [line.split(",") for line in text.splitlines()]
+        assert str(slow.value) == str(fast.value)
 
     def test_report_csv(self, tmp_path):
         rng = np.random.default_rng(16)

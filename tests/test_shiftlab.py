@@ -261,6 +261,15 @@ class TestPerturbRows:
             perturb_rows(scores, np.array([0, label]), spec, np.random.default_rng(0))
         assert scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
+    @pytest.mark.parametrize("labels", [[1], [1, 0, 1, 0]], ids=["one", "four"])
+    def test_label_count_other_than_the_rows_rejected(self, labels):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="true labels must be one per score row"):
+            perturb_rows(np.zeros((3, 2)), np.array(labels), PerturbationSpec(0.1, 0.0, seed=1),
+                         rng)
+        assert rng.bit_generator.state == state
+
 
 class TestWcQuantileFamily:
     def test_rho_zero_is_pure_shift(self):

@@ -8,7 +8,9 @@ test block or mask per split and perturbs a split's block in place with
 ``perturb_cells``, and one transport solver runs with numpy as
 the only third-party dependency. Every CSV input goes through two parsers
 and no other: one ``np.loadtxt`` call for speed, and one ``csv.reader``
-that reads whatever numpy might read differently and reports every error.
+that reads whatever numpy might read differently and reports every format
+error. ``_loadtxt`` only parses: each reader builds its value in one
+``_build`` call from either parser's columns, so its values are checked once.
 Every output file is opened for writing in one function,
 ``harness.write_text``. Every threshold level becomes an order statistic in
 ``core``: only ``QuantileRule.at_level`` and ``quantile`` index one. The
@@ -67,30 +69,26 @@ def test_method_choices_are_harness_method_names(command):
     assert _method_choices(command) == METHOD_NAMES
 
 
-def test_evaluate_has_no_loop():
+def _harness_function(name):
     path = next(p for p in SOURCES if p.name == "harness.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    evaluate = next(
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "evaluate"
+    return next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
     )
+
+
+def test_evaluate_has_no_loop():
     loops = [
         f"line {node.lineno}: {type(node).__name__}"
-        for node in ast.walk(evaluate)
+        for node in ast.walk(_harness_function("evaluate"))
         if isinstance(node, (ast.For, ast.While, ast.comprehension))
     ]
     assert not loops, f"harness.evaluate loops on its own: {loops}"
 
 
 def _compare_split_loop():
-    path = next(p for p in SOURCES if p.name == "harness.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    compare = next(
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "compare"
-    )
     return next(
-        node for node in ast.walk(compare)
+        node for node in ast.walk(_harness_function("compare"))
         if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(n_splits)"
     )
 
@@ -170,6 +168,25 @@ def test_one_csv_reader():
 def test_one_loadtxt_call():
     calls = _calls("np.loadtxt")
     assert len(calls) == 1, f"np.loadtxt( should appear once, found at {calls}"
+
+
+def test_loadtxt_only_parses():
+    # No builder runs under the try that sends a file to the csv parser.
+    loadtxt = _harness_function("_loadtxt")
+    assert [a.arg for a in loadtxt.args.args] == ["path", "header_line"]
+    (guarded,) = [node for node in ast.walk(loadtxt) if isinstance(node, ast.Try)]
+    calls = {ast.unparse(node.func) for stmt in guarded.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call)}
+    assert calls == {"open", "warnings.catch_warnings", "warnings.simplefilter", "np.loadtxt"}
+
+
+@pytest.mark.parametrize("reader", ["read_scores", "read_weighted_scores", "read_matrix"])
+def test_reader_builds_its_value_once(reader):
+    builds = [
+        node.lineno for node in ast.walk(_harness_function(reader))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_build"
+    ]
+    assert len(builds) == 1, f"harness.{reader} calls _build at lines {builds}"
 
 
 def test_levels_indexed_only_in_core():
