@@ -494,18 +494,18 @@ def _loadtxt(path, header_line, **options):
 
     ``options`` give a structured ``dtype``, whose fields become the contiguous
     columns, and the ``usecols`` it reads. ``header_line`` is the header's record
-    number, or 0 for a file without one. The caller checks the values.
+    number, on any line, or 0 for a file without one. The caller checks the values.
 
     Returns None whenever numpy's result could differ from the caller's
     ``_records`` parser, which then reads the file: that parser alone reports
     format errors, and it reads every token that ``int()`` and ``float()``
     read. numpy reads a subset of those tokens to the same bits, except in
-    the cases below, which all return None:
+    the cases below, which all return None. The byte checks hold one aligned
+    block of half ``csv.field_size_limit()`` bytes at a time.
 
     - ``path`` is not a regular file. A pipe can be read only once, by the
       ``_records`` parser.
-    - The header is not on line 1. ``skiprows`` counts lines, blank ones
-      included, where the header is the first non-blank record.
+    - ``header_line`` is None: the file has no header record.
     - A byte is not ASCII (a leading byte-order mark aside). numpy reads many
       non-ASCII characters as integer digits: numpy 2.4 reads the label "Ǿ"
       as 462, where ``int()`` raises.
@@ -513,27 +513,27 @@ def _loadtxt(path, header_line, **options):
       lines, and a quote in a column ``usecols`` skips does not make numpy fail.
     - A byte is one of the separators 0x1C-0x1F. numpy strips them around a
       number as whitespace; ``int()`` and ``float()`` do not.
-    - A line may be longer than ``csv.field_size_limit()``: some aligned block
-      of half that many bytes holds no newline. numpy reads a field that long,
-      where ``csv`` raises.
+    - A line may be longer than ``csv.field_size_limit()``: a full block holds
+      no newline. numpy reads a field that long, where ``csv`` raises.
     - ``np.loadtxt`` raises: a bad or out-of-range number, a row of the wrong
       width, a whitespace-only line, or a token only Python reads, such as
       ``1_0`` or ``١``.
     - ``np.loadtxt`` warns. It warns on a file without data records, and
       numpy before 2.0 reads a label ``1.0`` as an integer with a warning.
     """
-    if not os.path.isfile(path) or header_line not in (0, 1):
+    if header_line is None or not os.path.isfile(path):
         return None
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
     half = max(csv.field_size_limit() // 2, 1)
-    if (
-        not data.isascii()
-        or any(byte in data for byte in b'"\x1c\x1d\x1e\x1f')
-        or any(data.find(b"\n", k, k + half) < 0 for k in range(0, len(data) - half + 1, half))
-    ):
-        return None
-    del data  # not held while numpy parses, which would raise peak memory
+    with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
+        while block := fh.read(half):
+            if (
+                not block.isascii()
+                or any(byte in block for byte in b'"\x1c\x1d\x1e\x1f')
+                or len(block) == half and b"\n" not in block
+            ):
+                return None
     try:
         # numpy opens a path through its DataSource layer, which costs about
         # as much as parsing a 200-line file, so it gets an open file.

@@ -154,7 +154,8 @@ def _refuse(*args, **kwargs):
 
 @st.composite
 def clean_files(draw):
-    """A header on line 1 and well-formed records, at most one refused and one junk."""
+    """A header after 0-3 blank or whitespace-only lines, then well-formed records,
+    at most one refused and one junk."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     _, header, record = COMMANDS[command]
     lines = [header] + draw(st.lists(record, min_size=1, max_size=12))
@@ -162,6 +163,7 @@ def clean_files(draw):
         lines.insert(draw(st.integers(1, len(lines))), draw(REFUSED[command]))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(1, len(lines))), draw(JUNK))
+    lines = draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=3)) + lines
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode() + b"\n"
 
 

@@ -10,6 +10,7 @@ import re
 import stat
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -406,6 +407,16 @@ def _refuse_loadtxt(*args, **kwargs):
     raise ValueError("np.loadtxt is switched off")
 
 
+def _weight_columns(path):
+    ws = read_weighted_scores(path, 1.0)
+    return ws.scores, ws.weights
+
+
+def _matrix_columns(path):
+    m = read_matrix(path)
+    return m.scores, m.true_labels
+
+
 class TestFileIngestion:
     def test_score_roundtrip(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -498,6 +509,52 @@ class TestFileIngestion:
         path.write_text("\ntrue_label,s_0,s_1\n0,0.1\n")
         with pytest.raises(FileFormatError, match=r"m\.csv:3: expected 3 fields, got 2"):
             read_matrix(path)
+
+    @pytest.mark.parametrize("reader, lines", [
+        (lambda path: (read_scores(path, has_header=True).scores,), ["score", "0.5", "0.25"]),
+        (_weight_columns, ["score,weight", "0.5,2.0", "0.25,1.0"]),
+        (_matrix_columns, ["true_label,s_0,s_1", "0,0.1,0.9", "1,0.8,0.2"]),
+    ], ids=["scores", "weights", "matrix"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_numpy_reads_header_after_blank_lines(self, tmp_path, monkeypatch, reader, lines,
+                                                  newline):
+        path = tmp_path / "f.csv"
+        path.write_text(newline.join(["", " ", "\t", *lines]) + newline, newline="")
+        parsed = []
+        loadtxt = harness._loadtxt
+
+        def spy(*args, **kwargs):
+            parsed.append(loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(harness, "_loadtxt", spy)
+        fast = reader(path)
+        assert len(parsed) == 1 and parsed[0] is not None
+        monkeypatch.setattr(np, "loadtxt", _refuse_loadtxt)
+        slow = reader(path)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in fast] == [
+            (a.dtype, a.shape, a.tobytes()) for a in slow]
+
+    def test_gate_holds_one_block(self, tmp_path, monkeypatch):
+        # The byte checks before np.loadtxt read the file one block at a time.
+        half = max(csv.field_size_limit() // 2, 1)
+        line = "0." + "1234567890" * 6 + "\n"
+        rows = 16 * half // len(line) + 1
+        path = tmp_path / "scores.csv"
+        path.write_text(line * rows)
+        peaks = []
+
+        def record_peak(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise ValueError("np.loadtxt is switched off")
+
+        monkeypatch.setattr(np, "loadtxt", record_peak)
+        tracemalloc.start()
+        try:
+            assert read_scores(path).n == rows
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 4 * half < path.stat().st_size
 
     @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
     def test_no_header_in_blank_file(self, tmp_path, text):

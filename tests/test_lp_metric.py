@@ -286,21 +286,29 @@ def instances(draw, equal_sizes=False, max_size=70):
     The atoms come from one family of ``_ATOMS``: a 0.1-lattice, where
     products such as ``3 * 0.1`` are not the decimal values they print as
     and many atoms tie; reals in [-3, 3]; atoms near 1e15-1e16; or tiny and
-    huge atoms together. In half the draws each side repeats a few distinct
-    atoms, giving long tie runs.
+    huge atoms together. In half the draws each side repeats one to three
+    distinct atoms, giving long tie runs.
+
+    Hypothesis's mutator copies one span over another span with the same
+    label. A copy that changed a size would leave the example short of
+    choices, and hypothesis would count it invalid. So each draw that sets
+    how many choices follow is a ``sampled_from`` whose label no other span
+    shares, and each atom is a draw of its own, not a list element.
     """
-    n = draw(st.integers(1, max_size))
-    m = n if equal_sizes else draw(st.integers(1, max_size).filter(lambda k: k != n))
+    n = draw(st.sampled_from(range(1, max_size + 1)))
+    m = n if equal_sizes else draw(st.sampled_from([k for k in range(1, max_size + 1) if k != n]))
     atoms = _ATOMS[draw(st.sampled_from(sorted(_ATOMS)))]
+    # Each side's pool size: 0, half the time, draws its atoms freely; 1-3 repeats that many.
+    pools = draw(st.sampled_from([(a, b) for a in (0, 0, 0, 1, 2, 3) for b in (0, 0, 0, 1, 2, 3)]))
 
-    def side(size):
-        if draw(st.booleans()):
-            # Long tie runs: each byte picks one of at most three atoms.
-            pool = draw(st.lists(atoms, min_size=1, max_size=3))
-            return [pool[b % len(pool)] for b in draw(st.binary(min_size=size, max_size=size))]
-        return draw(st.lists(atoms, min_size=size, max_size=size))
+    def side(size, pool_size):
+        if pool_size:
+            # Long tie runs: each byte picks one of the pool's atoms.
+            pool = [draw(atoms) for _ in range(pool_size)]
+            return [pool[b % pool_size] for b in draw(st.binary(min_size=size, max_size=size))]
+        return [draw(atoms) for _ in range(size)]
 
-    x, y = side(n), side(m)
+    x, y = side(n, pools[0]), side(m, pools[1])
     gap = min(abs(draw(st.sampled_from(x)) - draw(st.sampled_from(y))), _MAX_FLOAT)
     eps = draw(st.sampled_from([
         gap,
