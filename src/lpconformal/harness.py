@@ -224,8 +224,26 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``."""
-        return _report_json(self, "")
+        """The text of ``json.dumps(self.to_dict(), sort_keys=True, indent=2)``.
+
+        ``json.dumps`` lays out every key with ``per_split`` empty. Only a
+        top-level key follows a line break and exactly two spaces, since JSON
+        strings escape their line breaks, so the one ``per_split`` line is then
+        replaced by entries from a fixed template filled with each
+        ``SplitResult``'s ``texts``.
+        """
+        payload = self.to_dict()
+        payload["per_split"] = []
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        if not self.per_split:
+            return text
+        entries = ",\n".join(
+            '    {\n      "coverage": %s,\n      "mean_set_size": %s\n    }'
+            % (c or json.dumps(r.coverage), s or json.dumps(r.mean_set_size))
+            for r in self.per_split
+            for c, s in (r.texts,)
+        )
+        return text.replace('\n  "per_split": []', f'\n  "per_split": [\n{entries}\n  ]')
 
 
 def _float_text(value) -> str | None:
@@ -239,55 +257,13 @@ def _float_text(value) -> str | None:
     return None
 
 
-def _json_object(fields: dict[str, str], pad: str) -> str:
-    """The ``sort_keys=True, indent=2`` layout of a non-empty object starting at indent ``pad``.
-
-    ``fields`` maps each key to its value's text, already laid out for the
-    depth below ``pad``.
-    """
-    inner = pad + "  "
-    body = ",\n".join(f"{inner}{json.dumps(key)}: {fields[key]}" for key in sorted(fields))
-    return f"{{\n{body}\n{pad}}}"
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """The ``indent=2`` layout of an array starting at indent ``pad``; ``items`` carry their indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + f"\n{pad}]"
-
-
-def _report_json(report: EvalReport, pad: str) -> str:
-    """``report.to_json()`` laid out at indent ``pad``.
-
-    Every key but ``per_split`` is rendered by ``json.dumps`` and nested by
-    indenting each of its lines, which is exact since JSON strings escape
-    their newlines. The ``per_split`` entries come from one template filled
-    with each ``SplitResult``'s ``texts``.
-    """
-    payload = report.to_dict()
-    del payload["per_split"]
-    inner = pad + "  "
-    fields = {
-        key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + inner)
-        for key, value in payload.items()
-    }
-    item = inner + "  "
-    template = f'{item}{{\n{item}  "coverage": %s,\n{item}  "mean_set_size": %s\n{item}}}'
-    entries = [
-        template % (c or json.dumps(r.coverage), s or json.dumps(r.mean_set_size))
-        for r in report.per_split
-        for c, s in (r.texts,)
-    ]
-    fields["per_split"] = _json_array(entries, inner)
-    return _json_object(fields, pad)
-
-
 def reports_json(reports: Sequence[EvalReport]) -> str:
     """``json.dumps({"reports": [r.to_dict() for r in reports]}, sort_keys=True, indent=2)``."""
+    if not reports:
+        return '{\n  "reports": []\n}'
     # Each report is an item of the array one level into the wrapper object.
-    items = ["    " + _report_json(report, "    ") for report in reports]
-    return _json_object({"reports": _json_array(items, "  ")}, "")
+    items = ",\n".join("    " + report.to_json().replace("\n", "\n    ") for report in reports)
+    return f'{{\n  "reports": [\n{items}\n  ]\n}}'
 
 
 def _law_dict(law) -> dict:
@@ -514,7 +490,8 @@ def _loadtxt(path, header_line, **options):
     - A byte is one of the separators 0x1C-0x1F. numpy strips them around a
       number as whitespace; ``int()`` and ``float()`` do not.
     - A line may be longer than ``csv.field_size_limit()``: a full block holds
-      no newline. numpy reads a field that long, where ``csv`` raises.
+      no ``\n`` or ``\r`` line end. numpy reads a field that long, where
+      ``csv`` raises.
     - ``np.loadtxt`` raises: a bad or out-of-range number, a row of the wrong
       width, a whitespace-only line, or a token only Python reads, such as
       ``1_0`` or ``١``.
@@ -531,7 +508,7 @@ def _loadtxt(path, header_line, **options):
             if (
                 not block.isascii()
                 or any(byte in block for byte in b'"\x1c\x1d\x1e\x1f')
-                or len(block) == half and b"\n" not in block
+                or len(block) == half and b"\n" not in block and b"\r" not in block
             ):
                 return None
     try:

@@ -16,7 +16,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import (
@@ -516,10 +516,15 @@ class TestFileIngestion:
         (_matrix_columns, ["true_label,s_0,s_1", "0,0.1,0.9", "1,0.8,0.2"]),
     ], ids=["scores", "weights", "matrix"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("blocks", [0, 3], ids=["short", "three_blocks"])
     def test_numpy_reads_header_after_blank_lines(self, tmp_path, monkeypatch, reader, lines,
-                                                  newline):
+                                                  newline, blocks):
+        # With blocks, the records repeat over at least that many of the gate's blocks.
+        half = max(csv.field_size_limit() // 2, 1)
+        header, *records = lines
+        records *= max(1, blocks * half // len("".join(records)))
         path = tmp_path / "f.csv"
-        path.write_text(newline.join(["", " ", "\t", *lines]) + newline, newline="")
+        path.write_text(newline.join(["", " ", "\t", header, *records]) + newline, newline="")
         parsed = []
         loadtxt = harness._loadtxt
 
@@ -776,10 +781,15 @@ class TestFileIngestion:
 REPORT_VALUES = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05, 1 / 3, 1)
 
 
-def _report(method, per_split, aggregate=0.5):
+# The per_split line that to_json replaces, inside a method name and as a params key.
+SPLICE_METHOD = 'x\n  "per_split": []'
+REPORT_PARAMS = ({"epsilon": 0.1, "rho": -0.0}, {"per_split": [], "rho": 0.5})
+
+
+def _report(method, per_split, aggregate=0.5, params=REPORT_PARAMS[0]):
     return EvalReport(
         method=method, alpha=0.1, n_splits=len(per_split), n_calib=3, k_test=2,
-        base_seed=4, params={"epsilon": 0.1, "rho": -0.0},
+        base_seed=4, params=params,
         perturbation={"global_law": {"kind": "point", "value": math.inf}, "seed": 1},
         per_split=tuple(per_split), coverage_mean=aggregate, coverage_std=math.nan,
         set_size_mean=1e16, set_size_std=0.0,
@@ -793,8 +803,10 @@ def _report_lists(draw):
     # Each result is a new object, so equal values (-0.0 and 0.0 too) sit in distinct ones.
     pool = [SplitResult(draw(value), draw(value)) for _ in range(draw(st.integers(1, 6)))]
     picks = st.lists(st.sampled_from(pool), max_size=5)
-    method = st.sampled_from(["sc", "lp", 'a "quoted",\nname'])
-    return [_report(draw(method), draw(picks), draw(value)) for _ in range(draw(st.integers(0, 3)))]
+    method = st.sampled_from(["sc", "lp", 'a "quoted",\nname', SPLICE_METHOD])
+    params = st.sampled_from(REPORT_PARAMS)
+    return [_report(draw(method), draw(picks), draw(value), draw(params))
+            for _ in range(draw(st.integers(0, 3)))]
 
 
 class TestSplitResultTexts:
@@ -833,6 +845,9 @@ class TestReportText:
 
     @settings(max_examples=60, deadline=None)
     @given(reports=_report_lists())
+    # Only the report's own per_split line is filled in, not one in a string or in params.
+    @example(reports=[_report(SPLICE_METHOD, [SplitResult(0.5, 1.0)], params=REPORT_PARAMS[1]),
+                      _report(SPLICE_METHOD, [], params=REPORT_PARAMS[1])])
     def test_matches_oracles(self, reports, tmp_path_factory):
         self._check(reports, tmp_path_factory.getbasetemp() / "report_text.csv")
 

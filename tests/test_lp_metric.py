@@ -421,10 +421,23 @@ class TestWinfWithinUnequal:
         assert not winf_within(p, q, float(np.nextafter(gap, 0.0)))
 
 
+@st.composite
+def distinct_floats(draw, sizes, elements):
+    """Distinct floats, ascending: a count from ``sizes``, then each element its own draw.
+
+    As in ``instances``, the count is a ``sampled_from`` whose label no other
+    span shares, so hypothesis's span mutator cannot run the example out of
+    choices. A tie is nudged one ulp past the value before it.
+    """
+    out = []
+    for value in sorted(draw(elements) for _ in range(draw(st.sampled_from(sizes)))):
+        out.append(value if not out or value > out[-1] else float(np.nextafter(out[-1], np.inf)))
+    return out
+
+
 class TestProfileMonotone:
     @settings(max_examples=200, deadline=None)
-    @given(instances(max_size=7),
-           st.lists(st.floats(0.0, 7.0), min_size=2, max_size=8, unique=True))
+    @given(instances(max_size=7), distinct_floats(range(2, 9), st.floats(0.0, 7.0)))
     def test_rho_nonincreasing_in_epsilon(self, inst, extra):
         # A wider radius admits every edge a narrower one did.
         x, y, eps = inst
@@ -436,8 +449,7 @@ class TestProfileMonotone:
 class TestProfileMatchesDistance:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(instances(), instances(equal_sizes=True)),
-           st.lists(st.one_of(st.floats(0.0, 7.0), st.floats(0.0, 1e16)),
-                    min_size=1, max_size=8, unique=True),
+           distinct_floats(range(1, 9), st.one_of(st.floats(0.0, 7.0), st.floats(0.0, 1e16))),
            st.integers(1, 300))
     def test_rho_bit_equal_per_epsilon(self, inst, extra, block_cells):
         # Small blocks split the grid over several kernel calls.
@@ -449,23 +461,31 @@ class TestProfileMatchesDistance:
         assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
 
 
+# Sample sizes 1-30 and grid point counts 0-6 below and past the distance.
+_GRID_COUNTS = st.sampled_from(
+    list(itertools.product(range(1, 31), range(1, 31), range(7), range(7))))
+
+
 @st.composite
 def stopping_grids(draw):
     """Sorted samples and a grid split at their sup-norm distance ``gap``.
 
     Returns ``(x, y, below, above)``: ``below`` holds grid points under
-    ``gap`` and ``above`` those at or past it, each ascending.
+    ``gap`` and ``above`` those at or past it, each ascending. Every count is
+    one draw from ``_GRID_COUNTS``, and each atom and point is a draw of its
+    own, as in ``instances``.
     """
     atoms = st.one_of(st.floats(-3.0, 3.0), st.integers(0, 6).map(lambda k: k * 0.1))
-    x = np.sort(np.array(draw(st.lists(atoms, min_size=1, max_size=30))))
-    y = np.sort(np.array(draw(st.lists(atoms, min_size=1, max_size=30))))
+    n, m, n_below, n_above = draw(_GRID_COUNTS)
+    x = np.sort(np.array([draw(atoms) for _ in range(n)]))
+    y = np.sort(np.array([draw(atoms) for _ in range(m)]))
     gap = sup_norm_distance(x, y)
     below = set()
     if gap > 0.0:
-        below = set(draw(st.lists(st.floats(0.0, gap, exclude_max=True), max_size=6)))
+        below = {draw(st.floats(0.0, gap, exclude_max=True)) for _ in range(n_below)}
         if draw(st.booleans()):
             below.add(float(np.nextafter(gap, 0.0)))
-    above = set(draw(st.lists(st.floats(gap, 10.0), max_size=6)))
+    above = {draw(st.floats(gap, 10.0)) for _ in range(n_above)}
     if draw(st.booleans()) or not (below or above):
         above.add(gap)
     return x, y, sorted(below), sorted(above)
@@ -551,6 +571,11 @@ class TestProfileStop:
             assert res.rho == 0.0
 
 
+# Both sizes of a winf_samples pair; the first half repeats the equal pairs.
+_WINF_SIZES = st.sampled_from([(n, n) for n in range(1, 41) for _ in range(40)]
+                              + list(itertools.product(range(1, 41), repeat=2)))
+
+
 @st.composite
 def winf_samples(draw):
     """Two samples of 1-40 atoms: normal, on a 0.1 lattice, or within 3 ulps of one value.
@@ -559,18 +584,24 @@ def winf_samples(draw):
     """
     family = draw(st.sampled_from(["normal", "lattice", "ulps"]))
     base = draw(st.floats(-3.0, 3.0))
-    sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=2))
-    if draw(st.booleans()):
-        sizes[1] = sizes[0]
+    sizes = draw(_WINF_SIZES)
 
     def side(size):
         if family == "normal":
             return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=size)
-        steps = np.array(draw(st.lists(st.integers(-3, 3) if family == "ulps" else st.integers(0, 6),
-                                       min_size=size, max_size=size)))
+        step = st.integers(-3, 3) if family == "ulps" else st.integers(0, 6)
+        steps = np.array([draw(step) for _ in range(size)])
         return base + steps * np.spacing(base) if family == "ulps" else steps * 0.1
 
     return side(sizes[0]), side(sizes[1])
+
+
+@st.composite
+def far_apart(draw):
+    """1-10 atoms at most -1.6e308 and 1-10 at least 1.6e308; both sizes are one draw."""
+    n, m = draw(st.sampled_from(list(itertools.product(range(1, 11), repeat=2))))
+    return ([draw(st.floats(-_MAX_FLOAT, -1.6e308)) for _ in range(n)],
+            [draw(st.floats(1.6e308, _MAX_FLOAT)) for _ in range(m)])
 
 
 class TestWinfDistance:
@@ -586,9 +617,9 @@ class TestWinfDistance:
         assert got == sup_norm_distance(x, y)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-_MAX_FLOAT, -1.6e308), min_size=1, max_size=10),
-           st.lists(st.floats(1.6e308, _MAX_FLOAT), min_size=1, max_size=10))
-    def test_gap_past_the_largest_double_is_inf(self, low, high):
+    @given(far_apart())
+    def test_gap_past_the_largest_double_is_inf(self, sides):
+        low, high = sides
         p, q = ScoreSample(low), ScoreSample(high)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -15,9 +15,12 @@ Every output file is opened for writing in one function,
 ``harness.write_text``. Every threshold level becomes an order statistic in
 ``core``: only ``QuantileRule.at_level`` and ``quantile`` index one. The
 report writers key nothing by object identity: each split result renders
-its own numbers once, in ``SplitResult.texts``. Each parameter kind has one
-check in ``core``, and ``MethodSpec.rule`` leaves the calibration size to the
-rules it picks. The public surface is
+its own numbers once, in ``SplitResult.texts``. One ``json.dumps`` call in
+``EvalReport.to_json`` lays out each report, which then fills in only its
+per-split entries, and ``reports_json`` nests each report's ``to_json``
+text, so no second copy of the ``indent=2`` layout remains. Each
+parameter kind has one check in ``core``, and ``MethodSpec.rule`` leaves the
+calibration size to the rules it picks. The public surface is
 pinned, every exported name resolves, and so does every callable the
 benchmark's tracer wraps by name.
 """
@@ -215,11 +218,17 @@ def test_report_writers_key_nothing_by_identity():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
     ]
     assert not ids, f"harness.py calls id(): {ids}"
-    report_json = next(
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_report_json"
-    )
-    assert [a.arg for a in report_json.args.args] == ["report", "pad"]
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not functions.keys() & {"_json_object", "_json_array", "_report_json"}
+    assert not [name for name, node in functions.items()
+                if "pad" in (a.arg for a in node.args.args)]
+    # One json.dumps lays out each report; reports_json nests its to_json text.
+    dumps = [ast.unparse(node) for node in ast.walk(functions["to_json"])
+             if isinstance(node, ast.Call)]
+    assert dumps.count("json.dumps(payload, sort_keys=True, indent=2)") == 1
+    calls = [ast.unparse(node.func) for node in ast.walk(functions["reports_json"])
+             if isinstance(node, ast.Call)]
+    assert "report.to_json" in calls and "json.dumps" not in calls
 
 
 @pytest.mark.parametrize("name", ["check_rho", "_check_test_weight"])
