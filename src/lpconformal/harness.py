@@ -439,6 +439,9 @@ def compare(
 # ---------------------------------------------------------------------------
 # File ingestion
 
+# The most bytes of its last field that ``_loadtxt`` moves at a time.
+_MOVE_BYTES = 256 << 10
+
 
 def _records(path):
     """Yield ``(line, fields)`` for each non-blank CSV record of ``path``.
@@ -471,6 +474,10 @@ def _loadtxt(path, header_line, **options):
     ``options`` give a structured ``dtype``, whose fields become the contiguous
     columns, and the ``usecols`` it reads. ``header_line`` is the header's record
     number, on any line, or 0 for a file without one. The caller checks the values.
+
+    Every column but the last is a copy. The last shares numpy's record
+    buffer: its bytes are moved to the front of that buffer, in blocks of at
+    most 256 KiB or one row, so that the file's values are held once.
 
     Returns None whenever numpy's result could differ from the caller's
     ``_records`` parser, which then reads the file: that parser alone reports
@@ -521,7 +528,22 @@ def _loadtxt(path, header_line, **options):
             )
     except (ValueError, Warning):
         return None
-    return tuple(np.ascontiguousarray(parsed[name]) for name in parsed.dtype.names)
+    # A copy, not np.ascontiguousarray: that returns a view of a one-row
+    # field, which the move below would overwrite.
+    *head, last = parsed.dtype.names
+    columns = [parsed[name].copy() for name in head]
+    last_type, offset = parsed.dtype.fields[last][:2]
+    size, n = last_type.itemsize, len(parsed)
+    buffer = parsed.view(np.uint8)
+    if size < parsed.itemsize:
+        records = buffer.reshape(n, -1)[:, offset:offset + size]
+        packed = buffer[:n * size].reshape(n, size)
+        # Each block's target ends before the next block's records start;
+        # numpy buffers the overlap within a block.
+        step = max(_MOVE_BYTES // size, 1)
+        for start in range(0, n, step):
+            packed[start:start + step] = records[start:start + step]
+    return (*columns, buffer[:n * size].view(last_type.base).reshape((n, *last_type.shape)))
 
 
 def read_scores(path, has_header: bool = False) -> ScoreSample:
@@ -594,6 +616,8 @@ def read_matrix(path) -> ScoreMatrix:
                 rows.append([float(v) for v in fields[1:]])
             except ValueError as exc:
                 raise FileFormatError(f"{path}:{line}: bad number in {fields!r}") from exc
+        if not rows:
+            raise FileFormatError(f"{path}: a score matrix needs at least one data row")
         columns = (labels, rows)
     records.close()
     labels, rows = columns

@@ -512,7 +512,9 @@ class TestMalformedFiles:
         (MATRIX.encode() + b'0,"' + b"7" * 200_000 + b'",0.5\n', "field larger than field limit"),
         (MATRIX.encode() + b"0," + b"0" * 200_000 + b"1.5,0.5\n", "field larger than field limit"),
         (MATRIX.encode() + b"99999999999999999999,0.1,0.2\n", "true labels must index"),
-    ], ids=["not-utf8", "oversized-field", "unquoted-oversized-field", "huge-label"])
+        (b"true_label,s_0,s_1\n", "a score matrix needs at least one data row"),
+    ], ids=["not-utf8", "oversized-field", "unquoted-oversized-field", "huge-label",
+            "header-only"])
     def test_unreadable_matrix_exit_3(self, tmp_path, capsys, body, message):
         m = tmp_path / "m.csv"
         m.write_bytes(body)

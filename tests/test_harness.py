@@ -417,6 +417,34 @@ def _matrix_columns(path):
     return m.scores, m.true_labels
 
 
+def _matrix_lines(n_rows, n_scores):
+    """A matrix file's lines: a header of empty score names, short enough for the
+    fast path's gate, then rows of one-digit values that differ by row and column."""
+    header = "true_label" + "," * n_scores
+    return [header] + [
+        ",".join([str(i % n_scores)] + [str((i + j) % 9 + 1) for j in range(n_scores)])
+        for i in range(n_rows)
+    ]
+
+
+@pytest.fixture
+def loadtxt_results(monkeypatch):
+    """Each result that ``harness._loadtxt`` returns during the test, in call order."""
+    results = []
+    loadtxt = harness._loadtxt
+
+    def spy(*args, **kwargs):
+        results.append(loadtxt(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "_loadtxt", spy)
+    return results
+
+
+# Rows of 64 scores that _loadtxt moves to the front of numpy's record buffer in one block.
+_BLOCK_ROWS = harness._MOVE_BYTES // (8 * 64)
+
+
 class TestFileIngestion:
     def test_score_roundtrip(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -514,31 +542,28 @@ class TestFileIngestion:
         (lambda path: (read_scores(path, has_header=True).scores,), ["score", "0.5", "0.25"]),
         (_weight_columns, ["score,weight", "0.5,2.0", "0.25,1.0"]),
         (_matrix_columns, ["true_label,s_0,s_1", "0,0.1,0.9", "1,0.8,0.2"]),
-    ], ids=["scores", "weights", "matrix"])
+        (_matrix_columns, _matrix_lines(_BLOCK_ROWS - 1, 64)),
+        (_matrix_columns, _matrix_lines(_BLOCK_ROWS + 1, 64)),
+        (_matrix_columns, _matrix_lines(1, harness._MOVE_BYTES // 8 + 1)),
+    ], ids=["scores", "weights", "matrix", "matrix-block-less-1", "matrix-block-plus-1",
+            "matrix-row-wider-than-block"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("blocks", [0, 3], ids=["short", "three_blocks"])
-    def test_numpy_reads_header_after_blank_lines(self, tmp_path, monkeypatch, reader, lines,
-                                                  newline, blocks):
+    def test_numpy_reads_header_after_blank_lines(self, tmp_path, monkeypatch, loadtxt_results,
+                                                  reader, lines, newline, blocks):
         # With blocks, the records repeat over at least that many of the gate's blocks.
+        # The wide matrix row's line is longer than a gate block, but holds none whole.
         half = max(csv.field_size_limit() // 2, 1)
         header, *records = lines
         records *= max(1, blocks * half // len("".join(records)))
         path = tmp_path / "f.csv"
         path.write_text(newline.join(["", " ", "\t", header, *records]) + newline, newline="")
-        parsed = []
-        loadtxt = harness._loadtxt
-
-        def spy(*args, **kwargs):
-            parsed.append(loadtxt(*args, **kwargs))
-            return parsed[-1]
-
-        monkeypatch.setattr(harness, "_loadtxt", spy)
         fast = reader(path)
-        assert len(parsed) == 1 and parsed[0] is not None
+        assert len(loadtxt_results) == 1 and loadtxt_results[0] is not None
         monkeypatch.setattr(np, "loadtxt", _refuse_loadtxt)
         slow = reader(path)
-        assert [(a.dtype, a.shape, a.tobytes()) for a in fast] == [
-            (a.dtype, a.shape, a.tobytes()) for a in slow]
+        assert [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in fast] == [
+            (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in slow]
 
     def test_gate_holds_one_block(self, tmp_path, monkeypatch):
         # The byte checks before np.loadtxt read the file one block at a time.
@@ -560,6 +585,30 @@ class TestFileIngestion:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1 and peaks[0] < 4 * half < path.stat().st_size
+
+    def test_numpy_path_holds_the_values_once(self, tmp_path, loadtxt_results):
+        # The last column shares numpy's record buffer, so a read's traced peak
+        # is about 1.2x the records' bytes for a matrix and 1.7x for weights,
+        # whose first column is half of them. A copy of the last column makes both 2x.
+        n_rows, n_scores = 3000, 100
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("true_label" + "," * n_scores + "\n"
+                          + ("1" + ",0.25" * n_scores + "\n") * n_rows)
+        n_weights = 100_000
+        weights = tmp_path / "w.csv"
+        weights.write_text("score,weight\n" + "0.25,2.0\n" * n_weights)
+        for read, path, record_bytes, bound in [
+            (read_matrix, matrix, n_rows * 8 * (1 + n_scores), 1.6),
+            (_weight_columns, weights, n_weights * 16, 1.8),
+        ]:
+            tracemalloc.start()
+            try:
+                read(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert loadtxt_results.pop() is not None
+            assert peak < bound * record_bytes, (path.name, peak / record_bytes)
 
     @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
     def test_no_header_in_blank_file(self, tmp_path, text):
@@ -715,9 +764,12 @@ class TestFileIngestion:
 
     def test_header_only_files(self, tmp_path):
         path = tmp_path / "f.csv"
-        path.write_text("true_label,s_0,s_1\n")
-        with pytest.raises(FileFormatError, match="score matrix must be 2-d"):
-            read_matrix(path)
+        for text in ("true_label,s_0,s_1\n", "\r\ntrue_label,s_0\r\n \r\n"):
+            path.write_text(text, newline="")
+            with pytest.raises(FileFormatError,
+                               match=r"f\.csv: a score matrix needs at least one data row$"):
+                read_matrix(path)
+        assert ScoreMatrix(np.empty((0, 2)), []).n_rows == 0
         path.write_text("score,weight\n")
         with pytest.raises(FileFormatError, match="need at least one weighted score"):
             read_weighted_scores(path, 1.0)
