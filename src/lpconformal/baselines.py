@@ -133,10 +133,7 @@ def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
     if chi2_g(1.0, rho_chi2) <= tau:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (mid, hi) if chi2_g(mid, rho_chi2) <= tau else (lo, mid)
     return lo
 

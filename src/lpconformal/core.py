@@ -25,6 +25,7 @@ __all__ = [
     "check_calibration_size",
     "check_finite_nonnegative",
     "check_finite_positive",
+    "check_labels",
     "check_probability",
     "check_seed",
     "conformal_quantile",
@@ -74,6 +75,23 @@ def check_finite_positive(value: float, name: str) -> float:
     if not (np.isfinite(number) and number > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return number
+
+
+def check_labels(true_labels, n_rows: int, n_labels: int) -> np.ndarray:
+    """``true_labels`` as ints, or ``ValueError`` unless they index one column of each row.
+
+    The range is checked before the cast, which would wrap ±inf and labels past int64.
+    """
+    labels = np.asarray(true_labels)
+    if labels.dtype.kind == "f" and not np.all(labels == np.floor(labels)):
+        raise ValueError("true labels must be integers")
+    if labels.dtype.kind not in "biufO":
+        labels = np.asarray(true_labels, dtype=int)
+    if labels.shape != (n_rows,):
+        raise ValueError("true labels must be one per matrix row")
+    if labels.size and not 0 <= labels.min() <= labels.max() < n_labels:
+        raise ValueError("true labels must index a matrix column")
+    return np.asarray(labels, dtype=int)
 
 
 def check_probability(value: float, name: str) -> None:

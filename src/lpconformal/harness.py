@@ -19,14 +19,14 @@ import numbers
 import os
 import stat
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_seed,
-                   conformal_rule)
+from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_labels,
+                   check_seed, conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -74,27 +74,13 @@ class ScoreMatrix:
 
     def __init__(self, scores, true_labels) -> None:
         s = np.asarray(scores, dtype=float)
-        labels = np.asarray(true_labels)
-        if labels.dtype.kind == "f":
-            if not np.all(labels == np.floor(labels)):
-                raise ValueError("true labels must be integers")
-            # Checked before the cast, which turns these into garbage with a warning.
-            if not np.all(np.abs(labels) < 2.0**63):
-                raise ValueError("true labels must index a matrix column")
-        try:
-            t = np.asarray(true_labels, dtype=int)
-        except OverflowError as exc:
-            raise ValueError("true labels must index a matrix column") from exc
         if s.ndim != 2 or s.shape[1] == 0:
             raise ValueError("score matrix must be 2-d with at least one label column")
-        if not np.all(np.isfinite(s)):
+        # NaN propagates through min and max, so no mask is built.
+        if s.size and not (math.isfinite(s.min()) and math.isfinite(s.max())):
             raise ValueError("score matrix entries must be finite")
-        if t.shape != (s.shape[0],):
-            raise ValueError("true labels must be one per matrix row")
-        if np.any(t < 0) or np.any(t >= s.shape[1]):
-            raise ValueError("true labels must index a matrix column")
         object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "true_labels", t)
+        object.__setattr__(self, "true_labels", check_labels(true_labels, *s.shape))
 
     @property
     def n_rows(self) -> int:
@@ -232,8 +218,7 @@ class EvalReport:
         replaced by entries from a fixed template filled with each
         ``SplitResult``'s ``texts``.
         """
-        payload = self.to_dict()
-        payload["per_split"] = []
+        payload = replace(self, per_split=()).to_dict()
         text = json.dumps(payload, sort_keys=True, indent=2)
         if not self.per_split:
             return text

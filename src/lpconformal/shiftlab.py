@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ScoreSample, check_finite_positive, check_seed
+from .core import ScoreSample, check_finite_positive, check_labels, check_seed
 from .lp_metric import LPParams
 
 __all__ = [
@@ -171,11 +171,8 @@ def perturb_rows(scores: np.ndarray, true_labels: np.ndarray, spec: Perturbation
     Returns a new C-ordered array; ``scores`` is left untouched.
     """
     n_rows, n_labels = scores.shape
-    if true_labels.shape != (n_rows,):
-        raise ValueError("true labels must be one per score row")
     # Checked, since the flat cell of a label outside the row lies in another row.
-    if true_labels.size and not 0 <= true_labels.min() <= true_labels.max() < n_labels:
-        raise ValueError("true labels must index a score column")
+    true_labels = check_labels(true_labels, n_rows, n_labels)
     out = scores.copy()
     perturb_cells(out.reshape(-1), np.arange(n_rows) * n_labels + true_labels, n_labels, spec, rng)
     return out

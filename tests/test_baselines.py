@@ -106,8 +106,9 @@ class TestChi2G:
 
 class TestChi2GInv:
     def test_zero_radius_identity(self):
-        for tau in (0.1, 0.45, 0.9):
-            assert chi2_g_inv(tau, 0.0) == pytest.approx(tau, abs=1e-12)
+        # chi2_g(beta, 0) == beta, so the bisection runs down to tau itself.
+        for tau in (0.1, 0.45, 0.9, 1e-50, 1e-70, 1e-300, 5e-324):
+            assert chi2_g_inv(tau, 0.0) == tau
 
     def test_round_trips(self):
         for tau in np.arange(0.1, 0.95, 0.1):

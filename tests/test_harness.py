@@ -102,6 +102,52 @@ class TestScoreMatrix:
         m = ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], labels)
         assert m.true_labels.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("labels", [
+        np.array([1, 0, 1]), np.array([1, 0, 1], np.int8), np.array([1, 0, 1], np.uint8),
+        np.array([True, False, True]), np.array([1, 0, 2**64 - 1], np.uint64),
+        np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0], np.float32),
+        [0.5, 0.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [-np.inf, 0.0, 1.0],
+        [1e30, 0.0, 1.0], [2.0**63, 0.0, 1.0],
+        [99999999999999999999, 0, 1], [-(2**63) - 1, 0, 1],
+        np.array([1, 0, 1], dtype=object),
+        ["1", "0", "1"], ["x", "0", "1"],
+        [1, 0], [1, 0, 1, 0], [[1], [0], [1]],
+    ], ids=["int64", "int8", "uint8", "bool", "uint64-max", "float64", "float32", "half",
+            "nan", "inf", "-inf", "1e30", "2**63", "python-int-past-uint64",
+            "python-int-below-int64", "object", "digit-strings", "non-digit-string",
+            "too-few", "too-many", "2-d"])
+    def test_perturb_rows_takes_the_labels_the_matrix_takes(self, labels):
+        # core.check_labels is the one rule: both raise the same message, or both
+        # accept, and perturb_rows then draws as it does from the matrix's int64 labels.
+        scores = np.arange(6.0).reshape(3, 2)
+
+        def outcome(make):
+            try:
+                return make()
+            except ValueError as exc:
+                return str(exc)
+
+        matrix = outcome(lambda: ScoreMatrix(scores, labels).true_labels)
+        spec = PerturbationSpec(0.1, 0.5, global_law=Uniform(-2.0, 3.0))
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        perturbed = outcome(lambda: perturb_rows(scores, labels, spec, rng))
+        if isinstance(matrix, str):
+            assert perturbed == matrix
+        else:
+            assert matrix.dtype == np.int64
+            assert perturbed.tobytes() == perturb_rows(scores, matrix, spec, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_finite_check_builds_no_mask(self):
+        scores, labels = np.zeros((10_000, 100)), np.zeros(10_000, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            ScoreMatrix(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+
     def test_compared_and_hashed_by_identity(self):
         a, b = (ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], [1, 0]) for _ in range(2))
         assert a == a and a != b

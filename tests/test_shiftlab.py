@@ -257,7 +257,7 @@ class TestPerturbRows:
     def test_label_outside_the_columns_rejected(self, label):
         scores = np.arange(6.0).reshape(2, 3)
         spec = PerturbationSpec(0.1, 0.0)
-        with pytest.raises(ValueError, match="true labels must index a score column"):
+        with pytest.raises(ValueError, match="true labels must index a matrix column"):
             perturb_rows(scores, np.array([0, label]), spec, np.random.default_rng(0))
         assert scores.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
@@ -265,7 +265,7 @@ class TestPerturbRows:
     def test_label_count_other_than_the_rows_rejected(self, labels):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="true labels must be one per score row"):
+        with pytest.raises(ValueError, match="true labels must be one per matrix row"):
             perturb_rows(np.zeros((3, 2)), np.array(labels), PerturbationSpec(0.1, 0.0, seed=1),
                          rng)
         assert rng.bit_generator.state == state

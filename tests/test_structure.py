@@ -243,7 +243,7 @@ def test_replaced_checks_not_defined(name):
 
 
 @pytest.mark.parametrize("text", ["must lie in [0, 1]", "must be finite and positive",
-                                  "must be a non-negative integer"])
+                                  "must be a non-negative integer", "true labels must"])
 def test_parameter_kind_checked_only_in_core(text):
     found = [p.name for p in SOURCES if text in p.read_text()]
     assert found == ["core.py"], f"{text!r} appears in {found}"
