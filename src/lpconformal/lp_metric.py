@@ -19,17 +19,19 @@ With the sources' units laid end to end (source ``i`` owns units
 ``P_j = min(max(P_{j-1}, lo_j*m) + n, hi_j*m)`` and ``P_{-1} = 0``. So
 ``R_j = P_j - (j+1)*n`` is a running clip,
 ``R_j = min(max(R_{j-1}, lo_j*m - j*n), hi_j*m - (j+1)*n)``, and clips
-compose into clips: a log-depth prefix scan on int64 arrays yields every
-``P_j`` without a Python loop. One numpy kernel does this for a block of
-thresholds at once. :func:`lp_profile` runs a grid through it in blocks of
-about cache size, and :func:`lp_distance` is the one-threshold case. Only
-the thresholds below the sup-norm distance (:func:`winf_distance`, found in
-``O(n + m)`` on the kernel's rounded differences) reach the kernel; at or
-past it every unit is matched.
+compose into clips: a log-depth prefix scan yields every ``P_j`` without a
+Python loop. Its values lie within ``+-(n*m + n)``, so it runs on int32 when
+``n*m + n < 2**31`` and on int64 otherwise. One numpy kernel does this for
+a block of thresholds at once. :func:`lp_profile` runs a grid through it in
+blocks of about cache size, and :func:`lp_distance` is the one-threshold
+case. Only the thresholds below the sup-norm distance (:func:`winf_distance`,
+found in ``O(n + m)`` on the kernel's rounded differences) reach the kernel;
+at or past it every unit is matched.
 
-The interval ends are found with ``np.searchsorted`` on the rounded bounds
-``y_j - eps`` and ``y_j + eps`` and then checked with the exact test; the
-rare ends that rounding moved are searched again by bisection, so every
+The interval ends are guessed with ``np.searchsorted`` on the rounded bounds
+``y_j - eps`` and ``y_j + eps``. One pass checks every guess with the exact
+test against a copy of ``x`` padded with ``-inf`` and ``+inf``, and only the
+rare cells that rounding moved are searched again by bisection, so every
 ``|x - y| <= eps`` comparison is exact on the given doubles. No tolerance
 slack is applied. Callers constructing shifted samples should keep in mind
 that ``(x + eps) - x`` can exceed ``eps`` by one ulp in floating point.
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 # Thresholds per kernel call are chosen so that each (thresholds x targets)
-# work array holds about this many cells (256 KiB of int64): a grid on large
+# work array holds about this many cells (128 KiB of int32): a grid on large
 # samples runs in cache-sized blocks, a grid on small samples in one call.
 _BLOCK_CELLS = 1 << 15
 
@@ -89,54 +91,47 @@ class TransportResult:
     matched_units: int
 
 
-def _prefix_count(holds, guess: np.ndarray, n: int) -> np.ndarray:
-    """``guess`` corrected to the exact length of the prefix where ``holds`` is true.
+def _bisect(holds, cells: np.ndarray, n: int) -> np.ndarray:
+    """The length of the prefix of sources where ``holds`` is true, at each flat cell of ``cells``.
 
-    ``holds(i, k)`` is the exact test of source ``i`` at flat cell ``k`` (an
-    index array, or ``slice(None)`` for every cell); in each cell it is true
-    on a prefix of the sorted sources. ``guess`` comes from a search on
-    rounded bounds and is almost always right. It is checked at its two
-    neighbours, and the cells where it is wrong are searched again by
-    bisection over all prefix lengths, in ``n.bit_length()`` vectorised
-    passes.
+    ``holds(i, cells)`` is the exact test of source ``i`` at each cell. The
+    lengths are found by bisection in ``n.bit_length()`` vectorised passes.
     """
-    every = slice(None)
-    wrong = (guess > 0) & ~holds(np.maximum(guess - 1, 0), every)
-    wrong |= (guess < n) & holds(np.minimum(guess, n - 1), every)
-    cells = np.flatnonzero(wrong)
-    if cells.size:
-        count = np.zeros(cells.size, dtype=np.int64)
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            longer = count + step
-            count[(longer <= n) & holds(np.minimum(longer, n) - 1, cells)] += step
-            step >>= 1
-        guess[cells] = count
-    return guess
+    count = np.zeros(cells.size, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step and cells.size:
+        longer = count + step
+        count[(longer <= n) & holds(np.minimum(longer, n) - 1, cells)] += step
+        step >>= 1
+    return count
 
 
 def _fills(x: np.ndarray, y: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The greedy fill of every target of ``y`` at every threshold of ``eps``.
 
-    ``x`` and ``y`` are sorted. Returns int64 arrays ``start`` and ``end`` of
-    shape ``(eps.size, m)``: at threshold ``eps[r]``, target ``j`` takes the
-    source units ``[start[r, j], end[r, j])``, all over admissible edges.
+    ``x`` and ``y`` are sorted. Returns integer arrays ``start`` and ``end``
+    of shape ``(eps.size, m)``, int32 when ``n * m + n < 2**31`` and int64
+    otherwise: at threshold ``eps[r]``, target ``j`` takes the source units
+    ``[start[r, j], end[r, j])``, all over admissible edges.
     """
     n, m = x.size, y.size
-    rows = eps.size
-    ys = np.tile(y, rows)
-    es = np.repeat(eps, m)
+    e = eps[:, None]
+    xp = np.concatenate(([-np.inf], x, [np.inf]))  # xp[k] is x[k - 1], with -inf at k = 0
+    xq = xp[1:]  # xq[k] is x[k], with +inf at k = n
     with np.errstate(over="ignore"):  # a gap past the largest double is inf, above every eps
         # Sources too far left of the target (y - x > eps) form a prefix ...
-        lo = _prefix_count(lambda i, k: ys[k] - x[i] > es[k],
-                           np.searchsorted(x, ys - es, side="left"), n)
+        lo = np.searchsorted(x, y - e, side="left")
+        wrong = np.flatnonzero((y - xp[lo] <= e) | (y - xq[lo] > e))
+        lo.flat[wrong] = _bisect(lambda i, k: y[k % m] - x[i] > eps[k // m], wrong, n)
         # ... and so do the sources not too far right of it (x - y <= eps).
-        hi = _prefix_count(lambda i, k: x[i] - ys[k] <= es[k],
-                           np.searchsorted(x, ys + es, side="right"), n)
-    low = lo.astype(np.int64).reshape(rows, m) * m
-    steps = n * np.arange(m, dtype=np.int64)
-    a = low - steps
-    b = hi.astype(np.int64).reshape(rows, m) * m - steps - n
+        hi = np.searchsorted(x, y + e, side="right")
+        wrong = np.flatnonzero((xp[hi] - y > e) | (xq[hi] - y <= e))
+        hi.flat[wrong] = _bisect(lambda i, k: x[i] - y[k % m] <= eps[k // m], wrong, n)
+    dtype = np.int32 if n * m + n < 2**31 else np.int64
+    start = lo.astype(dtype) * m
+    steps = n * np.arange(m, dtype=dtype)
+    a = start - steps
+    b = hi.astype(dtype) * m - steps - n
     # The clip of target j is r -> min(max(r, a_j), b_j); after the scan,
     # column j holds the composition of clips 0..j.
     shift = 1
@@ -149,7 +144,6 @@ def _fills(x: np.ndarray, y: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, n
     # the composition to R_{-1} = 0 gives R_j = min(a_j, b_j).
     end = np.minimum(a, b, out=b)
     end += steps + n
-    start = low
     np.maximum(start[:, 1:], end[:, :-1], out=start[:, 1:])
     return start, end
 

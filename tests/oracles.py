@@ -5,11 +5,12 @@ source atom ``i`` supplies ``m`` units, target atom ``j`` absorbs ``n``
 units, and only admissible pairs may carry flow. Here it is built as a
 network and handed to ``scipy.sparse.csgraph.maximum_flow``, which works on
 any admissibility pattern, not only the interval structure of one
-dimension that the sorted sweep relies on. The sup-norm distance has a
-closed form over the pairs of order statistics that the monotone coupling
-meets (for equal sizes, a test on sorted gaps), and the row perturbation
-has a plain fancy-indexing form, with its own copy of the clamp loop; all
-are kept here as references.
+dimension that the sorted sweep relies on. The kernel's greedy fill is
+kept as a two-pointer loop on Python floats and ints. The sup-norm
+distance has a closed form over the pairs of order statistics that the
+monotone coupling meets (for equal sizes, a test on sorted gaps), and the
+row perturbation has a plain fancy-indexing form, with its own copy of the
+clamp loop; all are kept here as references.
 
 Three constructions certify the library's numbers without being part of
 it: the optimal coupling cut from the transport kernel's fills, the
@@ -64,6 +65,33 @@ def transport_matched_units(x, y, eps: float) -> int:
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
         return max_flow_matched_units(np.abs(x[:, None] - y[None, :]) <= eps)
+
+
+def greedy_fill(x, y, eps: float) -> tuple[list[int], list[int]]:
+    """The greedy fill of the ``lp_metric`` docstring, in plain Python on sorted samples.
+
+    Two pointers find the admissible sources ``[lo, hi)`` of each target with
+    the exact float tests ``y - x > eps`` and ``x - y <= eps``. Target ``j``
+    takes the units ``[max(P, lo*m), min(max(P, lo*m) + n, hi*m))``, where
+    ``P`` is where the previous target's fill ended. Returns every target's
+    ``start`` and ``end`` as Python ints, which cannot overflow.
+    """
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    eps = float(eps)
+    n, m = len(x), len(y)
+    start, end = [], []
+    lo = hi = filled = 0
+    for yj in y:
+        while lo < n and yj - x[lo] > eps:
+            lo += 1
+        while hi < n and x[hi] - yj <= eps:
+            hi += 1
+        first = max(filled, lo * m)
+        filled = min(first + n, hi * m)
+        start.append(first)
+        end.append(filled)
+    return start, end
 
 
 def pushforward_check(points_p, points_q, scores_p: ScoreSample, scores_q: ScoreSample,

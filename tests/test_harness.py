@@ -102,28 +102,39 @@ class TestScoreMatrix:
         m = ScoreMatrix([[0.0, 1.0], [2.0, 3.0]], labels)
         assert m.true_labels.tolist() == [1, 0]
 
-    @pytest.mark.parametrize("labels", [
-        np.array([1, 0, 1]), np.array([1, 0, 1], np.int8), np.array([1, 0, 1], np.uint8),
-        np.array([True, False, True]), np.array([1, 0, 2**64 - 1], np.uint64),
-        np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0], np.float32),
-        [0.5, 0.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [-np.inf, 0.0, 1.0],
-        [1e30, 0.0, 1.0], [2.0**63, 0.0, 1.0],
-        [99999999999999999999, 0, 1], [-(2**63) - 1, 0, 1],
-        np.array([1, 0, 1], dtype=object),
-        ["1", "0", "1"], ["x", "0", "1"],
-        [1, 0], [1, 0, 1, 0], [[1], [0], [1]],
+    # Each case with a ``want`` must give it: the accepted labels or the message.
+    @pytest.mark.parametrize("labels, want", [
+        (np.array([1, 0, 1]), None), (np.array([1, 0, 1], np.int8), None),
+        (np.array([1, 0, 1], np.uint8), None), (np.array([True, False, True]), None),
+        (np.array([1, 0, 2**64 - 1], np.uint64), None),
+        (np.array([1.0, 0.0, 1.0]), None), (np.array([1.0, 0.0, 1.0], np.float32), None),
+        ([0.5, 0.0, 1.0], None), ([np.nan, 0.0, 1.0], None), ([np.inf, 0.0, 1.0], None),
+        ([-np.inf, 0.0, 1.0], None), ([1e30, 0.0, 1.0], None), ([2.0**63, 0.0, 1.0], None),
+        ([99999999999999999999, 0, 1], None), ([-(2**63) - 1, 0, 1], None),
+        (np.array([1, 0, 1], dtype=object), None),
+        (["1", "0", "1"], None), (["x", "0", "1"], None),
+        ([1, 0], None), ([1, 0, 1, 0], None), ([[1], [0], [1]], None),
+        # An object array is read as floats first, so the float rules apply to it.
+        (np.array(["1", "0", "1"], dtype=object), [1, 0, 1]),
+        (np.array([1.5, 0, 1], dtype=object), "true labels must be integers"),
+        (np.array([np.nan, 0, 1], dtype=object), "true labels must be integers"),
+        (np.array([None, 0, 1], dtype=object), "true labels must be integers"),
+        (np.array([10**400, 0, 1], dtype=object), "true labels must index a matrix column"),
     ], ids=["int64", "int8", "uint8", "bool", "uint64-max", "float64", "float32", "half",
             "nan", "inf", "-inf", "1e30", "2**63", "python-int-past-uint64",
             "python-int-below-int64", "object", "digit-strings", "non-digit-string",
-            "too-few", "too-many", "2-d"])
-    def test_perturb_rows_takes_the_labels_the_matrix_takes(self, labels):
+            "too-few", "too-many", "2-d", "object-digit-strings", "object-half", "object-nan",
+            "object-none", "object-past-double"])
+    def test_perturb_rows_takes_the_labels_the_matrix_takes(self, labels, want):
         # core.check_labels is the one rule: both raise the same message, or both
         # accept, and perturb_rows then draws as it does from the matrix's int64 labels.
         scores = np.arange(6.0).reshape(3, 2)
 
         def outcome(make):
             try:
-                return make()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    return make()
             except ValueError as exc:
                 return str(exc)
 
@@ -137,6 +148,8 @@ class TestScoreMatrix:
             assert matrix.dtype == np.int64
             assert perturbed.tobytes() == perturb_rows(scores, matrix, spec, ref_rng).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if want is not None:
+            assert (matrix if isinstance(matrix, str) else matrix.tolist()) == want
 
     def test_finite_check_builds_no_mask(self):
         scores, labels = np.zeros((10_000, 100)), np.zeros(10_000, dtype=np.int64)

@@ -35,6 +35,7 @@ from lpconformal.lp_metric import LPParams
 from oracles import (
     certificate,
     eager_complete,
+    greedy_fill,
     sorted_gap_within,
     sup_norm_distance,
     transport_matched_units,
@@ -722,3 +723,65 @@ class TestRoundedBoundCorrection:
         plan = eager_sweep_plan(p.scores.tolist(), q.scores.tolist(), 1.0)
         assert res.matched_units == sum(units for _, _, units in plan) == n * n
         assert certificate(p, q, 1.0) == eager_complete(n, n, plan)
+
+
+class TestKernelWidths:
+    """The kernel against the plain-Python greedy fill of ``oracles.greedy_fill``."""
+
+    @pytest.mark.parametrize("m, dtype", [(32_766, np.int32), (32_768, np.int64)])
+    def test_both_integer_widths_match_the_python_greedy(self, m, dtype):
+        # With n = 65 536, n*m + n is 2 147 418 112 at m = 32 766, below 2**31,
+        # and 2**31 + 65 536 at m = 32 768, where the last fill ends at
+        # n*m = 2**31, past int32. Scores on a 0.01 grid put many gaps at or
+        # next to each threshold.
+        n = 65_536
+        rng = np.random.default_rng(30)
+        x = np.sort(np.round(rng.normal(size=n), 2))
+        y = np.sort(np.round(1.1 * rng.normal(size=m), 2))
+        eps = np.array([0.0, 0.01, 0.1])
+        start, end = lp_metric._fills(x, y, eps)
+        assert start.dtype == end.dtype == dtype
+        for r, e in enumerate(eps):
+            assert (start[r].tolist(), end[r].tolist()) == greedy_fill(x, y, e)
+
+    @pytest.mark.parametrize("x, y, eps, guesses", [
+        # Every guess is right, at 0 for the first target and at n for the last.
+        ([0.0, 1.0, 2.0], [-5.0, 10.0], 0.5, None),
+        # y - eps rounds above x, but y - x == eps: lo is guessed n and is 0.
+        ([0.1], [1.1], 1.0, (1, 1)),
+        # y - eps rounds to x[0], but y - x[0] > eps: lo is guessed 0 and is 1.
+        ([1.0999999999999999, 1.1, 1.1], [1.4], 0.3, (0, 3)),
+        # y + eps rounds to x[1], but x[1] - y > eps: hi is guessed n and is 1.
+        ([0.2999999999999999, 0.30000000000000004], [0.1], 0.2, (0, 2)),
+        # y + eps rounds below x, but x - y <= eps: hi is guessed 0 and is 1.
+        ([0.9], [0.2], 0.7, (0, 0)),
+    ], ids=["right-at-0-and-n", "lo-guessed-n", "lo-guessed-0", "hi-guessed-n", "hi-guessed-0"])
+    def test_guesses_at_the_ends(self, x, y, eps, guesses):
+        x, y = np.array(x), np.array(y)
+        if guesses is not None:
+            # The (lo, hi) guesses, one of them at 0 or n and wrong.
+            rounded = (int(np.searchsorted(x, y[0] - eps, side="left")),
+                       int(np.searchsorted(x, y[0] + eps, side="right")))
+            exact = (int(np.sum(y[0] - x > eps)), int(np.sum(x - y[0] <= eps)))
+            assert rounded == guesses != exact
+        start, end = lp_metric._fills(x, y, np.array([eps]))
+        assert (start[0].tolist(), end[0].tolist()) == greedy_fill(x, y, eps)
+
+    @pytest.mark.parametrize("x, y", [([-1.7e308], [1.7e308]), ([1.7e308], [-1.7e308]),
+                                      ([-1.7e308, 1.7e308], [-1.7e308, 0.0, 1.7e308])])
+    def test_differences_past_the_largest_double(self, x, y):
+        # A gap that overflows is inf: above every eps, and with no warning.
+        eps = np.array([0.0, 1.0, 1e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start, end = lp_metric._fills(np.array(x), np.array(y), eps)
+        for r, e in enumerate(eps):
+            assert (start[r].tolist(), end[r].tolist()) == greedy_fill(x, y, e)
+
+    def test_ties_at_eps_are_admissible(self):
+        # y - x == 0.25 for (0.0, 0.25) and (0.5, 0.75); x - y == 0.25 for
+        # (0.5, 0.25) and (1.0, 0.75). Every difference here is exact.
+        x, y = np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.25, 0.75])
+        start, end = lp_metric._fills(x, y, np.array([0.25]))
+        assert (start[0].tolist(), end[0].tolist()) == greedy_fill(x, y, 0.25)
+        assert int((end - start).sum()) == transport_matched_units(x, y, 0.25) == 8
