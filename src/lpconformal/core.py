@@ -80,19 +80,20 @@ def check_finite_positive(value: float, name: str) -> float:
 def check_labels(true_labels, n_rows: int, n_labels: int) -> np.ndarray:
     """``true_labels`` as ints, or ``ValueError`` unless they index one column of each row.
 
-    An object array is read as floats first (``None`` is NaN, ``"1"`` is 1.0). The
-    range is checked before the cast, which would wrap ±inf and labels past int64.
+    An object array is read as floats first (``None`` is NaN, ``"1"`` is 1.0), and
+    strings as ints. The range is checked before the cast, which would wrap ±inf
+    and labels past int64; a label too large for either cast is out of range.
     """
     labels = np.asarray(true_labels)
-    if labels.dtype.kind == "O":
-        try:
+    try:
+        if labels.dtype.kind == "O":
             labels = labels.astype(float)
-        except OverflowError:
-            raise ValueError("true labels must index a matrix column") from None
+        elif labels.dtype.kind not in "biuf":
+            labels = np.asarray(true_labels, dtype=int)
+    except OverflowError:
+        raise ValueError("true labels must index a matrix column") from None
     if labels.dtype.kind == "f" and not np.all(labels == np.floor(labels)):
         raise ValueError("true labels must be integers")
-    if labels.dtype.kind not in "biuf":
-        labels = np.asarray(true_labels, dtype=int)
     if labels.shape != (n_rows,):
         raise ValueError("true labels must be one per matrix row")
     if labels.size and not 0 <= labels.min() <= labels.max() < n_labels:

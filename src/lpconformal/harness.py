@@ -427,6 +427,10 @@ def compare(
 # The most bytes of its last field that ``_loadtxt`` moves at a time.
 _MOVE_BYTES = 256 << 10
 
+# The name suffixes on which numpy's DataSource opens a path through a
+# decompressor (``np.lib._datasource._file_openers``).
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _records(path):
     """Yield ``(line, fields)`` for each non-blank CSV record of ``path``.
@@ -459,6 +463,15 @@ def _loadtxt(path, header_line, **options):
     ``options`` give a structured ``dtype``, whose fields become the contiguous
     columns, and the ``usecols`` it reads. ``header_line`` is the header's record
     number, on any line, or 0 for a file without one. The caller checks the values.
+
+    A file past one block goes to numpy by its path, which numpy reads in
+    50 000-character chunks. A smaller file goes as an open file, which numpy
+    reads one line at a time: opening a path through numpy's DataSource layer
+    costs about as much as parsing a 200-line file. Two guards hold on the
+    name. A name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, which
+    numpy would decompress, goes as an open file. A relative name is joined
+    to ``os.curdir``, so that numpy takes no name such as ``s3://b/x.csv``
+    for a URL.
 
     Every column but the last is a copy. The last shares numpy's record
     buffer: its bytes are moved to the front of that buffer, in blocks of at
@@ -503,14 +516,19 @@ def _loadtxt(path, header_line, **options):
                 or len(block) == half and b"\n" not in block and b"\r" not in block
             ):
                 return None
+        # numpy reads the path of a file past one block in chunks, unless it
+        # would decompress the file by its name. Joined to os.curdir, a
+        # relative name is no URL to numpy; os.path.abspath would drop
+        # "link/.." by its text and could name another file.
+        name = os.fsdecode(path)
+        source = None
+        if fh.tell() > half and not name.endswith(_COMPRESSED):
+            source = os.path.join(os.curdir, name)
     try:
-        # numpy opens a path through its DataSource layer, which costs about
-        # as much as parsing a 200-line file, so it gets an open file.
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
-            parsed = np.loadtxt(
-                fh, delimiter=",", comments=None, skiprows=header_line, ndmin=1, **options
-            )
+            parsed = np.loadtxt(source or fh, delimiter=",", comments=None, skiprows=header_line,
+                                ndmin=1, encoding="utf-8-sig", **options)
     except (ValueError, Warning):
         return None
     # A copy, not np.ascontiguousarray: that returns a view of a one-row

@@ -152,8 +152,13 @@ def _matched_units(p: ScoreSample, q: ScoreSample, grid: list[float]) -> list[in
     """Maximum matched units at every threshold of the ascending ``grid``.
 
     The kernel runs, in blocks, on the thresholds below :func:`winf_distance`;
-    every later threshold matches all ``n * m`` units.
+    every later threshold matches all ``n * m`` units. The shorter sample
+    supplies the targets, which keeps the kernel's work arrays narrow; the
+    maximum matching is the same either way, and ``fl(y - x) == -fl(x - y)``
+    keeps every edge test the same.
     """
+    if q.n > p.n:
+        p, q = q, p
     n, m = p.n, q.n
     if n * m >= 2**62:
         raise ValueError(

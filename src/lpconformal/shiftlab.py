@@ -155,7 +155,13 @@ def perturb_draws(base: ScoreSample, spec: PerturbationSpec) -> PerturbationDraw
 
 
 def perturb_sample(base: ScoreSample, spec: PerturbationSpec) -> ScoreSample:
-    """Corrupt ``base`` according to ``spec``; the result is a valid ball member."""
+    """Corrupt ``base`` according to ``spec``.
+
+    The law the draw samples from lies in the ``(epsilon, rho)`` ball around
+    ``base``'s empirical law: each score moves at most ``epsilon`` and is
+    replaced with probability ``rho``. The drawn sample need not: the share of
+    replaced scores is Binomial(``n``, ``rho``), so it can exceed ``rho``.
+    """
     return ScoreSample(perturb_draws(base, spec).values)
 
 

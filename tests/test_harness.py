@@ -9,10 +9,13 @@ import os
 import re
 import stat
 import sys
+import tempfile
 import threading
 import tracemalloc
+import urllib.request
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,11 +123,14 @@ class TestScoreMatrix:
         (np.array([np.nan, 0, 1], dtype=object), "true labels must be integers"),
         (np.array([None, 0, 1], dtype=object), "true labels must be integers"),
         (np.array([10**400, 0, 1], dtype=object), "true labels must index a matrix column"),
+        # A string cast to int past int64 overflows; it is out of range, on either side.
+        (["99999999999999999999", "0", "1"], "true labels must index a matrix column"),
+        (["-99999999999999999999", "0", "1"], "true labels must index a matrix column"),
     ], ids=["int64", "int8", "uint8", "bool", "uint64-max", "float64", "float32", "half",
             "nan", "inf", "-inf", "1e30", "2**63", "python-int-past-uint64",
             "python-int-below-int64", "object", "digit-strings", "non-digit-string",
             "too-few", "too-many", "2-d", "object-digit-strings", "object-half", "object-nan",
-            "object-none", "object-past-double"])
+            "object-none", "object-past-double", "string-past-int64", "string-below-int64"])
     def test_perturb_rows_takes_the_labels_the_matrix_takes(self, labels, want):
         # core.check_labels is the one rule: both raise the same message, or both
         # accept, and perturb_rows then draws as it does from the matrix's int64 labels.
@@ -884,6 +890,156 @@ class TestFileIngestion:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "method,split,coverage,mean_set_size"
         assert len(lines) == 4
+
+
+def _numpy_reads_the_open_file(path, header_line, **options):
+    """The columns ``np.loadtxt`` reads from the open file, or None where it raises or warns."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt(fh, delimiter=",", comments=None, skiprows=header_line, ndmin=1,
+                                **options)
+    except (ValueError, Warning):
+        return None
+    return [parsed[name] for name in parsed.dtype.names]
+
+
+@contextlib.contextmanager
+def loadtxt_sources():
+    """What each ``np.loadtxt`` call is given: the ``str`` path, or "open file"."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        sources.append(fname if isinstance(fname, str) else "open file")
+        return loadtxt(fname, *args, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", spy):
+        yield sources
+
+
+def _long_scores(rows=20_000):
+    """A score file's text past one gate block, and its sorted values."""
+    values = np.random.default_rng(31).normal(size=rows).tolist()
+    return "".join(f"{v!r}\n" for v in values), sorted(values)
+
+
+_SCORE_OPTIONS = dict(dtype=[("score", float)], usecols=0)
+_MATRIX_OPTIONS = dict(dtype=[("label", int), ("scores", float, (2,))])
+_MATRIX_HEADER = "true_label,s_0,s_1"
+
+
+@st.composite
+def long_files(draw):
+    """A score or matrix file's bytes past one gate block, with its ``_loadtxt`` arguments.
+
+    A few drawn records repeat past the block, and up to three drawn lines go
+    in at drawn places after the header: blank, whitespace-only, with a NUL
+    byte, or one more record. The line end, a byte-order mark and a final
+    line end are drawn too.
+    """
+    matrix = draw(st.booleans())
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if matrix:
+        record = st.tuples(st.integers(0, 1), number, number).map("{0[0]},{0[1]},{0[2]}".format)
+    else:
+        record = number
+    odd = st.sampled_from(["", "", " ", "\t", "\x00", "0.5\x00", "\x000.5", "0.5\x000.25"])
+    records = draw(st.lists(record, min_size=1, max_size=4))
+    half = max(csv.field_size_limit() // 2, 1)
+    lines = records * (half // len("\n".join(records)) + 1)
+    if matrix:
+        lines.insert(0, _MATRIX_HEADER)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(int(matrix), len(lines))), draw(st.one_of(odd, record)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    body = (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + text.encode("ascii")
+    return body, int(matrix), _MATRIX_OPTIONS if matrix else _SCORE_OPTIONS
+
+
+class _Name:
+    """A ``PathLike`` that is not a ``pathlib`` path."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __fspath__(self):
+        return self.name
+
+
+class TestPathRoute:
+    """A file past one gate block goes to numpy by its path, read in chunks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_files())
+    def test_equals_numpy_on_the_open_file(self, case):
+        body, header_line, options = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            with open(path, "wb") as fh:
+                fh.write(body)
+            with loadtxt_sources() as sources:
+                got = harness._loadtxt(path, header_line, **options)
+            want = _numpy_reads_the_open_file(path, header_line, **options)
+        assert sources == [os.path.join(os.curdir, path)]
+        if want is None:
+            assert got is None
+        else:
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+                (a.dtype, a.shape, np.ascontiguousarray(a).tobytes()) for a in want]
+
+    def test_one_block_keeps_the_open_file(self, tmp_path):
+        half = max(csv.field_size_limit() // 2, 1)
+        path = tmp_path / "f.csv"
+        path.write_text("0.5\n" * (half // 4))
+        assert path.stat().st_size == half
+        with loadtxt_sources() as sources:
+            read_scores(path)
+            with open(path, "a") as fh:
+                fh.write("1\n")
+            assert read_scores(path).scores[-1] == 1.0
+        assert sources == ["open file", str(path)]
+
+    @pytest.mark.parametrize("name", ["x.gz", "x.csv.bz2", "x.xz", "x.lzma"])
+    def test_compressed_names_read_as_text(self, tmp_path, name):
+        # numpy would open each of these through a decompressor.
+        text, values = _long_scores()
+        (tmp_path / name).write_text(text)
+        with loadtxt_sources() as sources:
+            assert read_scores(tmp_path / name).scores.tolist() == values
+        assert sources == ["open file"]
+
+    def test_every_suffix_numpy_decompresses_is_guarded(self):
+        from numpy.lib import _datasource
+        assert set(_datasource._file_openers.keys()) - {None} <= set(harness._COMPRESSED)
+
+    def test_relative_url_name_reads_the_local_file(self, tmp_path, monkeypatch):
+        text, values = _long_scores()
+        (tmp_path / "s3:" / "bucket").mkdir(parents=True)
+        (tmp_path / "s3:" / "bucket" / "x.csv").write_text(text)
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("urlopen called")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        with loadtxt_sources() as sources:
+            assert read_scores("s3://bucket/x.csv").scores.tolist() == values
+        assert sources == [os.path.join(os.curdir, "s3://bucket/x.csv")]
+
+    def test_bytes_and_pathlike_names(self, tmp_path, monkeypatch):
+        text, values = _long_scores()
+        (tmp_path / "x.csv").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        absolute = str(tmp_path / "x.csv")
+        relative = os.path.join(os.curdir, "x.csv")
+        names = [os.fsencode(absolute), tmp_path / "x.csv", _Name(os.fsencode(absolute)),
+                 b"x.csv", _Name("x.csv")]
+        with loadtxt_sources() as sources:
+            for name in names:
+                assert read_scores(name).scores.tolist() == values
+        assert sources == [absolute, absolute, absolute, relative, relative]
 
 
 # Values whose JSON and CSV texts differ from a plain repr, or whose reprs are

@@ -506,8 +506,13 @@ def kernel_calls():
 
 
 def counted_profile(p, q, grid, rows):
-    """``lp_profile`` in blocks of ``rows`` thresholds, and the blocks the kernel ran."""
-    with mock.patch.object(lp_metric, "_BLOCK_CELLS", rows * q.n), kernel_calls() as fills:
+    """``lp_profile`` in blocks of ``rows`` thresholds, and the blocks the kernel ran.
+
+    The shorter sample is the kernel's targets, so a block of ``rows``
+    thresholds holds ``rows`` times its size of cells.
+    """
+    cells = rows * min(p.n, q.n)
+    with mock.patch.object(lp_metric, "_BLOCK_CELLS", cells), kernel_calls() as fills:
         profile = lp_profile(p, q, grid)
     return profile, [call.args[2].tolist() for call in fills.call_args_list]
 
@@ -785,3 +790,29 @@ class TestKernelWidths:
         start, end = lp_metric._fills(x, y, np.array([0.25]))
         assert (start[0].tolist(), end[0].tolist()) == greedy_fill(x, y, 0.25)
         assert int((end - start).sum()) == transport_matched_units(x, y, 0.25) == 8
+
+
+class TestOrientation:
+    """The shorter sample is the kernel's targets; the other orientation is checked directly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(max_size=20))
+    def test_more_targets_than_sources_matches_both_oracles(self, inst):
+        # lp_distance and lp_profile never run the kernel this way round.
+        x, y, eps = inst
+        x, y = sorted((np.sort(x), np.sort(y)), key=len)
+        start, end = lp_metric._fills(x, y, np.array([eps]))
+        assert (start[0].tolist(), end[0].tolist()) == greedy_fill(x, y, eps)
+        assert int((end - start).sum()) == transport_matched_units(x, y, eps)
+
+    @pytest.mark.parametrize("n, m", [(3, 7), (7, 3), (5, 5)])
+    def test_shorter_sample_is_the_targets(self, n, m):
+        rng = np.random.default_rng(31)
+        p, q = ScoreSample(rng.normal(size=n)), ScoreSample(rng.normal(size=m))
+        with kernel_calls() as fills:
+            res = lp_distance(p, q, 0.0)
+        ((x, y, _),) = [call.args for call in fills.call_args_list]
+        assert (x.size, y.size) == (max(n, m), min(n, m))
+        swapped = lp_distance(q, p, 0.0)
+        assert (res.n, res.m, swapped.n, swapped.m) == (n, m, m, n)
+        assert (res.rho, res.matched_units) == (swapped.rho, swapped.matched_units)
