@@ -37,7 +37,6 @@ __all__ = [
     "rscp_threshold",
     "sc_threshold",
     "weight_total",
-    "weighted_rule",
     "weighted_threshold",
 ]
 
@@ -187,16 +186,9 @@ def _weighted_rule(sorted_weights: np.ndarray, test_weight: float, level: float)
     return QuantileRule(k if k <= n else None, level)
 
 
-def weighted_rule(n: int, alpha: float, test_weight: float,
-                  sorted_weights: np.ndarray | None = None) -> QuantileRule:
-    """:func:`fg_rule` at ``rho_chi2 = 0``; unit weights give :func:`conformal_rule`'s index."""
-    return fg_rule(n, alpha, 0.0, test_weight, sorted_weights)
-
-
 def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
     """Covariate-shift threshold: ``(1 - alpha)``-quantile of the weighted scores."""
-    scores, weights = ws.by_score()
-    return weighted_rule(ws.n, alpha, ws.test_weight, weights).apply(scores)
+    return fg_threshold(ws, alpha, 0.0)
 
 
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:

@@ -16,6 +16,7 @@ from pathlib import Path
 from .estimation import default_epsilon_grid, estimate_lp_params
 from .harness import (
     METHOD_NAMES,
+    WEIGHTED_METHODS,
     FileFormatError,
     MethodSpec,
     compare,
@@ -75,7 +76,7 @@ def _perturbation_from_args(args) -> PerturbationSpec | None:
 
 def _cmd_calibrate(args) -> int:
     alpha = args.alpha
-    if args.method in ("weighted", "fg"):
+    if args.method in WEIGHTED_METHODS:
         if not args.weights:
             raise ValueError(f"method {args.method!r} requires --weights")
         scores, weights = read_weighted_scores(args.weights, args.test_weight).by_score()

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import InfeasibleLevelError, ScoreSample, check_alpha
-from .lp_metric import LPParams, lp_profile, validate_epsilon_grid
+from .lp_metric import LPParams, lp_profile
 from .robust import adjusted_beta, worst_case_rule
 
 __all__ = [
@@ -88,12 +88,11 @@ def estimate_lp_params(
 
     Raises :class:`NoFeasibleGridError` if no grid point is feasible.
     """
-    grid = validate_epsilon_grid(epsilon_grid)
     check_alpha(alpha)
     n_b = calib_b.n
     trace: list[GridPoint] = []
     best: GridPoint | None = None
-    for eps, rho in lp_profile(calib_a, test, grid):
+    for eps, rho in lp_profile(calib_a, test, epsilon_grid):
         try:
             beta = adjusted_beta(n_b, alpha, rho)
         except InfeasibleLevelError:

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_labels,
-                   check_seed, conformal_rule)
+from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha,
+                   check_calibration_size, check_labels, check_seed, conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -36,7 +36,6 @@ from .baselines import (
     fg_rule,
     rscp_rule,
     weight_total,
-    weighted_rule,
 )
 from .shiftlab import PerturbationSpec, PointMass, perturb_cells, perturb_rows
 
@@ -48,6 +47,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
     "ScoreMatrix",
     "SplitResult",
+    "WEIGHTED_METHODS",
     "compare",
     "evaluate",
     "read_matrix",
@@ -59,6 +59,8 @@ __all__ = [
 REPORT_SCHEMA_VERSION = 1
 
 METHOD_NAMES = ("sc", "lp", "tv", "winf", "chi2", "weighted", "rscp", "fg")
+# The methods that read per-row weights: ``weighted`` is ``fg`` at ``rho_chi2 = 0``.
+WEIGHTED_METHODS = ("weighted", "fg")
 
 
 class FileFormatError(Exception):
@@ -119,26 +121,22 @@ class MethodSpec:
     def rule(self, n: int, alpha: float, sorted_weights: np.ndarray | None = None) -> QuantileRule:
         """This method's threshold rule resolved for ``n`` calibration scores.
 
-        ``sorted_weights`` (read by ``weighted`` and ``fg`` only) are the scores'
+        ``sorted_weights`` (read by the ``WEIGHTED_METHODS`` only) are the scores'
         weights in ascending score order (``WeightedScores.by_score``), each one
         when None. Their sums are exact, so the order of tied rows does not matter.
         Raises ``ValueError`` for every method unless ``n`` is an integer of at least one.
         """
         if self.name == "sc":
             return conformal_rule(n, alpha)
-        if self.name == "lp":
-            return lp_rule(n, alpha, LPParams(self.epsilon, self.rho))
-        if self.name == "tv":
-            return lp_rule(n, alpha, LPParams(0.0, self.rho))
-        if self.name == "winf":
-            return lp_rule(n, alpha, LPParams(self.epsilon, 0.0))
+        if self.name in ("lp", "tv", "winf"):  # tv is lp at epsilon = 0, winf at rho = 0
+            return lp_rule(n, alpha, LPParams(0.0 if self.name == "tv" else self.epsilon,
+                                              0.0 if self.name == "winf" else self.rho))
         if self.name == "chi2":
             return chi2_rule(n, alpha, self.rho_chi2)
-        if self.name == "rscp":
-            return rscp_rule(n, alpha, self.delta, self.sigma)
-        if self.name == "weighted":
-            return weighted_rule(n, alpha, self.test_weight, sorted_weights)
-        return fg_rule(n, alpha, self.rho_chi2, self.test_weight, sorted_weights)
+        if self.name in WEIGHTED_METHODS:
+            rho_chi2 = 0.0 if self.name == "weighted" else self.rho_chi2
+            return fg_rule(n, alpha, rho_chi2, self.test_weight, sorted_weights)
+        return rscp_rule(n, alpha, self.delta, self.sigma)
 
     def threshold(self, calib: ScoreSample, alpha: float) -> ThresholdResult:
         """Calibrate this method's threshold with unit weights; :meth:`rule` takes per-row ones."""
@@ -150,7 +148,7 @@ class MethodSpec:
             out["rho_chi2"] = self.rho_chi2
         if self.name == "rscp":
             out.update(delta=self.delta, sigma=self.sigma)
-        if self.name in ("weighted", "fg"):
+        if self.name in WEIGHTED_METHODS:
             out["test_weight"] = self.test_weight
         return out
 
@@ -324,10 +322,10 @@ def compare(
     for count, message in (
         (n_splits, f"need at least one split, got {n_splits!r}"),
         (k_test, f"need at least one test row, got {k_test!r}"),
-        (n_calib, "need n_calib >= 1 and k_test >= 0"),
     ):
         if not (isinstance(count, numbers.Integral) and count >= 1):
             raise ValueError(message)
+    check_calibration_size(n_calib)
     seed = check_seed(base_seed)
     n_splits, n_calib, k_test = map(int, (n_splits, n_calib, k_test))
     if n_calib + k_test > matrix.n_rows:

@@ -228,8 +228,15 @@ def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
 
 
 def validate_epsilon_grid(epsilon_grid: Sequence[float]) -> list[float]:
-    """The grid as floats, checked nonempty, finite, nonnegative and strictly increasing."""
-    grid = [float(e) for e in epsilon_grid]
+    """The grid as floats: a one-dimensional sequence of numbers (not a string), checked
+    nonempty, finite, nonnegative and strictly increasing."""
+    try:
+        grid = np.asarray(epsilon_grid)
+        if grid.ndim != 1 or grid.dtype.kind not in "biufO":
+            raise TypeError
+        grid = grid.astype(float).tolist()
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("epsilon grid must be a one-dimensional sequence of numbers") from None
     if not grid:
         raise ValueError("epsilon grid must be nonempty")
     if any(not (np.isfinite(e) and e >= 0.0) for e in grid):

@@ -15,7 +15,9 @@ clamp loop; all are kept here as references.
 Three constructions certify the library's numbers without being part of
 it: the optimal coupling cut from the transport kernel's fills, the
 extremal rank-band families that approach the worst-case quantile and
-coverage, and a plain calibration/test split of a score matrix. The report
+coverage, a plain calibration/test split of a score matrix, and a
+least-squares residual score with an input-space adversary that attains
+the score's Lipschitz bound. The report
 texts are checked against ``json.dumps`` and a ``csv.writer`` handed the
 raw values, and every output file against what ``open(path, "w")`` writes.
 The conformal, worst-case, chi-square and smoothed-score rules are kept in
@@ -353,6 +355,39 @@ def wc_coverage_family(
         return f0 - params.rho + 1.0 / k, f0 + 1.0 / k
 
     return _band_member(base, params, k, levels)
+
+
+def regression_draws(rng, beta, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws of ``y = x·beta + N(0, 1)`` with ``x ~ N(0, I)``."""
+    x = rng.normal(size=(size, len(beta)))
+    return x, x @ beta + rng.normal(size=size)
+
+
+def least_squares_score(x, y):
+    """The least-squares fit ``b`` on ``(x, y)``, its residual score ``|y - x·b|`` and the
+    score's Lipschitz constant ``1 + ||b||_2`` under the metric ``max(||dx||_2, |dy|)``,
+    since ``|dy - dx·b| <= |dy| + ||dx||_2 ||b||_2``."""
+    b = np.linalg.lstsq(x, y, rcond=None)[0]
+    return b, (lambda x, y: np.abs(y - x @ b)), 1.0 + float(np.linalg.norm(b))
+
+
+def residual_adversary(rng, x, y, b, eps: float, rho: float, far: float = 1e6):
+    """The test points moved by an adversary in the input-space ball ``(eps, rho)``.
+
+    Each point moves by ``eps`` under ``max(||dx||_2, |dy|)`` toward a larger
+    residual ``r = y - x·b``: ``dy = eps·sign(r)`` and ``dx = -eps·sign(r)·b/||b||_2``
+    raise ``|r|`` by ``(1 + ||b||_2)·eps``, the Lipschitz bound. Then a ``rho``
+    share of the points, drawn at random, moves ``far`` instead. Returns the
+    moved ``x``, ``y`` and the mask of the far points.
+    """
+    sign = np.sign(y - x @ b)
+    x_moved = x - eps * sign[:, None] * (b / np.linalg.norm(b))
+    y_moved = y + eps * sign
+    moved_far = np.zeros(len(y), dtype=bool)
+    moved_far[rng.choice(len(y), size=round(rho * len(y)), replace=False)] = True
+    y_moved[moved_far] = y[moved_far] + far
+    x_moved[moved_far] = x[moved_far]
+    return x_moved, y_moved, moved_far
 
 
 def split_indices(n_rows: int, n_calib: int, k_test: int, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from lpconformal import (
     evaluate,
     lp_distance,
     perturb_sample,
+    propagate_params,
     quantile,
     tv_threshold,
     winf_threshold,
@@ -35,7 +36,10 @@ from lpconformal import (
 from lpconformal.core import InfeasibleLevelError
 
 from oracles import (
+    least_squares_score,
     pushforward_check,
+    regression_draws,
+    residual_adversary,
     transport_matched_units,
     wc_coverage_family,
     wc_quantile_family,
@@ -314,3 +318,43 @@ def test_criterion_10_determinism(tmp_path):
 
     assert estimate_payload() == estimate_payload()
     _report(10, "determinism")
+
+
+def test_criterion_11_input_shift_through_a_fitted_score():
+    """An input-space LP ball pushed through a Lipschitz score keeps lp's coverage.
+
+    The paper's reduction end to end: a least-squares residual score is
+    ``L``-Lipschitz in ``(x, y)``, so ``propagate_params(L, ball)`` bounds the
+    score shift of any input-space adversary in ``ball``. This adversary attains
+    that bound, so ``lp`` covers at the target and no higher, while ``sc`` does not.
+    """
+    alpha, n_train, n_calib, k_test, seeds = 0.1, 200, 1000, 5000, 40
+    beta = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+    tightness = []
+    for eps, rho in ((0.1, 0.0), (0.1, 0.05), (0.3, 0.05)):
+        coverages = {"lp": [], "sc": []}
+        for seed in range(seeds):
+            rng = np.random.default_rng([1100, seed])
+            b, score, lipschitz = least_squares_score(*regression_draws(rng, beta, n_train))
+            calib = ScoreSample(score(*regression_draws(rng, beta, n_calib)))
+            x, y = regression_draws(rng, beta, k_test)
+            x_moved, y_moved, moved_far = residual_adversary(rng, x, y, b, eps, rho)
+            near = ~moved_far
+            step = np.maximum(np.linalg.norm(x_moved - x, axis=1), np.abs(y_moved - y))
+            assert np.all(step[near] <= eps + 1e-12)
+            test = score(x_moved, y_moved)
+            np.testing.assert_allclose(test[near] - score(x, y)[near], lipschitz * eps,
+                                       rtol=1e-9, atol=1e-9)
+            ball = propagate_params(lipschitz, LPParams(eps, rho))
+            methods = {"lp": MethodSpec("lp", epsilon=ball.epsilon, rho=ball.rho),
+                       "sc": MethodSpec("sc")}
+            for name, spec in methods.items():
+                q = spec.threshold(calib, alpha).threshold
+                coverages[name].append(float(np.mean(test <= q)))
+        mean = float(np.mean(coverages["lp"]))
+        se = float(np.std(coverages["lp"], ddof=1)) / np.sqrt(seeds)
+        assert mean >= 1 - alpha - 2 * se, (eps, rho, mean, se)
+        assert np.mean(coverages["sc"]) < 1 - alpha, (eps, rho, np.mean(coverages["sc"]))
+        tightness.append(f"{mean - (1 - alpha):+.4f} at ({eps}, {rho})")
+    _report(11, "input-space shift through a fitted score; lp tightness "
+            + ", ".join(tightness))

@@ -20,7 +20,7 @@ from lpconformal import (
     sc_threshold,
     weighted_threshold,
 )
-from lpconformal.baselines import fg_rule, weighted_rule
+from lpconformal.baselines import fg_rule
 from lpconformal.core import LEVEL_REL_TOL, conformal_rule
 
 _Z_STEP = 1e-6
@@ -221,9 +221,8 @@ class TestWeightedThreshold:
         # With unit weights the weighted rule (and fg at radius zero) picks
         # split conformal's (n+1)-corrected order statistic, unbounded alike.
         want = conformal_rule(n, alpha).index
-        assert weighted_rule(n, alpha, 1.0).index == want
-        assert weighted_rule(n, alpha, 1.0, np.ones(n)).index == want
         assert fg_rule(n, alpha, 0.0, 1.0).index == want
+        assert fg_rule(n, alpha, 0.0, 1.0, np.ones(n)).index == want
         scores = np.random.default_rng(n).normal(size=n)
         sc = sc_threshold(ScoreSample(scores), alpha)
         wt = weighted_threshold(WeightedScores(scores, np.ones(n), 1.0), alpha)
@@ -299,7 +298,7 @@ class TestWeightedRule:
         with pytest.raises(ValueError, match=message):
             fg_threshold(ws, 0.9, 0.1)
         with pytest.raises(ValueError, match=message):
-            weighted_rule(2, 0.1, 1e308, np.full(2, 1e308))
+            fg_rule(2, 0.1, 0.0, 1e308, np.full(2, 1e308))
         # Weights a third as large sum to a finite total.
         ws = WeightedScores([1.0, 2.0, 3.0], [1e308 / 3] * 3, 1.0)
         assert weighted_threshold(ws, 0.9).threshold == 1.0

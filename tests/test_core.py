@@ -18,7 +18,7 @@ from lpconformal import (
     coverage_lower_bound,
     quantile,
 )
-from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule, weighted_rule
+from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule
 from lpconformal.core import (
     QuantileRule,
     check_alpha,
@@ -367,7 +367,7 @@ class TestValidators:
         lambda n: lp_rule(n, 0.1, LPParams(0.1, 0.05)),
         lambda n: chi2_rule(n, 0.1, 0.1),
         lambda n: rscp_rule(n, 0.1, 0.05, 2.0),
-        lambda n: weighted_rule(n, 0.1, 1.5),
+        lambda n: fg_rule(n, 0.1, 0.0, 1.5),
         lambda n: fg_rule(n, 0.1, 0.1, 1.5),
     ]
     RULE_IDS = ["conformal", "at_level", "worst_case", "robust", "lp", "chi2", "rscp",

@@ -139,6 +139,11 @@ class TestEstimate:
             estimate_lp_params(s, s, s, [0.5, 0.2], 0.1)
         with pytest.raises(ValueError):
             estimate_lp_params(s, s, s, [-0.5, 0.2], 0.1)
+        with pytest.raises(ValueError, match="^epsilon grid must be a one-dimensional"):
+            estimate_lp_params(s, s, s, "01", 0.1)
+        # lp_profile checks the grid, after estimate_lp_params checks alpha.
+        with pytest.raises(ValueError, match="^alpha"):
+            estimate_lp_params(s, s, s, "01", 1.5)
 
 
 class TestDefaultGrid:

@@ -202,7 +202,7 @@ class TestSplit:
             evaluate(m, MethodSpec("sc"), 0.1, n_splits=1, n_calib=8, k_test=5, base_seed=0)
         with pytest.raises(ValueError, match="exceeds the 10 available rows"):
             compare(m, [MethodSpec("sc")], 0.1, n_splits=1, n_calib=8, k_test=5, base_seed=0)
-        with pytest.raises(ValueError, match="^need n_calib >= 1 and k_test >= 0$"):
+        with pytest.raises(ValueError, match="^calibration size must be positive, got 0$"):
             evaluate(m, MethodSpec("sc"), 0.1, n_splits=1, n_calib=0, k_test=5, base_seed=0)
 
     def test_calibration_scores_are_true_label_scores(self):
@@ -334,8 +334,8 @@ class TestMethodRules:
     @given(
         st.lists(st.integers(-20, 20), min_size=1, max_size=300),
         st.floats(0.001, 0.999),
-        st.sampled_from([0.0, 0.1, 1e308]),
-        st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        st.sampled_from([0.0, -0.0, 0.1, 1e308]),
+        st.sampled_from([0.0, -0.0, 0.05, 0.3, 1.0]),
         st.sampled_from([0.0, 0.1, 2.0]),
         st.sampled_from([0.5, 1.0, 1.5, 50.0]),
     )
@@ -359,6 +359,13 @@ class TestMethodRules:
             want = self._outcome(public[name])
             assert self._outcome(lambda: spec.rule(sample.n, alpha).apply(sample.scores)) == want
             assert self._outcome(lambda: spec.threshold(sample, alpha)) == want
+        # tv is lp at epsilon = 0 and winf is lp at rho = 0, field for field and
+        # sign for sign: the repr tells a -0.0 offset from a 0.0 one.
+        for name, as_lp in (("tv", LPParams(0.0, rho)), ("winf", LPParams(epsilon, 0.0))):
+            spec = MethodSpec(name, epsilon=epsilon, rho=rho)
+            lp = MethodSpec("lp", epsilon=as_lp.epsilon, rho=as_lp.rho)
+            assert (repr(self._outcome(lambda: spec.rule(sample.n, alpha)))
+                    == repr(self._outcome(lambda: lp.rule(sample.n, alpha))))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -381,6 +388,11 @@ class TestMethodRules:
             want = self._outcome(threshold)
             got = self._outcome(lambda: spec.rule(ws.n, alpha, weights).apply(scores))
             assert got == want
+        # weighted is fg at rho_chi2 = 0, field for field, whatever rho_chi2 it carries.
+        weighted = MethodSpec("weighted", rho_chi2=rho_chi2, test_weight=tw)
+        fg = MethodSpec("fg", rho_chi2=0.0, test_weight=tw)
+        assert (repr(self._outcome(lambda: weighted.rule(ws.n, alpha, weights)))
+                == repr(self._outcome(lambda: fg.rule(ws.n, alpha, weights))))
 
     @pytest.mark.parametrize("name", ["weighted", "fg"])
     def test_per_row_rule_checks_its_weights(self, name):
@@ -1623,12 +1635,12 @@ class TestSharedSplits:
         for bad, message in (
             (dict(alpha=1.0), "alpha"), (dict(n_splits=0), "at least one split"),
             (dict(k_test=0), "at least one test row"), (dict(base_seed=-1), "seed"),
-            (dict(n_calib=0), "^need n_calib >= 1 and k_test >= 0$"),
+            (dict(n_calib=0), "^calibration size must be positive, got 0$"),
             (dict(n_calib=250), "^n_calib \\+ k_test = 270 exceeds the 260 available rows$"),
             (dict(n_splits=2.0), "^need at least one split, got 2.0$"),
             (dict(k_test=20.0), "^need at least one test row, got 20.0$"),
-            (dict(n_calib=8.5), "^need n_calib >= 1 and k_test >= 0$"),
-            (dict(n_calib="8"), "^need n_calib >= 1 and k_test >= 0$"),
+            (dict(n_calib=8.5), "^calibration size must be an integer, got 8.5$"),
+            (dict(n_calib="8"), "^calibration size must be an integer, got '8'$"),
         ):
             kwargs = {**dict(alpha=0.1, n_splits=2, n_calib=8, k_test=20, base_seed=0), **bad}
             for methods in ([MethodSpec("sc")], [lp], []):

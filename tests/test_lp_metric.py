@@ -175,6 +175,13 @@ class TestLpProfile:
             lp_profile(s, s, [0.2, 0.1])
         with pytest.raises(ValueError):
             lp_profile(s, s, [-1.0, 0.5])
+        # Not read character by character, row by row or entry by entry.
+        for grid in ("01", b"01", np.zeros((2, 2)), [[0.1], [0.2, 0.3]], ["0.1"],
+                     (e for e in [0.1]), np.float64(0.5), [1 + 2j], [10**400]):
+            with pytest.raises(ValueError, match="^epsilon grid must be a one-dimensional "
+                                                 "sequence of numbers$"):
+                lp_profile(s, s, grid)
+        assert lp_profile(s, s, np.array([0.0, 1.0])) == lp_profile(s, s, range(2))
 
 
 class TestSolverAgainstOracles:

@@ -20,7 +20,8 @@ its own numbers once, in ``SplitResult.texts``. One ``json.dumps`` call in
 per-split entries, and ``reports_json`` nests each report's ``to_json``
 text, so no second copy of the ``indent=2`` layout remains. Each
 parameter kind has one check in ``core``, and ``MethodSpec.rule`` leaves the
-calibration size to the rules it picks. The public surface is
+calibration size to the rules it picks. One tuple in ``harness``,
+``WEIGHTED_METHODS``, names the methods that read per-row weights. The public surface is
 pinned, every exported name resolves, and so does every callable the
 benchmark's tracer wraps by name.
 """
@@ -260,6 +261,24 @@ def test_method_rule_leaves_the_calibration_size_to_its_rules():
     )
     calls = [ast.unparse(node.func) for node in ast.walk(rule) if isinstance(node, ast.Call)]
     assert calls and "check_calibration_size" not in calls
+
+
+def test_weighted_methods_named_once():
+    # harness.WEIGHTED_METHODS alone decides which methods read per-row weights.
+    literals = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and len(node.elts) == 2
+        and {getattr(e, "value", None) for e in node.elts} == {"weighted", "fg"}
+    ]
+    tree = ast.parse((ROOT / "src" / "lpconformal" / "harness.py").read_text())
+    definition = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["WEIGHTED_METHODS"]
+    )
+    assert literals == [("harness.py", definition.lineno)], literals
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
