@@ -30,8 +30,6 @@ from .robust import (
     lp_threshold,
     prediction_set,
     robust_threshold,
-    tv_threshold,
-    winf_threshold,
     worst_case_coverage,
     worst_case_quantile,
 )
@@ -42,8 +40,6 @@ from .baselines import (
     chi2_threshold,
     fg_threshold,
     rscp_threshold,
-    sc_threshold,
-    weighted_threshold,
 )
 from .estimation import (
     EstimationResult,
@@ -115,12 +111,8 @@ __all__ = [
     "read_weighted_scores",
     "robust_threshold",
     "rscp_threshold",
-    "sc_threshold",
     "tv_distance",
-    "tv_threshold",
-    "weighted_threshold",
     "winf_distance",
-    "winf_threshold",
     "winf_within",
     "worst_case_coverage",
     "worst_case_quantile",

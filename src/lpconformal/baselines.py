@@ -1,5 +1,4 @@
-"""Comparison thresholds: standard split conformal, chi-square robust,
-covariate-shift weighting, smoothing-based, and fine-grained weighted."""
+"""Comparison thresholds: chi-square robust, smoothing-based, and fine-grained weighted."""
 
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from .core import (
     check_finite_nonnegative,
     check_finite_positive,
     check_probability,
-    conformal_quantile,
     level_at_most_one,
 )
 
@@ -35,9 +33,7 @@ __all__ = [
     "fg_threshold",
     "rscp_rule",
     "rscp_threshold",
-    "sc_threshold",
     "weight_total",
-    "weighted_threshold",
 ]
 
 
@@ -92,11 +88,6 @@ def weight_total(weights: list[float], test_weight: float) -> float:
         return math.fsum(weights + [float(test_weight)])
     except OverflowError:
         raise ValueError("the total weight overflows; rescale the weights") from None
-
-
-def sc_threshold(sample: ScoreSample, alpha: float) -> ThresholdResult:
-    """Standard split conformal threshold (finite-sample corrected quantile)."""
-    return conformal_quantile(sample, alpha)
 
 
 def chi2_g(beta: float, rho_chi2: float) -> float:
@@ -184,11 +175,6 @@ def _weighted_rule(sorted_weights: np.ndarray, test_weight: float, level: float)
     if not reaches(k) or (k > 1 and reaches(k - 1)):  # the float sums crossed the snap band
         k = bisect.bisect_left(range(1, n + 1), True, key=reaches) + 1
     return QuantileRule(k if k <= n else None, level)
-
-
-def weighted_threshold(ws: WeightedScores, alpha: float) -> ThresholdResult:
-    """Covariate-shift threshold: ``(1 - alpha)``-quantile of the weighted scores."""
-    return fg_threshold(ws, alpha, 0.0)
 
 
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:

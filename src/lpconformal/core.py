@@ -63,16 +63,24 @@ def check_calibration_size(n: int) -> None:
         raise ValueError(f"calibration size must be positive, got {n!r}")
 
 
+def _as_float(value) -> float:
+    """``float(value)`` for a ``numbers.Real``, else NaN, which fails every comparison."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the largest double
+        return math.nan
+
+
 def check_finite_nonnegative(value: float, name: str) -> None:
     """Raise ``ValueError`` unless the parameter ``name`` is a finite nonnegative real."""
-    if not (np.isfinite(value) and value >= 0.0):
+    if not 0.0 <= _as_float(value) < math.inf:
         raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
 
 
 def check_finite_positive(value: float, name: str) -> float:
     """``float(value)``, or ``ValueError`` unless the parameter ``name`` is finite and positive."""
-    number = float(value)
-    if not (np.isfinite(number) and number > 0.0):
+    number = _as_float(value)
+    if not 0.0 < number < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return number
 
@@ -175,7 +183,8 @@ class ScoreSample:
         return hash((self.n, float(self._scores[0]), float(self._scores[-1])))
 
     def __repr__(self) -> str:
-        return f"ScoreSample(n={self.n}, min={self._scores[0]!r}, max={self._scores[-1]!r})"
+        lo, hi = float(self._scores[0]), float(self._scores[-1])
+        return f"ScoreSample(n={self.n}, min={lo!r}, max={hi!r})"
 
 
 @dataclass(frozen=True)

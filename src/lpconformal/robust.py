@@ -37,8 +37,6 @@ __all__ = [
     "prediction_set",
     "robust_rule",
     "robust_threshold",
-    "tv_threshold",
-    "winf_threshold",
     "worst_case_coverage",
     "worst_case_quantile",
     "worst_case_rule",
@@ -156,16 +154,6 @@ def lp_threshold(sample: ScoreSample, alpha: float, params: LPParams) -> Thresho
     ``1 - alpha`` at this ``rho``.
     """
     return lp_rule(sample.n, alpha, params).apply(sample.scores)
-
-
-def tv_threshold(sample: ScoreSample, alpha: float, rho: float) -> ThresholdResult:
-    """Purely-global (``epsilon = 0``) case of :func:`lp_threshold`."""
-    return lp_threshold(sample, alpha, LPParams(0.0, rho))
-
-
-def winf_threshold(sample: ScoreSample, alpha: float, epsilon: float) -> ThresholdResult:
-    """Purely-local (``rho = 0``) case of :func:`lp_threshold`."""
-    return lp_threshold(sample, alpha, LPParams(epsilon, 0.0))
 
 
 def prediction_set(label_scores, threshold: ThresholdResult) -> PredictionSet:

@@ -28,8 +28,6 @@ from lpconformal import (
     perturb_sample,
     propagate_params,
     quantile,
-    tv_threshold,
-    winf_threshold,
     worst_case_coverage,
     worst_case_quantile,
 )
@@ -163,15 +161,16 @@ def test_criterion_05_special_case_threshold_consistency():
         sample = ScoreSample(rng.normal(size=n))
         eps = float(rng.uniform(0, 1))
 
-        tv = tv_threshold(sample, alpha, rho)
+        # Each spec also carries a non-zero value of the parameter its name fixes.
+        tv = MethodSpec("tv", epsilon=eps, rho=rho).threshold(sample, alpha)
         composed_tv = worst_case_quantile(sample, 1.0 - beta, LPParams(0.0, rho))
         assert tv.threshold == composed_tv.threshold
 
         beta0 = adjusted_beta(n, alpha, 0.0)
-        wf = winf_threshold(sample, alpha, eps)
+        wf = MethodSpec("winf", epsilon=eps, rho=rho).threshold(sample, alpha)
         composed_wf = worst_case_quantile(sample, 1.0 - beta0, LPParams(eps, 0.0))
         assert wf.threshold == composed_wf.threshold
-        assert wf.threshold == winf_threshold(sample, alpha, 0.0).threshold + eps
+        assert wf.threshold == MethodSpec("winf", rho=rho).threshold(sample, alpha).threshold + eps
         checked += 1
     _report(5, "special-case threshold consistency")
 

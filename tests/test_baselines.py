@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import (
+    MethodSpec,
     ScoreSample,
     WeightedScores,
     chi2_g,
@@ -17,8 +18,6 @@ from lpconformal import (
     fg_threshold,
     quantile,
     rscp_threshold,
-    sc_threshold,
-    weighted_threshold,
 )
 from lpconformal.baselines import fg_rule
 from lpconformal.core import LEVEL_REL_TOL, conformal_rule
@@ -65,13 +64,13 @@ def weighted_quantile_hand(scores, weights, test_weight, level):
 
 
 class TestScThreshold:
-    def test_alias_of_conformal_quantile(self):
+    def test_method_name_is_conformal_quantile(self):
         s = ScoreSample(np.arange(1.0, 100.0))
-        assert sc_threshold(s, 0.1) == conformal_quantile(s, 0.1)
+        assert MethodSpec("sc", epsilon=0.3, rho=0.05).threshold(s, 0.1) == conformal_quantile(s, 0.1)
 
     def test_small_n_hits_max_then_unbounded(self):
-        assert sc_threshold(ScoreSample(np.arange(1.0, 10.0)), 0.1).threshold == 9.0
-        assert sc_threshold(ScoreSample([1.0, 2.0, 3.0]), 0.1).is_unbounded
+        assert conformal_quantile(ScoreSample(np.arange(1.0, 10.0)), 0.1).threshold == 9.0
+        assert conformal_quantile(ScoreSample([1.0, 2.0, 3.0]), 0.1).is_unbounded
 
 
 class TestChi2G:
@@ -137,7 +136,7 @@ class TestChi2Threshold:
         assert res.level_used == pytest.approx(expected_level, abs=1e-9)
         assert res.threshold == quantile(s, expected_level)
         # comparable to the standard split threshold at the same n
-        assert res.threshold >= sc_threshold(s, 0.1).threshold - 1.0
+        assert res.threshold >= conformal_quantile(s, 0.1).threshold - 1.0
 
     def test_large_radius_hits_maximum(self):
         # Large enough to push the level to the top order statistic while the
@@ -183,18 +182,18 @@ class TestWeightedThreshold:
         # n = 9 equal weights: finite mass 9/10 meets level 0.9 exactly, so
         # the max finite score is returned rather than the infinity atom.
         ws = WeightedScores(np.arange(1.0, 10.0), np.ones(9), 1.0)
-        res = weighted_threshold(ws, 0.1)
+        res = fg_threshold(ws, 0.1, 0.0)
         assert not res.is_unbounded
         assert res.threshold == 9.0
         assert weighted_quantile_hand(ws.scores, ws.weights, 1.0, 0.9) == 9.0
 
     def test_dominant_weight_concentrates(self):
         ws = WeightedScores([1.0, 5.0, 9.0], [1.0, 1e9, 1.0], 1.0)
-        assert weighted_threshold(ws, 0.1).threshold == 5.0
+        assert fg_threshold(ws, 0.1, 0.0).threshold == 5.0
 
     def test_huge_test_weight_unbounded(self):
         ws = WeightedScores([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 1e9)
-        assert weighted_threshold(ws, 0.1).is_unbounded
+        assert fg_threshold(ws, 0.1, 0.0).is_unbounded
 
     def test_compared_and_hashed_by_identity(self):
         a, b = (WeightedScores([1.0, 2.0], [0.5, 1.5], 1.0) for _ in range(2))
@@ -224,8 +223,8 @@ class TestWeightedThreshold:
         assert fg_rule(n, alpha, 0.0, 1.0).index == want
         assert fg_rule(n, alpha, 0.0, 1.0, np.ones(n)).index == want
         scores = np.random.default_rng(n).normal(size=n)
-        sc = sc_threshold(ScoreSample(scores), alpha)
-        wt = weighted_threshold(WeightedScores(scores, np.ones(n), 1.0), alpha)
+        sc = conformal_quantile(ScoreSample(scores), alpha)
+        wt = fg_threshold(WeightedScores(scores, np.ones(n), 1.0), alpha, 0.0)
         assert (wt.threshold, wt.level_used) == (sc.threshold, 1.0 - alpha)
 
 
@@ -270,7 +269,6 @@ class TestWeightedRule:
         scores, weights, perm = np.asarray(scores, dtype=float), np.asarray(weights), list(perm)
         given_order = WeightedScores(scores, weights, tw)
         permuted = WeightedScores(scores[perm], weights[perm], tw)
-        assert weighted_threshold(permuted, alpha) == weighted_threshold(given_order, alpha)
         assert fg_threshold(permuted, alpha, rho_chi2) == fg_threshold(given_order, alpha, rho_chi2)
 
     @settings(max_examples=300, deadline=None)
@@ -287,21 +285,19 @@ class TestWeightedRule:
         assume(k != "edge")
         want = None if k is None else float(scores[order][k - 1])
         assert fg_threshold(WeightedScores(scores, weights, tw), alpha, rho_chi2).threshold == want
-        if rho_chi2 == 0.0:
-            assert weighted_threshold(WeightedScores(scores, weights, tw), alpha).threshold == want
 
     def test_total_past_largest_double_raises(self):
         ws = WeightedScores([1.0, 2.0, 3.0], [1e308] * 3, 1.0)
         message = "^the total weight overflows; rescale the weights$"
         with pytest.raises(ValueError, match=message):
-            weighted_threshold(ws, 0.9)
+            fg_threshold(ws, 0.9, 0.0)
         with pytest.raises(ValueError, match=message):
             fg_threshold(ws, 0.9, 0.1)
         with pytest.raises(ValueError, match=message):
             fg_rule(2, 0.1, 0.0, 1e308, np.full(2, 1e308))
         # Weights a third as large sum to a finite total.
         ws = WeightedScores([1.0, 2.0, 3.0], [1e308 / 3] * 3, 1.0)
-        assert weighted_threshold(ws, 0.9).threshold == 1.0
+        assert fg_threshold(ws, 0.9, 0.0).threshold == 1.0
 
 
 class TestRscpThreshold:
@@ -339,7 +335,8 @@ class TestFgThreshold:
     def test_zero_radius_equals_weighted(self):
         ws = WeightedScores(np.arange(1.0, 10.0), np.ones(9), 1.0)
         fg = fg_threshold(ws, 0.1, 0.0)
-        wt = weighted_threshold(ws, 0.1)
+        scores, weights = ws.by_score()
+        wt = MethodSpec("weighted", rho_chi2=0.5).rule(ws.n, 0.1, weights).apply(scores)
         assert fg.threshold == wt.threshold
 
     def test_equal_weights_zero_radius_pinned(self):

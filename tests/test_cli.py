@@ -13,7 +13,6 @@ from lpconformal import (
     MethodSpec,
     fg_threshold,
     read_weighted_scores,
-    weighted_threshold,
     PerturbationSpec,
     PointMass,
     compare,
@@ -107,7 +106,7 @@ class TestCalibrate:
         path.write_text("score,weight\n" + "".join(f"{s!r},{w!r}\n" for s, w in zip(scores, weights)))
         ws = read_weighted_scores(path, 0.7)
         sorted_scores, sorted_weights = ws.by_score()
-        library = {"weighted": weighted_threshold(ws, float(alpha)),
+        library = {"weighted": fg_threshold(ws, float(alpha), 0.0),
                    "fg": fg_threshold(ws, float(alpha), 0.05)}
         for name, want in library.items():
             spec = MethodSpec(name, rho_chi2=0.05, test_weight=0.7)

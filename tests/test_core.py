@@ -2,6 +2,8 @@
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +82,10 @@ class TestScoreSample:
         s = ScoreSample([1.0, 2.0])
         with pytest.raises(ValueError):
             s.scores[0] = 5.0
+
+    def test_repr_prints_python_floats(self):
+        assert repr(ScoreSample([2.0, 1.0])) == "ScoreSample(n=2, min=1.0, max=2.0)"
+        assert repr(ScoreSample([1e308, 0.1, -0.0])) == "ScoreSample(n=3, min=-0.0, max=1e+308)"
 
 
 class TestQuantile:
@@ -410,13 +416,40 @@ class TestValidators:
             with pytest.raises(ValueError, match="epsilon must be a finite nonnegative real, got"):
                 check_finite_nonnegative(bad, "epsilon")
 
-    @pytest.mark.parametrize("bad", [-1e-300, float("inf"), float("nan")])
+    @pytest.mark.parametrize("value, is_number", [
+        (2, True), (2.5, True), (np.float32(2.5), True), (np.int64(3), True),
+        (Fraction(1, 3), True), pytest.param(10**300, True, id="10**300"),
+        ("2", False), (None, False), (Decimal("2"), False), (np.array(2.0), False),
+        pytest.param(10**400, False, id="10**400"),
+        pytest.param(-(10**400), False, id="-10**400"),
+        pytest.param(Fraction(10**400, 3), False, id="Fraction(10**400, 3)"),
+        (float("inf"), False), (float("nan"), False),
+    ], ids=repr)
+    def test_finite_checks_agree_on_what_a_number_is(self, value, is_number):
+        # A numbers.Real whose float is finite, and nothing else: each check
+        # refuses the rest with its own message, never numpy's or an OverflowError.
+        checks = [(check_finite_nonnegative, "a finite nonnegative real"),
+                  (check_finite_positive, "finite and positive")]
+        for check, rule in checks:
+            if is_number:
+                check(value, "x")
+            else:
+                with pytest.raises(ValueError) as info:
+                    check(value, "x")
+                assert str(info.value) == f"x must be {rule}, got {value!r}"
+        if is_number:
+            number = check_finite_positive(value, "x")
+            assert type(number) is float and number == float(value)
+
+    @pytest.mark.parametrize("bad", [-1e-300, float("inf"), float("nan"), "0.1", None])
     def test_finite_nonnegative_message_names_each_parameter(self, bad):
-        from lpconformal import LPParams, chi2_g, chi2_g_inv, rscp_threshold
+        from lpconformal import LPParams, chi2_g, chi2_g_inv, lp_distance, rscp_threshold
 
         sample = ScoreSample([1.0, 2.0])
         calls = [
             ("epsilon", lambda: LPParams(bad, 0.0)),
+            ("epsilon", lambda: lp_distance(sample, sample, bad)),
+            ("delta", lambda: rscp_rule(20, 0.1, bad, 1.0)),
             ("rho_chi2", lambda: chi2_g(0.5, bad)),
             ("rho_chi2", lambda: chi2_g_inv(0.5, bad)),
             ("delta", lambda: rscp_threshold(sample, 0.1, bad, 1.0)),
@@ -452,7 +485,8 @@ class TestValidators:
                 call()
             assert str(info.value) == f"{name} must lie in [0, 1], got {bad!r}"
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), "2",
+                                     pytest.param(10**400, id="10**400")])
     def test_finite_positive_message_names_each_parameter(self, bad):
         from lpconformal import WeightedScores, propagate_params, rscp_threshold
 

@@ -42,10 +42,6 @@ from lpconformal import (
     read_scores,
     read_weighted_scores,
     rscp_threshold,
-    sc_threshold,
-    tv_threshold,
-    weighted_threshold,
-    winf_threshold,
 )
 from lpconformal import harness
 from lpconformal.core import check_alpha
@@ -344,13 +340,13 @@ class TestMethodRules:
         ws = WeightedScores(sample.scores, np.ones(sample.n), tw)
         params = LPParams(epsilon, rho)
         public = {
-            "sc": lambda: sc_threshold(sample, alpha),
+            "sc": lambda: conformal_quantile(sample, alpha),
             "lp": lambda: lp_threshold(sample, alpha, params),
-            "tv": lambda: tv_threshold(sample, alpha, rho),
-            "winf": lambda: winf_threshold(sample, alpha, epsilon),
+            "tv": lambda: lp_threshold(sample, alpha, LPParams(0.0, rho)),
+            "winf": lambda: lp_threshold(sample, alpha, LPParams(epsilon, 0.0)),
             "chi2": lambda: chi2_threshold(sample, alpha, rho_chi2),
             "rscp": lambda: rscp_threshold(sample, alpha, 0.05, 2.0),
-            "weighted": lambda: weighted_threshold(ws, alpha),
+            "weighted": lambda: fg_threshold(ws, alpha, 0.0),
             "fg": lambda: fg_threshold(ws, alpha, rho_chi2),
         }
         for name in METHOD_NAMES:
@@ -380,7 +376,7 @@ class TestMethodRules:
                             [weight / 3.0 for _, weight in rows], tw)
         scores, weights = ws.by_score()
         public = {
-            "weighted": lambda: weighted_threshold(ws, alpha),
+            "weighted": lambda: fg_threshold(ws, alpha, 0.0),
             "fg": lambda: fg_threshold(ws, alpha, rho_chi2),
         }
         for name, threshold in public.items():
@@ -1241,7 +1237,7 @@ class TestEvaluateInputs:
         for j, got in enumerate(report.per_split):
             calib, test = split(m, 40, 30, [4, j, 0])
             ws = WeightedScores(calib.scores, weigh(calib.scores), 1.0)
-            thr = weighted_threshold(ws, 0.2)
+            thr = fg_threshold(ws, 0.2, 0.0)
             cutoff = np.inf if thr.is_unbounded else thr.threshold
             member = test.scores <= cutoff
             covered = member[np.arange(test.n_rows), test.true_labels].mean()
@@ -1333,8 +1329,7 @@ def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_see
             if method.weights is not None and method.name in ("weighted", "fg"):
                 row_weights = method.weights[calib_idx[np.argsort(calib_raw, kind="stable")]]
                 ws = WeightedScores(calib.scores, row_weights, method.test_weight)
-                thr = (weighted_threshold(ws, alpha) if method.name == "weighted"
-                       else fg_threshold(ws, alpha, method.rho_chi2))
+                thr = fg_threshold(ws, alpha, 0.0 if method.name == "weighted" else method.rho_chi2)
             else:
                 thr = method.threshold(calib, alpha)
         except ValueError as exc:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lpconformal import (
     InfeasibleLevelError,
     LPParams,
+    MethodSpec,
     ScoreSample,
     ThresholdResult,
     adjusted_beta,
@@ -18,8 +19,6 @@ from lpconformal import (
     prediction_set,
     quantile,
     robust_threshold,
-    tv_threshold,
-    winf_threshold,
     worst_case_coverage,
     worst_case_quantile,
 )
@@ -193,7 +192,7 @@ class TestSpecialCaseThresholds:
     def test_tv_pinned_level(self):
         # level 1 - (0.05 * 1001 - 2) / 1000 = 0.95195 -> order statistic 952.
         s = ScoreSample(np.arange(1, 1001, dtype=float))
-        res = tv_threshold(s, 0.1, 0.05)
+        res = lp_threshold(s, 0.1, LPParams(0.0, 0.05))
         assert res.level_used == pytest.approx(0.95195)
         assert res.threshold == 952.0
 
@@ -201,35 +200,36 @@ class TestSpecialCaseThresholds:
         s = ScoreSample(np.arange(1, 1001, dtype=float))
         beta = adjusted_beta(1000, 0.1, 0.05)
         composed = worst_case_quantile(s, 1.0 - beta, LPParams(0.0, 0.05))
-        assert tv_threshold(s, 0.1, 0.05).threshold == composed.threshold
+        assert lp_threshold(s, 0.1, LPParams(0.0, 0.05)).threshold == composed.threshold
 
     def test_tv_approaches_conformal_level_for_large_n(self):
-        res = tv_threshold(ScoreSample(np.arange(100000.0)), 0.1, 0.0)
+        res = lp_threshold(ScoreSample(np.arange(100000.0)), 0.1, LPParams(0.0, 0.0))
         assert res.level_used == pytest.approx(0.9, abs=1e-3)
 
     def test_winf_pinned_level(self):
         # level 1 - (0.1 * 1001 - 2) / 1000 = 0.9019 -> order statistic 902.
         s = ScoreSample(np.arange(1, 1001, dtype=float))
-        res = winf_threshold(s, 0.1, 0.3)
+        res = lp_threshold(s, 0.1, LPParams(0.3, 0.0))
         assert res.level_used == pytest.approx(0.9019)
         assert res.threshold == 902.0 + 0.3
 
     def test_winf_zero_epsilon_equals_tv_zero_rho(self):
         s = ScoreSample(np.arange(1, 101, dtype=float))
-        assert winf_threshold(s, 0.1, 0.0).threshold == tv_threshold(s, 0.1, 0.0).threshold
+        winf = MethodSpec("winf", epsilon=0.0, rho=0.3).threshold(s, 0.1)
+        assert winf.threshold == MethodSpec("tv", epsilon=0.7, rho=0.0).threshold(s, 0.1).threshold
 
     def test_winf_additivity_in_epsilon(self):
         s = ScoreSample(np.arange(1, 101, dtype=float))
-        base = winf_threshold(s, 0.1, 0.0).threshold
+        base = lp_threshold(s, 0.1, LPParams(0.0, 0.0)).threshold
         for eps in (0.1, 0.7, 3.0):
-            assert winf_threshold(s, 0.1, eps).threshold == base + eps
+            assert lp_threshold(s, 0.1, LPParams(eps, 0.0)).threshold == base + eps
 
     def test_infeasible_levels_raise(self):
         s = ScoreSample(np.arange(1, 11, dtype=float))
         with pytest.raises(InfeasibleLevelError):
-            tv_threshold(s, 0.1, 0.0)  # (0.1)(11) < 2 -> level above one
+            lp_threshold(s, 0.1, LPParams(0.0, 0.0))  # (0.1)(11) < 2 -> level above one
         with pytest.raises(InfeasibleLevelError):
-            winf_threshold(s, 0.1, 0.5)
+            lp_threshold(s, 0.1, LPParams(0.5, 0.0))
 
     def test_consistency_over_random_feasible_triples(self):
         # Identity check: the direct level formulas select the same order
@@ -248,11 +248,11 @@ class TestSpecialCaseThresholds:
                 continue
             s = ScoreSample(rng.normal(size=n))
             eps = float(rng.uniform(0, 1))
-            tv = tv_threshold(s, alpha, rho)
+            tv = lp_threshold(s, alpha, LPParams(0.0, rho))
             composed_tv = worst_case_quantile(s, 1.0 - beta, LPParams(0.0, rho))
             assert tv.threshold == composed_tv.threshold
             beta0 = adjusted_beta(n, alpha, 0.0)
-            wf = winf_threshold(s, alpha, eps)
+            wf = lp_threshold(s, alpha, LPParams(eps, 0.0))
             composed_wf = worst_case_quantile(s, 1.0 - beta0, LPParams(eps, 0.0))
             assert wf.threshold == composed_wf.threshold
             checked += 1
@@ -299,10 +299,10 @@ class TestLpThreshold:
                 continue
             raw = rng.integers(0, 20, size=n) * 0.1 if checked % 2 else rng.normal(size=n)
             s = ScoreSample(raw)
-            tv = tv_threshold(s, alpha, rho)
+            tv = lp_threshold(s, alpha, LPParams(0.0, rho))
             assert tv.threshold == quantile(s, tv_level)
             assert tv.coverage_bound == bound_at(n, tv_level, rho)
-            wf = winf_threshold(s, alpha, eps)
+            wf = lp_threshold(s, alpha, LPParams(eps, 0.0))
             assert wf.threshold == quantile(s, wf_level) + eps
             assert wf.coverage_bound == bound_at(n, wf_level, 0.0)
             checked += 1
@@ -310,9 +310,9 @@ class TestLpThreshold:
     def test_tv_unbounded_when_rho_exceeds_adjusted_beta(self):
         s = ScoreSample(np.arange(1, 101, dtype=float))
         assert adjusted_beta(100, 0.1, 0.09) < 0.09
-        res = tv_threshold(s, 0.1, 0.09)
+        res = lp_threshold(s, 0.1, LPParams(0.0, 0.09))
         assert res.is_unbounded and res.coverage_bound is None
-        assert res == lp_threshold(s, 0.1, LPParams(0.0, 0.09))
+        assert res == MethodSpec("tv", epsilon=0.5, rho=0.09).threshold(s, 0.1)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -352,7 +352,7 @@ class TestOverflowingThreshold:
     def test_lp_and_winf_drop_the_coverage_bound(self):
         for res in (
             lp_threshold(self.HUGE, 0.1, LPParams(1e308, 0.05)),
-            winf_threshold(self.HUGE, 0.1, 1e308),
+            lp_threshold(self.HUGE, 0.1, LPParams(1e308, 0.0)),
         ):
             assert res.is_unbounded and res.coverage_bound is None
         finite = lp_threshold(self.HUGE, 0.1, LPParams(1e300, 0.05))

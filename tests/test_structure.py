@@ -21,9 +21,10 @@ per-split entries, and ``reports_json`` nests each report's ``to_json``
 text, so no second copy of the ``indent=2`` layout remains. Each
 parameter kind has one check in ``core``, and ``MethodSpec.rule`` leaves the
 calibration size to the rules it picks. One tuple in ``harness``,
-``WEIGHTED_METHODS``, names the methods that read per-row weights. The public surface is
-pinned, every exported name resolves, and so does every callable the
-benchmark's tracer wraps by name.
+``WEIGHTED_METHODS``, names the methods that read per-row weights. No public
+threshold is another one with an argument fixed: the method names keep those
+settings. The public surface is pinned, every exported name resolves, and so
+does every callable the benchmark's tracer wraps by name.
 """
 
 import argparse
@@ -371,6 +372,15 @@ def test_reference_solvers_not_in_src(name):
     assert not found, f"{name} appears in {found}"
 
 
+@pytest.mark.parametrize("name", [
+    "sc_threshold", "tv_threshold", "winf_threshold", "weighted_threshold",
+])
+def test_fixed_argument_thresholds_not_in_src(name):
+    # Each was another threshold with one argument fixed; the method names keep those settings.
+    found = [p.name for p in SOURCES if name in p.read_text()]
+    assert not found, f"{name} appears in {found}"
+
+
 def test_no_per_atom_transport_loop():
     # lp_distance and lp_profile share one numpy kernel.
     found = [p.name for p in SOURCES if "_sweep" in p.read_text()]
@@ -386,8 +396,7 @@ PUBLIC_NAMES = {
     "estimate_lp_params", "evaluate", "fg_threshold", "lp_distance", "lp_profile",
     "lp_threshold", "perturb_draws", "perturb_sample", "prediction_set", "propagate_params",
     "quantile", "read_matrix", "read_scores", "read_weighted_scores", "robust_threshold",
-    "rscp_threshold", "sc_threshold", "tv_distance", "tv_threshold", "weighted_threshold",
-    "winf_distance", "winf_threshold", "winf_within", "worst_case_coverage",
+    "rscp_threshold", "tv_distance", "winf_distance", "winf_within", "worst_case_coverage",
     "worst_case_quantile",
 }
 
