@@ -15,7 +15,7 @@ from .core import (
     ScoreSample,
     ThresholdResult,
     check_alpha,
-    check_calibration_size,
+    check_count,
     check_finite_nonnegative,
     check_finite_positive,
     check_probability,
@@ -114,8 +114,7 @@ def chi2_g_inv(tau: float, rho_chi2: float) -> float:
     since repeated calibrations ask for the same few levels.
     """
     check_probability(tau, "tau")
-    check_finite_nonnegative(rho_chi2, "rho_chi2")
-    return _chi2_g_inv(float(tau), float(rho_chi2))
+    return _chi2_g_inv(float(tau), check_finite_nonnegative(rho_chi2, "rho_chi2"))
 
 
 @lru_cache(maxsize=256)
@@ -130,7 +129,7 @@ def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
 
 def chi2_rule(n: int, alpha: float, rho_chi2: float) -> QuantileRule:
     """:func:`chi2_threshold`'s rule for ``n`` scores."""
-    check_calibration_size(n)
+    check_count(n, "calibration size")
     check_alpha(alpha)
     inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
     if not level_at_most_one(inner):
@@ -179,7 +178,7 @@ def _weighted_rule(sorted_weights: np.ndarray, test_weight: float, level: float)
 
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
     """:func:`rscp_threshold`'s rule for ``n`` scores."""
-    check_calibration_size(n)
+    check_count(n, "calibration size")
     check_alpha(alpha)
     check_finite_nonnegative(delta, "delta")
     sigma = check_finite_positive(sigma, "sigma")
@@ -202,7 +201,7 @@ def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
     """:func:`fg_threshold`'s rule for ``n`` scores whose weights, in ascending score
     order, are ``sorted_weights`` (each one when None): :func:`_weighted_rule` at level
     ``g_inv(1 - alpha)``. A total weight past the largest double raises ``ValueError``."""
-    check_calibration_size(n)
+    check_count(n, "calibration size")
     tw = check_finite_positive(test_weight, "test weight")
     check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)

@@ -20,9 +20,10 @@ __all__ = [
     "QuantileRule",
     "ScoreSample",
     "ThresholdResult",
+    "as_real",
     "cdf",
     "check_alpha",
-    "check_calibration_size",
+    "check_count",
     "check_finite_nonnegative",
     "check_finite_positive",
     "check_labels",
@@ -49,21 +50,7 @@ def level_at_most_one(level: float) -> bool:
     return level <= 1.0 + LEVEL_REL_TOL
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise ``ValueError`` unless the miscoverage ``alpha`` lies in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-
-
-def check_calibration_size(n: int) -> None:
-    """Raise ``ValueError`` unless the calibration size ``n`` is an integer of at least one."""
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"calibration size must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"calibration size must be positive, got {n!r}")
-
-
-def _as_float(value) -> float:
+def as_real(value) -> float:
     """``float(value)`` for a ``numbers.Real``, else NaN, which fails every comparison."""
     try:
         return float(value) if isinstance(value, numbers.Real) else math.nan
@@ -71,16 +58,31 @@ def _as_float(value) -> float:
         return math.nan
 
 
-def check_finite_nonnegative(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless the parameter ``name`` is a finite nonnegative real."""
-    if not 0.0 <= _as_float(value) < math.inf:
+def check_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the miscoverage ``alpha`` lies in (0, 1)."""
+    if not 0.0 < as_real(alpha) < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+
+
+def check_count(value, name: str) -> int:
+    """``int(value)``, or ``ValueError`` unless the count ``name`` is a positive integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return int(value)
+
+
+def check_finite_nonnegative(value: float, name: str) -> float:
+    """``float(value)``, or ``ValueError`` unless the parameter ``name`` is finite and >= 0."""
+    if not 0.0 <= (number := as_real(value)) < math.inf:
         raise ValueError(f"{name} must be a finite nonnegative real, got {value!r}")
+    return number
 
 
 def check_finite_positive(value: float, name: str) -> float:
     """``float(value)``, or ``ValueError`` unless the parameter ``name`` is finite and positive."""
-    number = _as_float(value)
-    if not 0.0 < number < math.inf:
+    if not 0.0 < (number := as_real(value)) < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return number
 
@@ -111,7 +113,7 @@ def check_labels(true_labels, n_rows: int, n_labels: int) -> np.ndarray:
 
 def check_probability(value: float, name: str) -> None:
     """Raise ``ValueError`` unless the parameter ``name``, such as ``rho``, lies in [0, 1]."""
-    if not 0.0 <= value <= 1.0:
+    if not 0.0 <= as_real(value) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -246,7 +248,7 @@ class QuantileRule:
         unbounded and keeps the level for diagnosis. Raises ``ValueError``
         unless ``n`` is an integer of at least one.
         """
-        check_calibration_size(n)
+        check_count(n, "calibration size")
         if not level_at_most_one(level):
             return cls(None, level)
         level = min(level, 1.0)
@@ -280,7 +282,7 @@ def quantile_index(n: int, beta: float) -> int:
     Equals ``ceil(beta * n)``, snapped and clamped to [1, n]. Raises
     ``ValueError`` if ``beta`` is outside (0, 1].
     """
-    if not 0.0 < beta <= 1.0:
+    if not 0.0 < as_real(beta) <= 1.0:
         raise ValueError(f"quantile level must be in (0, 1], got {beta!r}")
     return min(max(snapped_ceil(beta * n), 1), n)
 
@@ -298,15 +300,14 @@ def quantile(sample: ScoreSample, beta: float) -> float:
 
 def cdf(sample: ScoreSample, q: float) -> float:
     """Right-continuous empirical CDF: fraction of scores <= q, 0 at -inf and 1 at inf."""
-    if np.isnan(q):
+    if math.isnan(number := as_real(q)):
         raise ValueError(f"cdf argument must not be NaN, got {q!r}")
-    count = int(np.searchsorted(sample.scores, q, side="right"))
-    return count / sample.n
+    return int(np.searchsorted(sample.scores, number, side="right")) / sample.n
 
 
 def conformal_rule(n: int, alpha: float) -> QuantileRule:
     """:func:`conformal_quantile`'s rule for ``n`` calibration scores."""
-    check_calibration_size(n)
+    check_count(n, "calibration size")
     check_alpha(alpha)
     # At least 1: a level within LEVEL_REL_TOL of zero snaps to index 0.
     k = max(snapped_ceil((1.0 - alpha) * (n + 1)), 1)

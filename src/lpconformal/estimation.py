@@ -10,6 +10,7 @@ set that is still certified for the observed shift.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,7 +101,7 @@ def estimate_lp_params(
             continue
         rule = worst_case_rule(n_b, 1.0 - beta, LPParams(eps, rho))
         q = rule.cutoff(calib_b.scores)
-        if np.isinf(q):
+        if math.isinf(q):
             reason = "quantile level above one" if rule.index is None else "threshold overflows"
             trace.append(GridPoint(eps, rho, beta, None, False, reason))
             continue

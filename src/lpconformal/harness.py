@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 import stat
 import warnings
@@ -25,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha,
-                   check_calibration_size, check_labels, check_seed, conformal_rule)
+from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_count,
+                   check_labels, check_seed, conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -319,15 +318,10 @@ def compare(
     """
     methods = list(methods)
     check_alpha(alpha)
-    for count, message in (
-        (n_splits, f"need at least one split, got {n_splits!r}"),
-        (k_test, f"need at least one test row, got {k_test!r}"),
-    ):
-        if not (isinstance(count, numbers.Integral) and count >= 1):
-            raise ValueError(message)
-    check_calibration_size(n_calib)
+    n_splits = check_count(n_splits, "number of splits")
+    k_test = check_count(k_test, "number of test rows")
+    n_calib = check_count(n_calib, "calibration size")
     seed = check_seed(base_seed)
-    n_splits, n_calib, k_test = map(int, (n_splits, n_calib, k_test))
     if n_calib + k_test > matrix.n_rows:
         raise ValueError(
             f"n_calib + k_test = {n_calib + k_test} exceeds the {matrix.n_rows} available rows"

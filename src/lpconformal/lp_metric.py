@@ -39,6 +39,7 @@ that ``(x + eps) - x`` can exceed ``eps`` by one ulp in floating point.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -194,9 +195,8 @@ def lp_distance(p: ScoreSample, q: ScoreSample, epsilon: float) -> TransportResu
 
     Raises ``ValueError`` when ``n * m`` is not below ``2**62``.
     """
-    check_finite_nonnegative(epsilon, "epsilon")
     n, m = p.n, q.n
-    (matched,) = _matched_units(p, q, [float(epsilon)])
+    (matched,) = _matched_units(p, q, [check_finite_nonnegative(epsilon, "epsilon")])
     rho = (n * m - matched) / (n * m)
     return TransportResult(rho=rho, matched_mass=1.0 - rho, n=n, m=m, matched_units=matched)
 
@@ -223,8 +223,7 @@ def winf_distance(p: ScoreSample, q: ScoreSample) -> float:
 
 def winf_within(p: ScoreSample, q: ScoreSample, epsilon: float) -> bool:
     """Whether :func:`winf_distance` between the samples is at most ``epsilon``."""
-    check_finite_nonnegative(epsilon, "epsilon")
-    return winf_distance(p, q) <= float(epsilon)
+    return check_finite_nonnegative(epsilon, "epsilon") >= winf_distance(p, q)
 
 
 def validate_epsilon_grid(epsilon_grid: Sequence[float]) -> list[float]:
@@ -239,7 +238,7 @@ def validate_epsilon_grid(epsilon_grid: Sequence[float]) -> list[float]:
         raise ValueError("epsilon grid must be a one-dimensional sequence of numbers") from None
     if not grid:
         raise ValueError("epsilon grid must be nonempty")
-    if any(not (np.isfinite(e) and e >= 0.0) for e in grid):
+    if any(not (math.isfinite(e) and e >= 0.0) for e in grid):
         raise ValueError("epsilon grid entries must be finite and nonnegative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be strictly increasing")

@@ -11,6 +11,7 @@ prediction-set thresholds and their finite-sample coverage bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,9 +21,10 @@ from .core import (
     QuantileRule,
     ScoreSample,
     ThresholdResult,
+    as_real,
     cdf,
     check_alpha,
-    check_calibration_size,
+    check_count,
     check_probability,
     snapped_ceil,
 )
@@ -57,7 +59,7 @@ class PredictionSet:
 
 def worst_case_rule(n: int, beta: float, params: LPParams) -> QuantileRule:
     """:func:`worst_case_quantile`'s rule for ``n`` scores."""
-    if not 0.0 < beta <= 1.0:
+    if not 0.0 < as_real(beta) <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
     return QuantileRule.at_level(n, beta + params.rho, params.epsilon)
 
@@ -77,9 +79,9 @@ def worst_case_quantile(
 
 def worst_case_coverage(sample: ScoreSample, q: float, params: LPParams) -> float:
     """Smallest CDF value at ``q`` over the ambiguity ball, floored at zero."""
-    if not np.isfinite(q):
+    if not math.isfinite(number := as_real(q)):
         raise ValueError(f"q must be finite, got {q!r}")
-    return max(cdf(sample, q - params.epsilon) - params.rho, 0.0)
+    return max(cdf(sample, number - params.epsilon) - params.rho, 0.0)
 
 
 def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
@@ -88,7 +90,7 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     Equals ``ceil(n * (1 - alpha + rho)) / (n + 1) - rho``, clamped to
     [0, 1]. Valid for calibration size ``n >= 1`` and ``rho < 1``.
     """
-    check_calibration_size(n)
+    check_count(n, "calibration size")
     check_alpha(alpha)
     check_probability(rho, "rho")
     if rho == 1.0:
@@ -127,7 +129,7 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     the calibration sample is too small to certify ``1 - alpha`` coverage at
     this ``rho``.
     """
-    check_calibration_size(n)
+    check_count(n, "calibration size")
     check_alpha(alpha)
     check_probability(rho, "rho")
     beta = alpha + (alpha - rho - 2.0) / n

@@ -7,12 +7,13 @@ matrix, and propagates ball parameters through Lipschitz maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import ScoreSample, check_finite_positive, check_labels, check_seed
+from .core import ScoreSample, as_real, check_finite_positive, check_labels, check_seed
 from .lp_metric import LPParams
 
 __all__ = [
@@ -29,28 +30,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointMass:
-    """Degenerate law concentrated at ``value``."""
+    """Degenerate law concentrated at ``value``, stored as a float."""
 
     value: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
+        if not math.isfinite(value := as_real(self.value)):
             raise ValueError(f"point mass location must be finite, got {self.value!r}")
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
 class Uniform:
-    """Uniform law on the closed interval [low, high]."""
+    """Uniform law on the closed interval [low, high], with float bounds."""
 
     low: float
     high: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.low) and np.isfinite(self.high)):
+        for name in ("low", "high"):
+            object.__setattr__(self, name, as_real(getattr(self, name)))
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
             raise ValueError("uniform bounds must be finite")
         if self.low > self.high:
             raise ValueError(f"uniform bounds out of order: [{self.low!r}, {self.high!r}]")
-        if not np.isfinite(float(self.high) - float(self.low)):
+        if not math.isfinite(self.high - self.low):
             raise ValueError(
                 f"uniform bounds [{self.low!r}, {self.high!r}] are too far apart to sample"
             )
@@ -61,9 +65,7 @@ Law = PointMass | Uniform
 
 def _draw_law(law: Law, rng: np.random.Generator, size) -> np.ndarray | float:
     """``size`` draws from ``law``; a point mass is its value as one float, which broadcasts."""
-    if isinstance(law, PointMass):
-        return float(law.value)
-    return rng.uniform(law.low, law.high, size)
+    return law.value if isinstance(law, PointMass) else rng.uniform(law.low, law.high, size)
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:
     """Ball parameters after pushing through a ``k_lipschitz``-Lipschitz map."""
     # Python floats: a numpy scalar would warn where the product overflows.
     epsilon = check_finite_positive(k_lipschitz, "Lipschitz constant") * float(params.epsilon)
-    if not np.isfinite(epsilon):
+    if not math.isfinite(epsilon):
         raise ValueError(f"Lipschitz constant {k_lipschitz!r} times epsilon "
                          f"{params.epsilon!r} overflows")
     return LPParams(epsilon, params.rho)

@@ -13,18 +13,23 @@ from hypothesis import strategies as st
 from lpconformal import (
     LPParams,
     MethodSpec,
+    PointMass,
     ScoreSample,
+    Uniform,
     adjusted_beta,
     cdf,
+    chi2_g,
     conformal_quantile,
     coverage_lower_bound,
     quantile,
+    worst_case_coverage,
+    worst_case_quantile,
 )
 from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule
 from lpconformal.core import (
     QuantileRule,
     check_alpha,
-    check_calibration_size,
+    check_count,
     check_finite_nonnegative,
     check_finite_positive,
     check_probability,
@@ -359,11 +364,15 @@ class TestValidators:
             with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
                 check_alpha(bad)
 
-    def test_check_calibration_size(self):
-        check_calibration_size(1)
+    def test_check_count(self):
+        for good in (1, True, np.int64(3), np.uint8(2), 2**70):
+            got = check_count(good, "calibration size")
+            assert type(got) is int and got == int(good)
         for bad in (0, -3):
             with pytest.raises(ValueError, match=f"^calibration size must be positive, got {bad}$"):
-                check_calibration_size(bad)
+                check_count(bad, "calibration size")
+        with pytest.raises(ValueError, match="^number of splits must be an integer, got 2.0$"):
+            check_count(2.0, "number of splits")
 
     RULES = [
         lambda n: conformal_rule(n, 0.1),
@@ -502,9 +511,52 @@ class TestValidators:
                 call()
             assert str(info.value) == f"{name} must be finite and positive, got {bad!r}"
 
-    def test_check_finite_positive_returns_a_float(self):
-        value = check_finite_positive(np.float32(2.5), "sigma")
-        assert type(value) is float and value == 2.5
+    def test_finite_checks_return_a_float(self):
+        for check in (check_finite_positive, check_finite_nonnegative):
+            value = check(np.float32(2.5), "sigma")
+            assert type(value) is float and value == 2.5
+
+    SAMPLE = ScoreSample([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("call, prefix", [
+        pytest.param(lambda s: LPParams(0.0, "0.1"), "rho must lie in [0, 1], got '0.1'",
+                     id="LPParams"),
+        pytest.param(lambda s: check_alpha(None), "alpha must be in (0, 1), got None",
+                     id="check_alpha"),
+        pytest.param(lambda s: MethodSpec("lp", rho="0.1"), "rho must lie in [0, 1], got '0.1'",
+                     id="MethodSpec"),
+        pytest.param(lambda s: conformal_quantile(s, "0.1"), "alpha must be in (0, 1), got '0.1'",
+                     id="conformal_quantile"),
+        pytest.param(lambda s: coverage_lower_bound(100, "0.1", 0.0),
+                     "alpha must be in (0, 1), got '0.1'", id="coverage_lower_bound"),
+        pytest.param(lambda s: quantile(s, "0.5"), "quantile level must be in (0, 1], got '0.5'",
+                     id="quantile"),
+        pytest.param(lambda s: worst_case_quantile(s, "0.5", LPParams(0, 0)),
+                     "beta must be in (0, 1], got '0.5'", id="worst_case_quantile"),
+        pytest.param(lambda s: cdf(s, "x"), "cdf argument must not be NaN, got 'x'", id="cdf"),
+        pytest.param(lambda s: worst_case_coverage(s, "x", LPParams(0, 0)),
+                     "q must be finite, got 'x'", id="worst_case_coverage"),
+        pytest.param(lambda s: chi2_g("0.5", 0.1), "beta must lie in [0, 1], got '0.5'",
+                     id="chi2_g"),
+        pytest.param(lambda s: PointMass("x"), "point mass location must be finite, got 'x'",
+                     id="PointMass"),
+        pytest.param(lambda s: Uniform("a", 1.0), "uniform bounds must be finite", id="Uniform"),
+        pytest.param(lambda s: check_alpha(Decimal("0.5")), "alpha must be in (0, 1), got Decimal",
+                     id="Decimal"),
+        pytest.param(lambda s: check_alpha(np.array(0.5)), "alpha must be in (0, 1), got array",
+                     id="0-d array"),
+        pytest.param(lambda s: conformal_quantile(s, Fraction(1, 2)), None, id="Fraction"),
+        pytest.param(lambda s: conformal_quantile(s, np.float64(0.5)), None, id="np.float64"),
+    ])
+    def test_every_scalar_check_reads_its_argument_as_a_number(self, call, prefix):
+        # core.as_real decides what a number is: a numbers.Real, so a string, None,
+        # a Decimal or a 0-d array is refused with the check's own message, never
+        # Python's or numpy's TypeError.
+        if prefix is None:
+            assert call(self.SAMPLE) == conformal_quantile(self.SAMPLE, 0.5)
+            return
+        with pytest.raises(ValueError, match="^" + re.escape(prefix)):
+            call(self.SAMPLE)
 
     def test_rscp_rule_checks_the_calibration_size_first(self):
         with pytest.raises(ValueError, match="^calibration size must be positive, got 0$"):

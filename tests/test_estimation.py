@@ -8,12 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpconformal import (
+    InfeasibleLevelError,
+    LPParams,
     NoFeasibleGridError,
     ScoreSample,
     adjusted_beta,
     default_epsilon_grid,
     estimate_lp_params,
     lp_distance,
+    lp_profile,
+    lp_threshold,
     quantile,
 )
 
@@ -144,6 +148,46 @@ class TestEstimate:
         # lp_profile checks the grid, after estimate_lp_params checks alpha.
         with pytest.raises(ValueError, match="^alpha"):
             estimate_lp_params(s, s, s, "01", 1.5)
+
+
+# Quarter-step scores tie often, and eighth-step grid points land on their gaps.
+tied_samples = st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max_size=80)
+increasing_grids = st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True).map(
+    lambda ks: [k / 8 for k in sorted(ks)])
+
+
+def _applied(calib_b, alpha, epsilon, rho):
+    """What ``calibrate --method lp`` applies at one grid point: None when infeasible."""
+    try:
+        return lp_threshold(calib_b, alpha, LPParams(epsilon, rho))
+    except InfeasibleLevelError:
+        return None
+
+
+class TestEstimateMatchesCalibrate:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_samples, tied_samples, tied_samples, increasing_grids,
+           st.sampled_from([0.05, 0.1, 0.2]))
+    def test_every_grid_point_is_what_lp_threshold_applies(self, a, b, test, grid, alpha):
+        calib_a, calib_b, test = ScoreSample(a), ScoreSample(b), ScoreSample(test)
+        try:
+            result = estimate_lp_params(calib_a, calib_b, test, grid, alpha)
+        except NoFeasibleGridError:
+            for epsilon, rho in lp_profile(calib_a, test, grid):
+                applied = _applied(calib_b, alpha, epsilon, rho)
+                assert applied is None or applied.is_unbounded
+            return
+        for point in result.grid_trace:
+            applied = _applied(calib_b, alpha, point.epsilon, point.rho)
+            if point.feasible:
+                assert applied is not None and point.q == applied.threshold
+            elif point.reason == "coverage adjustment infeasible":
+                assert applied is None
+            else:
+                assert applied is not None and applied.is_unbounded
+        feasible = [p for p in result.grid_trace if p.feasible]
+        best = min(feasible, key=lambda p: p.q)  # the first of equal thresholds
+        assert (result.epsilon, result.rho, result.q) == (best.epsilon, best.rho, best.q)
 
 
 class TestDefaultGrid:

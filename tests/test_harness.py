@@ -458,7 +458,7 @@ class TestCompare:
         m = synthetic_matrix(np.random.default_rng(14), rows=100)
         with pytest.raises(ValueError, match="alpha"):
             compare(m, [], 5.0, 3, 50, 40, base_seed=0)
-        with pytest.raises(ValueError, match="at least one split"):
+        with pytest.raises(ValueError, match="^number of splits must be positive, got 0$"):
             compare(m, [], 0.1, 0, 50, 40, base_seed=0)
 
     def test_paired_splits_under_perturbation(self):
@@ -1298,9 +1298,9 @@ def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_see
     the original per-method evaluation loop."""
     check_alpha(alpha)
     if n_splits < 1:
-        raise ValueError(f"need at least one split, got {n_splits!r}")
+        raise ValueError(f"number of splits must be positive, got {n_splits!r}")
     if k_test < 1:
-        raise ValueError(f"need at least one test row, got {k_test!r}")
+        raise ValueError(f"number of test rows must be positive, got {k_test!r}")
     if base_seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {base_seed!r}")
     if method.weights is not None and method.weights.shape != (matrix.n_rows,):
@@ -1628,12 +1628,14 @@ class TestSharedSplits:
             compare(self.MATRIX, [MethodSpec("sc"), lp], 0.1, 2, 8, 20, 0)
         assert str(info.value.__cause__) == str(info.value).removeprefix("split 0: ")
         for bad, message in (
-            (dict(alpha=1.0), "alpha"), (dict(n_splits=0), "at least one split"),
-            (dict(k_test=0), "at least one test row"), (dict(base_seed=-1), "seed"),
+            (dict(alpha=1.0), "alpha"),
+            (dict(n_splits=0), "^number of splits must be positive, got 0$"),
+            (dict(k_test=0), "^number of test rows must be positive, got 0$"),
+            (dict(base_seed=-1), "seed"),
             (dict(n_calib=0), "^calibration size must be positive, got 0$"),
             (dict(n_calib=250), "^n_calib \\+ k_test = 270 exceeds the 260 available rows$"),
-            (dict(n_splits=2.0), "^need at least one split, got 2.0$"),
-            (dict(k_test=20.0), "^need at least one test row, got 20.0$"),
+            (dict(n_splits=2.0), "^number of splits must be an integer, got 2.0$"),
+            (dict(k_test=20.0), "^number of test rows must be an integer, got 20.0$"),
             (dict(n_calib=8.5), "^calibration size must be an integer, got 8.5$"),
             (dict(n_calib="8"), "^calibration size must be an integer, got '8'$"),
         ):

@@ -1,5 +1,7 @@
 """Tests for the perturbation sampler, extremal families, and pushforward inclusion."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from lpconformal import (
     quantile,
     worst_case_quantile,
 )
+from lpconformal.harness import perturbation_dict
 from lpconformal.shiftlab import perturb_cells, perturb_rows
 
 from oracles import (
@@ -48,6 +51,16 @@ class TestPerturbationSpec:
         spec = PerturbationSpec(epsilon=1e308, rho=0.1)
         with pytest.raises(ValueError, match="too far apart to sample"):
             perturb_sample(ScoreSample([0.0, 1.0]), spec)
+
+    def test_laws_store_floats(self):
+        # A numpy scalar is stored as a Python float, so every report can write it.
+        assert type(PointMass(np.float32(0.5)).value) is float
+        law = Uniform(np.float32(-0.25), np.int64(1))
+        assert (type(law.low), type(law.high)) == (float, float)
+        assert (law.low, law.high) == (-0.25, 1.0)
+        spec = PerturbationSpec(0.5, 0.1, local_law=PointMass(np.float32(0.25)),
+                                global_law=PointMass(np.float32(2.0)))
+        assert json.loads(json.dumps(perturbation_dict(spec)))["global_law"]["value"] == 2.0
 
     def test_default_local_law(self):
         spec = PerturbationSpec(epsilon=0.3, rho=0.1)

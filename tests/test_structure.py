@@ -19,8 +19,9 @@ its own numbers once, in ``SplitResult.texts``. One ``json.dumps`` call in
 ``EvalReport.to_json`` lays out each report, which then fills in only its
 per-split entries, and ``reports_json`` nests each report's ``to_json``
 text, so no second copy of the ``indent=2`` layout remains. Each
-parameter kind has one check in ``core``, and ``MethodSpec.rule`` leaves the
-calibration size to the rules it picks. One tuple in ``harness``,
+parameter kind has one check in ``core``, which alone decides what a number
+and what a count is, and ``MethodSpec.rule`` leaves the calibration size to
+the rules it picks. One tuple in ``harness``,
 ``WEIGHTED_METHODS``, names the methods that read per-row weights. No public
 threshold is another one with an argument fixed: the method names keep those
 settings. The public surface is pinned, every exported name resolves, and so
@@ -251,6 +252,15 @@ def test_parameter_kind_checked_only_in_core(text):
     assert found == ["core.py"], f"{text!r} appears in {found}"
 
 
+def test_number_and_count_rules_only_in_core():
+    # core.as_real decides what a number is and core.check_count what a count is.
+    found = [p.name for p in SOURCES if "import numbers" in p.read_text()]
+    assert found == ["core.py"], f"numbers is imported in {found}"
+    for gone in ("_as_float", "check_calibration_size"):
+        found = [p.name for p in SOURCES if gone in p.read_text()]
+        assert not found, f"{gone} appears in {found}"
+
+
 def test_method_rule_leaves_the_calibration_size_to_its_rules():
     tree = ast.parse((ROOT / "src" / "lpconformal" / "harness.py").read_text())
     spec = next(
@@ -261,7 +271,7 @@ def test_method_rule_leaves_the_calibration_size_to_its_rules():
         node for node in spec.body if isinstance(node, ast.FunctionDef) and node.name == "rule"
     )
     calls = [ast.unparse(node.func) for node in ast.walk(rule) if isinstance(node, ast.Call)]
-    assert calls and "check_calibration_size" not in calls
+    assert calls and "check_count" not in calls
 
 
 def test_weighted_methods_named_once():
