@@ -99,8 +99,8 @@ def chi2_g(beta: float, rho_chi2: float) -> float:
     ``max(0, beta - sqrt(rho_chi2 * beta * (1 - beta)))``; endpoints map to
     themselves by convention.
     """
-    check_probability(beta, "beta")
-    check_finite_nonnegative(rho_chi2, "rho_chi2")
+    beta = check_probability(beta, "beta")
+    rho_chi2 = check_finite_nonnegative(rho_chi2, "rho_chi2")
     if beta in (0.0, 1.0):
         return beta
     return max(0.0, beta - math.sqrt(rho_chi2 * beta * (1.0 - beta)))
@@ -113,8 +113,8 @@ def chi2_g_inv(tau: float, rho_chi2: float) -> float:
     by property tests rather than assumed blindly). Results are memoised,
     since repeated calibrations ask for the same few levels.
     """
-    check_probability(tau, "tau")
-    return _chi2_g_inv(float(tau), check_finite_nonnegative(rho_chi2, "rho_chi2"))
+    tau = check_probability(tau, "tau")
+    return _chi2_g_inv(tau, check_finite_nonnegative(rho_chi2, "rho_chi2"))
 
 
 @lru_cache(maxsize=256)
@@ -130,7 +130,7 @@ def _chi2_g_inv(tau: float, rho_chi2: float) -> float:
 def chi2_rule(n: int, alpha: float, rho_chi2: float) -> QuantileRule:
     """:func:`chi2_threshold`'s rule for ``n`` scores."""
     check_count(n, "calibration size")
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     inner = (1.0 + 1.0 / n) * chi2_g_inv(1.0 - alpha, rho_chi2)
     if not level_at_most_one(inner):
         return QuantileRule(None, inner)
@@ -179,8 +179,8 @@ def _weighted_rule(sorted_weights: np.ndarray, test_weight: float, level: float)
 def rscp_rule(n: int, alpha: float, delta: float, sigma: float) -> QuantileRule:
     """:func:`rscp_threshold`'s rule for ``n`` scores."""
     check_count(n, "calibration size")
-    check_alpha(alpha)
-    check_finite_nonnegative(delta, "delta")
+    alpha = check_alpha(alpha)
+    delta = check_finite_nonnegative(delta, "delta")
     sigma = check_finite_positive(sigma, "sigma")
     return QuantileRule.at_level(n, (1.0 - alpha) * (2 + n) / (1 + n), delta / sigma)
 
@@ -203,7 +203,7 @@ def fg_rule(n: int, alpha: float, rho_chi2: float, test_weight: float,
     ``g_inv(1 - alpha)``. A total weight past the largest double raises ``ValueError``."""
     check_count(n, "calibration size")
     tw = check_finite_positive(test_weight, "test weight")
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     level = chi2_g_inv(1.0 - alpha, rho_chi2)
     if level <= 0.0:
         raise ValueError(f"degenerate weighted level {level!r} for alpha={alpha!r}")

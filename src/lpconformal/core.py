@@ -51,17 +51,21 @@ def level_at_most_one(level: float) -> bool:
 
 
 def as_real(value) -> float:
-    """``float(value)`` for a ``numbers.Real``, else NaN, which fails every comparison."""
+    """``float(value)`` for a ``numbers.Real``, else NaN, which fails every comparison.
+
+    A value past the largest double, such as ``10**400``, is the infinity of its sign.
+    """
     try:
         return float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:  # an int past the largest double
-        return math.nan
+    except OverflowError:  # math.copysign would convert the value, and overflow too
+        return math.inf if value > 0 else -math.inf
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise ``ValueError`` unless the miscoverage ``alpha`` lies in (0, 1)."""
-    if not 0.0 < as_real(alpha) < 1.0:
+def check_alpha(alpha: float) -> float:
+    """``float(alpha)``, or ``ValueError`` unless the miscoverage ``alpha`` lies in (0, 1)."""
+    if not 0.0 < (number := as_real(alpha)) < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    return number
 
 
 def check_count(value, name: str) -> int:
@@ -111,10 +115,11 @@ def check_labels(true_labels, n_rows: int, n_labels: int) -> np.ndarray:
     return np.asarray(labels, dtype=int)
 
 
-def check_probability(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless the parameter ``name``, such as ``rho``, lies in [0, 1]."""
-    if not 0.0 <= as_real(value) <= 1.0:
+def check_probability(value: float, name: str) -> float:
+    """``float(value)``, or ``ValueError`` unless the probability ``name`` lies in [0, 1]."""
+    if not 0.0 <= (number := as_real(value)) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return number
 
 
 def check_seed(value) -> int:
@@ -282,9 +287,9 @@ def quantile_index(n: int, beta: float) -> int:
     Equals ``ceil(beta * n)``, snapped and clamped to [1, n]. Raises
     ``ValueError`` if ``beta`` is outside (0, 1].
     """
-    if not 0.0 < as_real(beta) <= 1.0:
+    if not 0.0 < (level := as_real(beta)) <= 1.0:
         raise ValueError(f"quantile level must be in (0, 1], got {beta!r}")
-    return min(max(snapped_ceil(beta * n), 1), n)
+    return min(max(snapped_ceil(level * n), 1), n)
 
 
 def quantile(sample: ScoreSample, beta: float) -> float:
@@ -308,7 +313,7 @@ def cdf(sample: ScoreSample, q: float) -> float:
 def conformal_rule(n: int, alpha: float) -> QuantileRule:
     """:func:`conformal_quantile`'s rule for ``n`` calibration scores."""
     check_count(n, "calibration size")
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     # At least 1: a level within LEVEL_REL_TOL of zero snaps to index 0.
     k = max(snapped_ceil((1.0 - alpha) * (n + 1)), 1)
     return QuantileRule.at_level(n, k / n)

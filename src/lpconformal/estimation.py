@@ -89,7 +89,7 @@ def estimate_lp_params(
 
     Raises :class:`NoFeasibleGridError` if no grid point is feasible.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     n_b = calib_b.n
     trace: list[GridPoint] = []
     best: GridPoint | None = None

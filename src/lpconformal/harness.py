@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_count,
-                   check_labels, check_seed, conformal_rule)
+from .core import (QuantileRule, ScoreSample, ThresholdResult, as_real, check_alpha,
+                   check_count, check_labels, check_seed, conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -142,6 +142,7 @@ class MethodSpec:
         return self.rule(calib.n, alpha).apply(calib.scores)
 
     def params_dict(self) -> dict:
+        """Each parameter as the float its rule read, once :meth:`rule` has accepted it."""
         out: dict = {"epsilon": self.epsilon, "rho": self.rho}
         if self.name in ("chi2", "fg"):
             out["rho_chi2"] = self.rho_chi2
@@ -149,7 +150,7 @@ class MethodSpec:
             out.update(delta=self.delta, sigma=self.sigma)
         if self.name in WEIGHTED_METHODS:
             out["test_weight"] = self.test_weight
-        return out
+        return {key: as_real(value) for key, value in out.items()}
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,7 @@ def perturbation_dict(spec: PerturbationSpec) -> dict:
     return {
         "epsilon": spec.epsilon,
         "rho": spec.rho,
-        "local_law": _law_dict(spec.resolved_local_law()),
+        "local_law": _law_dict(spec.local_law),
         "global_law": _law_dict(spec.global_law),
         "seed": spec.seed,
     }
@@ -317,7 +318,7 @@ def compare(
     list order and the first rule error is re-raised with the prefix ``split 0:``.
     """
     methods = list(methods)
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     n_splits = check_count(n_splits, "number of splits")
     k_test = check_count(k_test, "number of test rows")
     n_calib = check_count(n_calib, "calibration size")

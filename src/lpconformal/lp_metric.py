@@ -66,14 +66,14 @@ _BLOCK_CELLS = 1 << 15
 
 @dataclass(frozen=True)
 class LPParams:
-    """Ambiguity ball parameters: local radius ``epsilon``, global mass budget ``rho``."""
+    """Ambiguity ball parameters, stored as floats: local radius ``epsilon``, mass budget ``rho``."""
 
     epsilon: float
     rho: float
 
     def __post_init__(self) -> None:
-        check_finite_nonnegative(self.epsilon, "epsilon")
-        check_probability(self.rho, "rho")
+        object.__setattr__(self, "epsilon", check_finite_nonnegative(self.epsilon, "epsilon"))
+        object.__setattr__(self, "rho", check_probability(self.rho, "rho"))
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,9 @@ class PredictionSet:
 
 def worst_case_rule(n: int, beta: float, params: LPParams) -> QuantileRule:
     """:func:`worst_case_quantile`'s rule for ``n`` scores."""
-    if not 0.0 < as_real(beta) <= 1.0:
+    if not 0.0 < (level := as_real(beta)) <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta!r}")
-    return QuantileRule.at_level(n, beta + params.rho, params.epsilon)
+    return QuantileRule.at_level(n, level + params.rho, params.epsilon)
 
 
 def worst_case_quantile(
@@ -91,8 +91,8 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
     [0, 1]. Valid for calibration size ``n >= 1`` and ``rho < 1``.
     """
     check_count(n, "calibration size")
-    check_alpha(alpha)
-    check_probability(rho, "rho")
+    alpha = check_alpha(alpha)
+    rho = check_probability(rho, "rho")
     if rho == 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
     k = snapped_ceil(n * (1.0 - alpha + rho))
@@ -101,7 +101,7 @@ def coverage_lower_bound(n: int, alpha: float, rho: float) -> float:
 
 def robust_rule(n: int, alpha: float, params: LPParams) -> QuantileRule:
     """:func:`robust_threshold`'s rule for ``n`` scores."""
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     rule = worst_case_rule(n, 1.0 - alpha, params)
     bound = coverage_lower_bound(n, alpha, params.rho) if params.rho < 1.0 else None
     return replace(rule, coverage_bound=bound)
@@ -130,8 +130,8 @@ def adjusted_beta(n: int, alpha: float, rho: float) -> float:
     this ``rho``.
     """
     check_count(n, "calibration size")
-    check_alpha(alpha)
-    check_probability(rho, "rho")
+    alpha = check_alpha(alpha)
+    rho = check_probability(rho, "rho")
     beta = alpha + (alpha - rho - 2.0) / n
     if beta <= 0.0:
         raise InfeasibleLevelError(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +74,10 @@ class PerturbationSpec:
     Each score is independently replaced by a draw from ``global_law`` with
     probability ``rho``; otherwise it is displaced by a draw from
     ``local_law``, whose support must lie in [-epsilon, epsilon]. ``None``
-    means the default local law, uniform on [-epsilon, epsilon]. Everything
-    is deterministic given ``seed``.
+    is resolved when the spec is built to the default local law, uniform on
+    [-epsilon, epsilon], so a radius too wide to sample is refused then.
+    ``epsilon`` and ``rho`` are stored as the floats :class:`LPParams` checked.
+    Everything is deterministic given ``seed``.
     """
 
     epsilon: float
@@ -86,23 +87,15 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        LPParams(self.epsilon, self.rho)  # checks the ball's parameters
-        law = self.local_law
-        if law is not None:
-            lo, hi = (law.value, law.value) if isinstance(law, PointMass) else (law.low, law.high)
-            if lo < -self.epsilon or hi > self.epsilon:
-                raise ValueError(
-                    f"local law support [{lo!r}, {hi!r}] exceeds [-epsilon, epsilon]"
-                )
-        object.__setattr__(self, "seed", check_seed(self.seed))
-
-    def resolved_local_law(self) -> Law:
-        return self._default_local_law if self.local_law is None else self.local_law
-
-    @cached_property
-    def _default_local_law(self) -> Uniform:
-        # Built on first use, so a width too large to sample raises only when drawn.
-        return Uniform(-self.epsilon, self.epsilon)
+        ball = LPParams(self.epsilon, self.rho)
+        eps = ball.epsilon
+        law = Uniform(-eps, eps) if self.local_law is None else self.local_law
+        lo, hi = (law.value, law.value) if isinstance(law, PointMass) else (law.low, law.high)
+        if lo < -eps or hi > eps:
+            raise ValueError(f"local law support [{lo!r}, {hi!r}] exceeds [-epsilon, epsilon]")
+        for name, value in (("epsilon", eps), ("rho", ball.rho), ("local_law", law),
+                            ("seed", check_seed(self.seed))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +132,7 @@ def _clamp_displacement(values: np.ndarray, center: np.ndarray, eps: float) -> n
 def _displace(values: np.ndarray, spec: PerturbationSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw the replacement mask, then the local noise; return the mask and the clamped shift."""
     replaced = rng.random(values.size) < spec.rho
-    noise = _draw_law(spec.resolved_local_law(), rng, values.size)
+    noise = _draw_law(spec.local_law, rng, values.size)
     with np.errstate(over="ignore"):  # the clamp repairs a sum past the largest double
         return replaced, _clamp_displacement(values + noise, values, spec.epsilon)
 
@@ -206,8 +199,7 @@ def perturb_cells(flat: np.ndarray, cells: np.ndarray, n_labels: int,
 
 def propagate_params(k_lipschitz: float, params: LPParams) -> LPParams:
     """Ball parameters after pushing through a ``k_lipschitz``-Lipschitz map."""
-    # Python floats: a numpy scalar would warn where the product overflows.
-    epsilon = check_finite_positive(k_lipschitz, "Lipschitz constant") * float(params.epsilon)
+    epsilon = check_finite_positive(k_lipschitz, "Lipschitz constant") * params.epsilon
     if not math.isfinite(epsilon):
         raise ValueError(f"Lipschitz constant {k_lipschitz!r} times epsilon "
                          f"{params.epsilon!r} overflows")

@@ -176,7 +176,7 @@ def perturb_rows_reference(scores, true_labels, spec, rng):
     n_rows, n_labels = scores.shape
     out = scores.copy()
     corrupt = rng.random(n_rows) < spec.rho
-    noise = _draw(spec.resolved_local_law(), rng, n_rows)
+    noise = _draw(spec.local_law, rng, n_rows)
     keep = np.nonzero(~corrupt)[0]
     cols = true_labels[keep]
     original = out[keep, cols]

@@ -28,6 +28,7 @@ from lpconformal import (
 from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule
 from lpconformal.core import (
     QuantileRule,
+    as_real,
     check_alpha,
     check_count,
     check_finite_nonnegative,
@@ -511,10 +512,36 @@ class TestValidators:
                 call()
             assert str(info.value) == f"{name} must be finite and positive, got {bad!r}"
 
-    def test_finite_checks_return_a_float(self):
-        for check in (check_finite_positive, check_finite_nonnegative):
-            value = check(np.float32(2.5), "sigma")
-            assert type(value) is float and value == 2.5
+    def test_scalar_checks_return_a_float(self):
+        for check in (check_finite_positive, check_finite_nonnegative, check_probability,
+                      lambda value, name: check_alpha(value)):
+            for given in (np.float32(0.25), Fraction(1, 4)):
+                value = check(given, "x")
+                assert type(value) is float and value == 0.25
+        assert type(check_probability(1, "rho")) is float
+
+    @pytest.mark.parametrize("value, infinity", [
+        pytest.param(10**400, math.inf, id="10**400"),
+        pytest.param(-(10**400), -math.inf, id="-10**400"),
+        pytest.param(Fraction(10**400, 3), math.inf, id="Fraction(10**400, 3)"),
+        pytest.param(Fraction(-(10**400), 3), -math.inf, id="Fraction(-10**400, 3)"),
+    ])
+    def test_an_overflowing_number_is_an_infinity(self, value, infinity):
+        assert as_real(value) == infinity
+        assert cdf(self.SAMPLE, value) == (1.0 if infinity > 0 else 0.0)
+        # Every check that wants a finite number still refuses it with its own message.
+        refusals = [
+            (lambda: check_alpha(value), "alpha must be in (0, 1)"),
+            (lambda: check_probability(value, "rho"), "rho must lie in [0, 1]"),
+            (lambda: check_finite_nonnegative(value, "x"), "x must be a finite nonnegative real"),
+            (lambda: check_finite_positive(value, "x"), "x must be finite and positive"),
+            (lambda: worst_case_coverage(self.SAMPLE, value, LPParams(0, 0)), "q must be finite"),
+            (lambda: PointMass(value), "point mass location must be finite"),
+        ]
+        for call, prefix in refusals:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{prefix}, got {value!r}"
 
     SAMPLE = ScoreSample([1.0, 2.0, 3.0])
 

@@ -461,6 +461,34 @@ class TestCompare:
         with pytest.raises(ValueError, match="^number of splits must be positive, got 0$"):
             compare(m, [], 0.1, 0, 50, 40, base_seed=0)
 
+    PARAMS = {"epsilon": 0.1, "rho": 0.05, "rho_chi2": 0.05, "delta": 0.05, "sigma": 0.5,
+              "test_weight": 1.5}
+    # The method evaluate runs to record each MethodSpec parameter.
+    READER = {"rho_chi2": "fg", "delta": "rscp", "sigma": "rscp", "test_weight": "weighted"}
+
+    @pytest.mark.parametrize("runner", ["compare", "evaluate"])
+    @pytest.mark.parametrize("name", ["alpha", *PARAMS, "perturbation epsilon",
+                                      "perturbation rho"])
+    def test_float32_parameter_reports_its_double(self, runner, name):
+        # Each check returns the float it read, so the report records a Python float.
+        m = synthetic_matrix(np.random.default_rng(17), rows=80, labels=3)
+
+        def reports(number):
+            values = {"alpha": 0.1, **self.PARAMS, "perturbation epsilon": 0.2,
+                      "perturbation rho": 0.1}
+            values[name] = number(values[name])
+            params = {key: values[key] for key in self.PARAMS}
+            spec = PerturbationSpec(values["perturbation epsilon"], values["perturbation rho"],
+                                    seed=2)
+            alpha = values["alpha"]
+            if runner == "evaluate":
+                method = MethodSpec(self.READER.get(name, "lp"), **params)
+                return evaluate(m, method, alpha, 3, 40, 30, 4, perturbation=spec).to_json()
+            methods = [MethodSpec(method, **params) for method in METHOD_NAMES]
+            return [r.to_json() for r in compare(m, methods, alpha, 3, 40, 30, 4, spec)]
+
+        assert reports(np.float32) == reports(lambda value: float(np.float32(value)))
+
     def test_paired_splits_under_perturbation(self):
         rng = np.random.default_rng(15)
         m = synthetic_matrix(rng, rows=900, labels=8)

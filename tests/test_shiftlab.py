@@ -48,9 +48,9 @@ class TestPerturbationSpec:
     def test_uniform_rejects_an_unsampleable_width(self):
         with pytest.raises(ValueError, match=r"uniform bounds \[-1e\+308, 1e\+308\]"):
             Uniform(-1e308, 1e308)
-        spec = PerturbationSpec(epsilon=1e308, rho=0.1)
-        with pytest.raises(ValueError, match="too far apart to sample"):
-            perturb_sample(ScoreSample([0.0, 1.0]), spec)
+        # The default local law is built with the spec, so the spec refuses the radius.
+        with pytest.raises(ValueError, match=r"uniform bounds \[-1e\+308, 1e\+308\] are too far"):
+            PerturbationSpec(epsilon=1e308, rho=0.1)
 
     def test_laws_store_floats(self):
         # A numpy scalar is stored as a Python float, so every report can write it.
@@ -63,9 +63,9 @@ class TestPerturbationSpec:
         assert json.loads(json.dumps(perturbation_dict(spec)))["global_law"]["value"] == 2.0
 
     def test_default_local_law(self):
-        spec = PerturbationSpec(epsilon=0.3, rho=0.1)
-        law = spec.resolved_local_law()
-        assert law == Uniform(-0.3, 0.3)
+        assert PerturbationSpec(epsilon=0.3, rho=0.1).local_law == Uniform(-0.3, 0.3)
+        assert PerturbationSpec(0.1, 0.0).local_law == Uniform(-0.1, 0.1)
+        assert PerturbationSpec(0.1, 0.05) == PerturbationSpec(0.1, 0.05, Uniform(-0.1, 0.1))
 
     def test_validates_rho(self):
         with pytest.raises(ValueError):
@@ -144,9 +144,9 @@ class TestPerturbSample:
 
     def test_default_local_law_built_once(self):
         spec = PerturbationSpec(epsilon=0.3, rho=0.1)
-        assert spec.resolved_local_law() is spec.resolved_local_law()
+        assert spec.local_law is spec.local_law
         own = Uniform(-0.1, 0.2)
-        assert PerturbationSpec(0.3, 0.1, local_law=own).resolved_local_law() is own
+        assert PerturbationSpec(0.3, 0.1, local_law=own).local_law is own
 
     def test_two_step_membership_is_exact(self):
         # Displacement within eps plus replacement of a realized fraction
@@ -387,11 +387,12 @@ class TestPropagateParams:
         (2.0, 1e308), (1e300, 1e10), (np.float64(4.0), 1e308), (2.0, np.float64(1e308)),
     ])
     def test_overflowing_radius_names_both_factors(self, k, epsilon):
-        # The product overflows: the message names what the caller passed, not inf.
+        # The product overflows: the message names the constant as passed and the
+        # float the ball stores, not inf.
         with pytest.raises(ValueError) as info:
             propagate_params(k, LPParams(epsilon, 0.1))
         assert str(info.value) == (
-            f"Lipschitz constant {k!r} times epsilon {epsilon!r} overflows")
+            f"Lipschitz constant {k!r} times epsilon {float(epsilon)!r} overflows")
 
 
 def random_max_affine(rng, dim, pieces=4):

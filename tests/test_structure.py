@@ -20,7 +20,8 @@ its own numbers once, in ``SplitResult.texts``. One ``json.dumps`` call in
 per-split entries, and ``reports_json`` nests each report's ``to_json``
 text, so no second copy of the ``indent=2`` layout remains. Each
 parameter kind has one check in ``core``, which alone decides what a number
-and what a count is, and ``MethodSpec.rule`` leaves the calibration size to
+and what a count is; every caller keeps the float a check returns, and
+``PerturbationSpec`` resolves its local law when built; and ``MethodSpec.rule`` leaves the calibration size to
 the rules it picks. One tuple in ``harness``,
 ``WEIGHTED_METHODS``, names the methods that read per-row weights. No public
 threshold is another one with an argument fixed: the method names keep those
@@ -259,6 +260,29 @@ def test_number_and_count_rules_only_in_core():
     for gone in ("_as_float", "check_calibration_size"):
         found = [p.name for p in SOURCES if gone in p.read_text()]
         assert not found, f"{gone} appears in {found}"
+
+
+SCALAR_CHECKS = ("check_alpha", "check_probability", "check_finite_nonnegative",
+                 "check_finite_positive")
+
+
+def test_no_scalar_check_discards_its_float():
+    # Each check returns the float it accepted, and its caller computes with,
+    # stores and records that float, never the raw argument.
+    discarded = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).rsplit(".", 1)[-1] in SCALAR_CHECKS
+    ]
+    assert not discarded, f"scalar checks whose float is discarded: {discarded}"
+
+
+def test_perturbation_spec_resolves_its_local_law_when_built():
+    text = (ROOT / "src" / "lpconformal" / "shiftlab.py").read_text()
+    for gone in ("resolved_local_law", "_default_local_law", "cached_property"):
+        assert gone not in text, f"{gone} appears in shiftlab.py"
 
 
 def test_method_rule_leaves_the_calibration_size_to_its_rules():
