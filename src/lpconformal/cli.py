@@ -75,23 +75,24 @@ def _perturbation_from_args(args) -> PerturbationSpec | None:
 
 
 def _cmd_calibrate(args) -> int:
-    alpha = args.alpha
+    weights = None
     if args.method in WEIGHTED_METHODS:
         if not args.weights:
             raise ValueError(f"method {args.method!r} requires --weights")
         scores, weights = read_weighted_scores(args.weights, args.test_weight).by_score()
-        rule = _method_from_args(args.method, args).rule(scores.size, alpha, weights)
-        result = rule.apply(scores)
     else:
         if not args.scores:
             raise ValueError(f"method {args.method!r} requires --scores")
         sample = read_scores(args.scores, has_header=args.has_header)
-        result = _method_from_args(args.method, args).threshold(sample, alpha)
+    method = _method_from_args(args.method, args)
+    if weights is None:
+        result = method.threshold(sample, args.alpha)
+    else:
+        result = method.rule(scores.size, args.alpha, weights).apply(scores)
     payload = {
         "method": args.method,
-        "alpha": alpha,
-        "epsilon": args.epsilon,
-        "rho": args.rho,
+        "alpha": args.alpha,
+        **method.params_dict(),
         **_threshold_payload(result),
     }
     _emit(payload, args.out)

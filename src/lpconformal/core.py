@@ -250,14 +250,17 @@ class QuantileRule:
 
         The one place a level becomes an order statistic. A level within
         ``LEVEL_REL_TOL`` above one snaps to one; past that the rule is
-        unbounded and keeps the level for diagnosis. Raises ``ValueError``
-        unless ``n`` is an integer of at least one.
+        unbounded and keeps the level for diagnosis, as a float. Raises
+        ``ValueError`` unless ``n`` is an integer of at least one, then unless
+        ``level`` is a number other than NaN.
         """
         check_count(n, "calibration size")
-        if not level_at_most_one(level):
-            return cls(None, level)
-        level = min(level, 1.0)
-        return cls(quantile_index(n, level), level, offset)
+        if math.isnan(number := as_real(level)):
+            raise ValueError(f"quantile level must be a number, got {level!r}")
+        if not level_at_most_one(number):
+            return cls(None, number)
+        number = min(number, 1.0)
+        return cls(quantile_index(n, number), number, offset)
 
     def cutoff(self, sorted_scores) -> float:
         """The threshold on ``sorted_scores`` as a float, ``math.inf`` when unbounded.

@@ -18,14 +18,15 @@ import math
 import os
 import stat
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import (QuantileRule, ScoreSample, ThresholdResult, as_real, check_alpha,
-                   check_count, check_labels, check_seed, conformal_rule)
+from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_count,
+                   check_finite_nonnegative, check_finite_positive, check_labels,
+                   check_probability, check_seed, conformal_rule)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -57,7 +58,21 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = 1
 
-METHOD_NAMES = ("sc", "lp", "tv", "winf", "chi2", "weighted", "rscp", "fg")
+# The parameters each method's rule reads, which its reports record. A rule
+# reads a field its method does not name at the field's default: ``tv`` is
+# ``lp`` at ``epsilon = 0``, ``winf`` is ``lp`` at ``rho = 0`` and ``weighted``
+# is ``fg`` at ``rho_chi2 = 0``.
+_RULE_PARAMS = {
+    "sc": (),
+    "lp": ("epsilon", "rho"),
+    "tv": ("rho",),
+    "winf": ("epsilon",),
+    "chi2": ("rho_chi2",),
+    "weighted": ("test_weight",),
+    "rscp": ("delta", "sigma"),
+    "fg": ("rho_chi2", "test_weight"),
+}
+METHOD_NAMES = tuple(_RULE_PARAMS)
 # The methods that read per-row weights: ``weighted`` is ``fg`` at ``rho_chi2 = 0``.
 WEIGHTED_METHODS = ("weighted", "fg")
 
@@ -96,9 +111,11 @@ class ScoreMatrix:
 class MethodSpec:
     """A named threshold method plus the parameters it needs.
 
-    ``weights`` (optional) supplies per-row likelihood ratios for the
-    weighted methods, aligned with the score matrix rows; uniform weights
-    are used when omitted.
+    Every scalar field is checked when the spec is built, whether or not the
+    method's rule reads it, and stored as the float its check returned.
+    ``weights`` (optional, ``WEIGHTED_METHODS`` only) supplies per-row
+    likelihood ratios aligned with the score matrix rows; uniform weights are
+    used when omitted.
     """
 
     name: str
@@ -113,44 +130,54 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; expected one of {METHOD_NAMES}")
-        LPParams(self.epsilon, self.rho)  # checks both: every report records them
+        checked = dict(
+            epsilon=check_finite_nonnegative(self.epsilon, "epsilon"),
+            rho=check_probability(self.rho, "rho"),
+            rho_chi2=check_finite_nonnegative(self.rho_chi2, "rho_chi2"),
+            delta=check_finite_nonnegative(self.delta, "delta"),
+            sigma=check_finite_positive(self.sigma, "sigma"),
+            test_weight=check_finite_positive(self.test_weight, "test weight"),
+        )
+        for key, value in checked.items():
+            object.__setattr__(self, key, value)
         if self.weights is not None:
+            if self.name not in WEIGHTED_METHODS:
+                raise ValueError(f"method {self.name!r} reads no per-row weights; "
+                                 f"only {WEIGHTED_METHODS} do")
             object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     def rule(self, n: int, alpha: float, sorted_weights: np.ndarray | None = None) -> QuantileRule:
         """This method's threshold rule resolved for ``n`` calibration scores.
 
-        ``sorted_weights`` (read by the ``WEIGHTED_METHODS`` only) are the scores'
-        weights in ascending score order (``WeightedScores.by_score``), each one
-        when None. Their sums are exact, so the order of tied rows does not matter.
-        Raises ``ValueError`` for every method unless ``n`` is an integer of at least one.
+        The rule reads the fields :meth:`params_dict` names, and every other
+        field at its default. ``sorted_weights`` (read by the ``WEIGHTED_METHODS``
+        only) are the scores' weights in ascending score order
+        (``WeightedScores.by_score``), each one when None. Their sums are exact,
+        so the order of tied rows does not matter. Raises ``ValueError`` for
+        every method unless ``n`` is an integer of at least one.
         """
+        p = _DEFAULTS | self.params_dict()
         if self.name == "sc":
             return conformal_rule(n, alpha)
-        if self.name in ("lp", "tv", "winf"):  # tv is lp at epsilon = 0, winf at rho = 0
-            return lp_rule(n, alpha, LPParams(0.0 if self.name == "tv" else self.epsilon,
-                                              0.0 if self.name == "winf" else self.rho))
+        if self.name in ("lp", "tv", "winf"):
+            return lp_rule(n, alpha, LPParams(p["epsilon"], p["rho"]))
         if self.name == "chi2":
-            return chi2_rule(n, alpha, self.rho_chi2)
+            return chi2_rule(n, alpha, p["rho_chi2"])
         if self.name in WEIGHTED_METHODS:
-            rho_chi2 = 0.0 if self.name == "weighted" else self.rho_chi2
-            return fg_rule(n, alpha, rho_chi2, self.test_weight, sorted_weights)
-        return rscp_rule(n, alpha, self.delta, self.sigma)
+            return fg_rule(n, alpha, p["rho_chi2"], p["test_weight"], sorted_weights)
+        return rscp_rule(n, alpha, p["delta"], p["sigma"])
 
     def threshold(self, calib: ScoreSample, alpha: float) -> ThresholdResult:
         """Calibrate this method's threshold with unit weights; :meth:`rule` takes per-row ones."""
         return self.rule(calib.n, alpha).apply(calib.scores)
 
     def params_dict(self) -> dict:
-        """Each parameter as the float its rule read, once :meth:`rule` has accepted it."""
-        out: dict = {"epsilon": self.epsilon, "rho": self.rho}
-        if self.name in ("chi2", "fg"):
-            out["rho_chi2"] = self.rho_chi2
-        if self.name == "rscp":
-            out.update(delta=self.delta, sigma=self.sigma)
-        if self.name in WEIGHTED_METHODS:
-            out["test_weight"] = self.test_weight
-        return {key: as_real(value) for key, value in out.items()}
+        """The parameters this method's rule reads, each as the float it was checked to."""
+        return {key: getattr(self, key) for key in _RULE_PARAMS[self.name]}
+
+
+# Each field's default, which a rule reads for every field its method does not name.
+_DEFAULTS = {f.name: f.default for f in fields(MethodSpec)}
 
 
 @dataclass(frozen=True)
@@ -316,6 +343,8 @@ def compare(
     before the first split: the arguments, split sizes, per-row weights and
     their totals are checked in that order, then the rules are resolved in
     list order and the first rule error is re-raised with the prefix ``split 0:``.
+    Each spec checked its parameters when built, so such an error depends on
+    ``n_calib``.
     """
     methods = list(methods)
     alpha = check_alpha(alpha)

@@ -23,7 +23,7 @@ from lpconformal import (
 )
 from lpconformal import cli, harness
 from lpconformal.cli import main
-from lpconformal.harness import EvalReport
+from lpconformal.harness import METHOD_NAMES, WEIGHTED_METHODS, EvalReport
 
 from oracles import fifo_receives, report_csv, report_json
 
@@ -65,6 +65,26 @@ class TestCalibrate:
         assert payload["method"] == "lp"
         assert not payload["unbounded"]
         assert payload["threshold"] > 0
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_payload_records_the_parameters_the_rule_reads(self, scores_file, tmp_path,
+                                                           capsys, name):
+        flags = {"--epsilon": "0.1", "--rho": "0.05", "--rho-chi2": "0.1", "--delta": "0.05",
+                 "--sigma": "2", "--test-weight": "1.5"}
+        if name in WEIGHTED_METHODS:
+            path = tmp_path / "w.csv"
+            path.write_text("score,weight\n" + "".join(f"{v / 50},1.0\n" for v in range(50)))
+            source = ["--weights", str(path)]
+        else:
+            source = ["--scores", str(scores_file)]
+        argv = ["calibrate", "--method", name, *source, *(x for kv in flags.items() for x in kv)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = MethodSpec(name, epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0,
+                          test_weight=1.5)
+        threshold = {"threshold", "unbounded", "level_used", "coverage_bound"}
+        assert set(payload) == {"method", "alpha"} | threshold | set(spec.params_dict())
+        assert {key: payload[key] for key in spec.params_dict()} == spec.params_dict()
 
     def test_sc_to_stdout(self, scores_file, capsys):
         assert main(["calibrate", "--scores", str(scores_file), "--method", "sc"]) == 0

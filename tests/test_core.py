@@ -315,6 +315,25 @@ class TestAtLevel:
         assert rule.index is None and rule.level_used == 1.0 + 1e-9
         assert rule.cutoff(np.arange(5.0)) == math.inf
 
+    def test_nan_level_refused(self):
+        with pytest.raises(ValueError, match="^quantile level must be a number, got nan$"):
+            QuantileRule.at_level(10, float("nan"))
+
+    def test_non_number_level_refused(self):
+        for level in ("x", None, "0.5"):
+            message = f"^quantile level must be a number, got {re.escape(repr(level))}$"
+            with pytest.raises(ValueError, match=message):
+                QuantileRule.at_level(10, level)
+
+    def test_level_stored_as_a_float(self):
+        for level, index in ((np.float32(0.95), 10), (np.float32(2.0), None), (Fraction(1, 2), 5)):
+            rule = QuantileRule.at_level(10, level)
+            assert type(rule.level_used) is float and rule.level_used == float(level)
+            assert rule.index == index
+        # The count is checked first, as every rule does.
+        with pytest.raises(ValueError, match="^calibration size must be positive, got 0$"):
+            QuantileRule.at_level(0, "x")
+
     def test_default_offset_keeps_a_negative_zero(self):
         zeros = np.array([-0.0, 0.0])
         assert math.copysign(1.0, QuantileRule.at_level(2, 0.5).cutoff(zeros)) == -1.0

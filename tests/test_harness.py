@@ -47,6 +47,7 @@ from lpconformal import harness
 from lpconformal.core import check_alpha
 from lpconformal.harness import (
     METHOD_NAMES,
+    WEIGHTED_METHODS,
     EvalReport,
     FileFormatError,
     SplitResult,
@@ -54,7 +55,8 @@ from lpconformal.harness import (
     write_report_csv,
     write_text,
 )
-from lpconformal.robust import adjusted_beta
+from lpconformal.baselines import chi2_rule, fg_rule, rscp_rule
+from lpconformal.robust import adjusted_beta, lp_rule
 from lpconformal.shiftlab import perturb_rows
 
 from oracles import (
@@ -316,6 +318,32 @@ class TestMethodSpecIdentity:
             assert len({a, b, a}) == 2
 
 
+# The scalar fields of a spec and their defaults.
+DEFAULTS = dict(epsilon=0.0, rho=0.0, rho_chi2=0.0, delta=0.0, sigma=1.0, test_weight=1.0)
+# The fields each method's reports record.
+RECORDED = {"sc": (), "lp": ("epsilon", "rho"), "tv": ("rho",), "winf": ("epsilon",),
+            "chi2": ("rho_chi2",), "weighted": ("test_weight",), "rscp": ("delta", "sigma"),
+            "fg": ("rho_chi2", "test_weight")}
+# A public rule that reads each field, called with the others valid.
+FIELD_RULES = {
+    "epsilon": lambda v: lp_rule(100, 0.1, LPParams(v, 0.05)),
+    "rho": lambda v: lp_rule(100, 0.1, LPParams(0.1, v)),
+    "rho_chi2": lambda v: chi2_rule(100, 0.1, v),
+    "delta": lambda v: rscp_rule(100, 0.1, v, 2.0),
+    "sigma": lambda v: rscp_rule(100, 0.1, 0.05, v),
+    "test_weight": lambda v: fg_rule(100, 0.1, 0.1, v),
+}
+# Valid values of each field, which a rule that reads the field tells apart.
+FIELD_VALUES = {
+    "epsilon": (0.0, -0.0, 0.1, 0.5),
+    "rho": (0.0, 0.05, 0.2),
+    "rho_chi2": (0.0, 0.1, 1.0),
+    "delta": (0.0, -0.0, 0.05, 0.3),
+    "sigma": (0.5, 1.0, 2.0),
+    "test_weight": (0.5, 1.0, 1.5, 50.0),
+}
+
+
 class TestMethodRules:
     """``MethodSpec.rule`` resolves to the rule of the method's public threshold."""
 
@@ -325,6 +353,49 @@ class TestMethodRules:
             return fn()
         except ValueError as exc:
             return type(exc), str(exc)
+
+    BASE = dict(epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0, test_weight=1.5)
+
+    @pytest.mark.parametrize("field", sorted(FIELD_VALUES))
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_rule_reads_exactly_the_recorded_fields(self, name, field):
+        # A field the report does not record never changes the rule; one it
+        # records changes it for some value. The repr of a rule shows each
+        # float exactly, the sign of a zero offset too.
+        outcomes = {
+            value: [repr(self._outcome(lambda: MethodSpec(name, **{**self.BASE, field: value})
+                                       .rule(n, alpha)))
+                    for n in (9, 40, 200) for alpha in (0.1, 0.3)]
+            for value in FIELD_VALUES[field]
+        }
+        distinct = {tuple(outcome) for outcome in outcomes.values()}
+        recorded = field in MethodSpec(name, **self.BASE).params_dict()
+        assert (len(distinct) > 1) == recorded, (name, field, outcomes)
+
+    @pytest.mark.parametrize("field", sorted(FIELD_RULES))
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_bad_value_refused_when_built_with_its_rules_message(self, name, field):
+        # Every method checks every field, also one its rule does not read.
+        for value in (-1.0, -1e-300, 0.0, 1.5, 1e308, math.nan, math.inf, -math.inf,
+                      np.float32(-1.0), "0.1", None):
+            want = self._outcome(lambda: FIELD_RULES[field](value))
+            if isinstance(want, tuple):
+                with pytest.raises(want[0]) as info:
+                    MethodSpec(name, **{**self.BASE, field: value})
+                assert str(info.value) == want[1], (name, field, value)
+            else:
+                stored = getattr(MethodSpec(name, **{**self.BASE, field: value}), field)
+                assert type(stored) is float and stored == value
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_per_row_weights_only_for_weighted_methods(self, name):
+        weights = np.ones(5)
+        if name in WEIGHTED_METHODS:
+            assert MethodSpec(name, weights=weights).weights.tolist() == weights.tolist()
+        else:
+            message = f"^method '{name}' reads no per-row weights; only \\('weighted', 'fg'\\) do$"
+            with pytest.raises(ValueError, match=message):
+                MethodSpec(name, weights=weights)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -426,7 +497,9 @@ class TestMethodRules:
         for rho in (np.inf, -5.0, np.nan, 1.5):
             with pytest.raises(ValueError, match=rf"^rho must lie in \[0, 1\], got {rho!r}$"):
                 MethodSpec(name, rho=rho)
-        assert MethodSpec(name, epsilon=1e308, rho=1.0).params_dict()["rho"] == 1.0
+        given = dict(epsilon=1e308, rho=1.0)
+        recorded = MethodSpec(name, **given).params_dict()
+        assert recorded == {key: given.get(key, DEFAULTS[key]) for key in RECORDED[name]}
 
 
 class TestCompare:
@@ -1380,10 +1453,11 @@ def per_method_oracle(matrix, method, alpha, n_splits, n_calib, k_test, base_see
 
 
 def all_methods(weights=None, **overrides):
-    params = dict(epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0,
-                  test_weight=1.5, weights=weights)
+    """Every method at one set of parameters; ``weights`` go to the methods that read them."""
+    params = dict(epsilon=0.1, rho=0.05, rho_chi2=0.1, delta=0.05, sigma=2.0, test_weight=1.5)
     params.update(overrides)
-    return [MethodSpec(name, **params) for name in METHOD_NAMES]
+    return [MethodSpec(name, **params, weights=weights if name in WEIGHTED_METHODS else None)
+            for name in METHOD_NAMES]
 
 
 def oracle_outcome(matrix, methods, *args, **kwargs):
@@ -1570,13 +1644,14 @@ class TestSharedSplits:
         # before any rule error, without a split prefix, even where its row
         # first calibrates at split 3; there the oracle still names split 3.
         m = self.MATRIX
-        lp = MethodSpec("lp")  # n_calib = 8 is too small at alpha 0.1
-        chi2 = MethodSpec("chi2", rho_chi2=-1.0)
+        # n_calib = 8 is too small at alpha 0.1 for lp at rho = 0 and tv at rho = 0.05.
+        lp, tv = MethodSpec("lp"), MethodSpec("tv", rho=0.05)
         args = (0.1, 6, 8, 20, 5)
-        lp_error = "split 0: adjusted miscoverage"
-        chi2_error = "split 0: rho_chi2 must be a finite nonnegative real, got -1.0"
-        cases = (([lp, chi2], lp_error), ([chi2, lp], chi2_error),
-                 ([MethodSpec("sc"), chi2, lp], chi2_error))
+        lp_error = ("split 0: adjusted miscoverage -0.13749999999999998 is not positive: "
+                    "n=8 is too small for alpha=0.1, rho=0.0")
+        tv_error = ("split 0: adjusted miscoverage -0.14375 is not positive: "
+                    "n=8 is too small for alpha=0.1, rho=0.05")
+        cases = (([lp, tv], lp_error), ([tv, lp], tv_error), ([MethodSpec("sc"), tv, lp], tv_error))
         for methods, message in cases:
             got = compare_outcome(m, methods, *args)
             assert isinstance(got, ValueError)
@@ -1584,7 +1659,7 @@ class TestSharedSplits:
             same_outcome(got, oracle_outcome(m, methods, *args))
         late = self._fails_from_split_3()
         assert str(oracle_outcome(m, [late], *args)).startswith("split 3: ")
-        for methods in ([late], [lp, late], [chi2, MethodSpec("sc"), late]):
+        for methods in ([late], [lp, late], [tv, MethodSpec("sc"), late]):
             with pytest.raises(ValueError, match="^weights must be finite and strictly positive$"):
                 compare(m, methods, *args)
 

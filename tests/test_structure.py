@@ -22,8 +22,10 @@ text, so no second copy of the ``indent=2`` layout remains. Each
 parameter kind has one check in ``core``, which alone decides what a number
 and what a count is; every caller keeps the float a check returns, and
 ``PerturbationSpec`` resolves its local law when built; and ``MethodSpec.rule`` leaves the calibration size to
-the rules it picks. One tuple in ``harness``,
-``WEIGHTED_METHODS``, names the methods that read per-row weights. No public
+the rules it picks. One list in ``harness`` names the parameters each
+method's rule reads, which ``MethodSpec.rule``, ``params_dict`` and
+``calibrate``'s payload follow, and one tuple, ``WEIGHTED_METHODS``, names
+the methods that read per-row weights. No public
 threshold is another one with an argument fixed: the method names keep those
 settings. The public surface is pinned, every exported name resolves, and so
 does every callable the benchmark's tracer wraps by name.
@@ -296,6 +298,30 @@ def test_method_rule_leaves_the_calibration_size_to_its_rules():
     )
     calls = [ast.unparse(node.func) for node in ast.walk(rule) if isinstance(node, ast.Call)]
     assert calls and "check_count" not in calls
+
+
+METHOD_PARAMETERS = ("epsilon", "rho", "rho_chi2", "delta", "sigma", "test_weight")
+
+
+def test_method_parameters_chosen_in_one_list():
+    # harness._RULE_PARAMS alone decides which fields a method's rule reads and
+    # its reports record: params_dict and rule pick none by name, and calibrate
+    # names none but the test weight that its weight-file reader takes.
+    tree = ast.parse((ROOT / "src" / "lpconformal" / "harness.py").read_text())
+    spec = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "MethodSpec")
+    methods = {node.name: node for node in spec.body if isinstance(node, ast.FunctionDef)}
+    assert not [node for node in ast.walk(methods["params_dict"])
+                if isinstance(node, (ast.If, ast.IfExp))]
+    assert not [node for node in ast.walk(methods["rule"]) if isinstance(node, ast.IfExp)]
+    tree = ast.parse((ROOT / "src" / "lpconformal" / "cli.py").read_text())
+    calibrate = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_cmd_calibrate")
+    named = [ast.unparse(node) for node in ast.walk(calibrate)
+             if isinstance(node, ast.Constant) and node.value in METHOD_PARAMETERS
+             or isinstance(node, ast.Attribute) and node.attr in METHOD_PARAMETERS
+             and ast.unparse(node) != "args.test_weight"]
+    assert not named, f"_cmd_calibrate names method parameters: {named}"
 
 
 def test_weighted_methods_named_once():
