@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import stat
 
 import numpy as np
@@ -21,7 +22,7 @@ from lpconformal import (
     read_matrix,
     read_scores,
 )
-from lpconformal import cli, harness
+from lpconformal import cli, harness, lp_metric
 from lpconformal.cli import main
 from lpconformal.harness import METHOD_NAMES, WEIGHTED_METHODS, EvalReport
 
@@ -50,6 +51,95 @@ def matrix_file(tmp_path):
         lines.append(f"{true[i]}," + ",".join(repr(float(v)) for v in scores[i]))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture
+def chain_inputs(tmp_path, monkeypatch):
+    """The inputs of :func:`_run_chain`, in ``tmp_path`` made the working directory."""
+    g = np.random.default_rng(0)
+    for name in ("calib_a", "calib_b", "test_base"):
+        np.savetxt(tmp_path / f"{name}.csv", g.normal(size=80), fmt="%.17g")
+    labels = g.integers(0, 3, size=200)
+    scores = 2 + np.abs(g.normal(size=(200, 3)))
+    scores[np.arange(200), labels] = np.abs(g.normal(size=200))
+    np.savetxt(tmp_path / "matrix.csv", np.column_stack([labels, scores]), delimiter=",",
+               fmt=["%d"] + ["%.17g"] * 3, header="true_label,s_0,s_1,s_2", comments="")
+    weights = np.column_stack([g.integers(0, 5, size=60) / 4,
+                               g.choice([0.1, 0.3, 1 / 3, 1.1], size=60)])
+    np.savetxt(tmp_path / "weighted.csv", weights, delimiter=",", fmt="%.17g",
+               header="score,weight", comments="")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+# Every subcommand once, as the CI smoke step runs them through the installed
+# script; calibrate reads the (epsilon, rho) that estimate selected.
+CHAIN = [
+    "simulate --scores test_base.csv --epsilon 0.2 --rho 0.1 --global-value 1.5 --seed 1"
+    " --out test.csv",
+    "estimate --calib-a calib_a.csv --calib-b calib_b.csv --test test.csv --out estimate.json",
+    "calibrate --scores calib_b.csv --method lp --epsilon {epsilon!r} --rho {rho!r}"
+    " --out calibrate.json",
+    "calibrate --weights weighted.csv --method weighted --alpha 0.2 --test-weight 0.7"
+    " --out weighted.json",
+    "calibrate --weights weighted.csv --method fg --alpha 0.2 --rho-chi2 0.05 --test-weight 0.7"
+    " --out fg.json",
+    "compare --matrix matrix.csv --methods sc,lp,tv,winf,chi2,weighted,rscp,fg --epsilon 0.1"
+    " --rho 0.05 --splits 3 --n-calib 80 --k-test 60 --csv compare.csv --out compare.json",
+    "compare --matrix matrix.csv --methods sc,lp,tv,winf,chi2,weighted,rscp,fg --epsilon 0.1"
+    " --rho 0.05 --splits 3 --n-calib 80 --k-test 60 --perturb-epsilon 0.1 --perturb-rho 0.3"
+    " --perturb-global 50 --perturb-seed 2 --csv perturbed.csv --out perturbed.json",
+    "evaluate --method lp --matrix matrix.csv --epsilon 0.1 --rho 0.05 --splits 3 --n-calib 80"
+    " --k-test 60 --perturb-epsilon 0.1 --perturb-rho 0.3 --perturb-global 50 --perturb-seed 2"
+    " --fixed-perturbation --csv evaluate.csv --out evaluate.json",
+]
+CHAIN_OUTPUTS = ["test.csv", "test_spec.json", "estimate.json", "calibrate.json",
+                 "weighted.json", "fg.json", "compare.csv", "compare.json", "perturbed.csv",
+                 "perturbed.json", "evaluate.csv", "evaluate.json"]
+
+
+def _run_chain():
+    """Run :data:`CHAIN` in the working directory, each command to exit 0."""
+    for command in CHAIN:
+        if "{" in command:
+            with open("estimate.json") as fh:
+                command = command.format(**json.load(fh))
+        assert main(shlex.split(command)) == 0, command
+
+
+class TestChain:
+    """The whole chain of subcommands, on the inputs of ``chain_inputs``."""
+
+    def test_calibrate_applies_the_threshold_estimate_selected(self, chain_inputs):
+        _run_chain()
+        est, cal = (json.loads((chain_inputs / name).read_text())
+                    for name in ("estimate.json", "calibrate.json"))
+        assert cal["threshold"] == est["q"]
+        assert cal["coverage_bound"] >= 0.9
+
+    def test_reports_have_the_standard_layout_and_matching_csv_rows(self, chain_inputs):
+        # Each JSON report is json.dumps(sort_keys=True, indent=2) of its own content,
+        # and each CSV row holds the method, split and reprs of the JSON's per_split.
+        _run_chain()
+        for name in ("compare", "perturbed", "evaluate"):
+            text = (chain_inputs / f"{name}.json").read_text()
+            data = json.loads(text)
+            assert json.dumps(data, sort_keys=True, indent=2) + "\n" == text
+            reports = data.get("reports", [data])
+            want = [[r["config"]["method"], str(j), repr(s["coverage"]), repr(s["mean_set_size"])]
+                    for r in reports for j, s in enumerate(r["per_split"])]
+            assert len(want) == (3 if name == "evaluate" else 24)
+            with open(chain_inputs / f"{name}.csv", newline="") as fh:
+                assert list(csv.reader(fh)) == [["method", "split", "coverage", "mean_set_size"],
+                                                *want]
+
+    def test_outputs_rewritten_over_longer_junk_are_the_same_bytes(self, chain_inputs):
+        _run_chain()
+        first = {name: (chain_inputs / name).read_bytes() for name in CHAIN_OUTPUTS}
+        for name in CHAIN_OUTPUTS:
+            (chain_inputs / name).write_bytes(b"x" * 200_000)
+        _run_chain()
+        assert {name: (chain_inputs / name).read_bytes() for name in CHAIN_OUTPUTS} == first
 
 
 class TestCalibrate:
@@ -154,6 +244,29 @@ class TestCalibrate:
         assert main(["calibrate", "--scores", str(scores_file), *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_tv_and_winf_are_lp_at_the_value_they_fix(self, scores_file, capsys):
+        def run(method, epsilon, rho):
+            assert main(["calibrate", "--scores", str(scores_file), "--method", method,
+                         "--epsilon", epsilon, "--rho", rho]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return [payload[key] for key in ("threshold", "unbounded", "level_used",
+                                              "coverage_bound")]
+
+        assert run("tv", "0.1", "0.05") == run("lp", "0", "0.05") != run("lp", "0.1", "0.05")
+        assert run("winf", "0.1", "0.05") == run("lp", "0.1", "0") != run("lp", "0.1", "0.05")
+
+    def test_compressed_name_is_read_as_text(self, tmp_path, capsys):
+        # A plain-text score file past one 64 KiB gate block, under a name numpy
+        # would decompress, gives the same report as its .csv copy.
+        plain, gz = tmp_path / "big_test.csv", tmp_path / "big_test.csv.gz"
+        np.savetxt(plain, np.random.default_rng(5).normal(size=32_768), fmt="%.17g")
+        gz.write_bytes(plain.read_bytes())
+        outputs = []
+        for path in (plain, gz):
+            assert main(["calibrate", "--scores", str(path), "--method", "sc"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_compare_checks_epsilon_and_rho(self, matrix_file, capsys):
         split = ["--splits", "2", "--n-calib", "100", "--k-test", "50"]
         for flags, message in ((["--epsilon", "nan"], "epsilon must be a finite nonnegative real, got nan"),
@@ -221,6 +334,30 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: the pooled interquartile range ") and err.count("\n") == 1
         assert "--grid" in err
+
+    def test_unit_counts_past_int32(self, tmp_path, monkeypatch, capsys):
+        # 65 536 x 32 768 scores: n*m + n passes 2**31, so the transport kernel's
+        # scan runs in int64.
+        widths = set()
+        fills = lp_metric._fills
+
+        def traced(x, y, eps):
+            start, end = fills(x, y, eps)
+            widths.add(start.dtype)
+            return start, end
+
+        monkeypatch.setattr(lp_metric, "_fills", traced)
+        rng = np.random.default_rng(0)
+        files = []
+        for name, size in (("big_a", 65_536), ("calib_b", 80), ("big_test", 32_768)):
+            files.append(tmp_path / f"{name}.csv")
+            np.savetxt(files[-1], rng.normal(size=size), fmt="%.17g")
+        assert main(["estimate", "--calib-a", str(files[0]), "--calib-b", str(files[1]),
+                     "--test", str(files[2])]) == 0
+        rho = [p["rho"] for p in json.loads(capsys.readouterr().out)["grid_trace"]]
+        assert len(rho) == 20
+        assert all(0.0 <= r <= 1.0 for r in rho) and all(b <= a for a, b in zip(rho, rho[1:]))
+        assert widths == {np.dtype(np.int64)}
 
     @pytest.mark.parametrize("grid", ["", ",", " "])
     def test_empty_grid_exit_2(self, tmp_path, capsys, grid):
@@ -345,7 +482,72 @@ class TestReportBytes:
         assert calls == {"write_report_csv": 1, "to_dict": methods}
 
 
+# Small input files that each hold one refused value.
+BAD_FILES = {
+    "nan.csv": "0.5\nnan\n0.25\n",
+    "label.csv": "true_label,s_0,s_1\n0,0.1,0.9\n2,0.8,0.2\n",
+    "nan_matrix.csv": "true_label,s_0,s_1\n0,0.1,nan\n1,0.8,0.2\n",
+    "weight.csv": "score,weight\n0.5,2.0\n0.25,0\n",
+    "header_only.csv": "true_label,s_0,s_1\n",
+}
+SPLITS = "--splits 3 --n-calib 80 --k-test 60"
+ONE_SPLIT = "--n-calib 1 --k-test 1 --splits 1"
+HUGE_UNIFORM = "error: uniform bounds [-1e+308, 1e+308] are too far apart to sample"
+NEGATIVE_SEED = "error: seed must be a non-negative integer, got -1"
+
+# A bad parameter exits 2, and a refused value in an input file exits 3, with
+# one stderr line that names it.
+ERRORS = [
+    pytest.param(2, "error: sigma must be finite and positive, got 0.0",
+                 "calibrate --scores calib_b.csv --method rscp --sigma 0", id="sigma"),
+    pytest.param(2, "error: test weight must be finite and positive, got -1.0",
+                 "calibrate --method weighted --weights weighted.csv --test-weight -1",
+                 id="test-weight"),
+    pytest.param(2, "error: rho must lie in [0, 1], got 1.5",
+                 "calibrate --scores calib_b.csv --method lp --rho 1.5", id="rho"),
+    pytest.param(2, "error: rho_chi2 must be a finite nonnegative real, got nan",
+                 f"compare --matrix matrix.csv --methods chi2 --rho-chi2 nan {SPLITS} --out bad.json",
+                 id="rho-chi2"),
+    pytest.param(2, "error: number of splits must be positive, got 0",
+                 "compare --matrix matrix.csv --methods sc,lp --splits 0 --n-calib 80 --k-test 60"
+                 " --out bad.json", id="splits"),
+    pytest.param(2, "error: number of test rows must be positive, got 0",
+                 "compare --matrix matrix.csv --methods sc,lp --splits 3 --n-calib 80 --k-test 0"
+                 " --out bad.json", id="k-test"),
+    pytest.param(2, NEGATIVE_SEED,
+                 "simulate --scores test_base.csv --epsilon 0.2 --rho 0.1 --seed -1 --out bad.csv",
+                 id="simulate-seed"),
+    pytest.param(2, NEGATIVE_SEED,
+                 f"compare --matrix matrix.csv --methods sc,lp {SPLITS} --perturb-rho 0.3"
+                 " --perturb-seed -1 --out bad.json", id="perturb-seed"),
+    # A default local law too wide to sample is refused before any draw.
+    pytest.param(2, HUGE_UNIFORM,
+                 "simulate --scores test_base.csv --epsilon 1e308 --rho 0.1 --out bad.csv",
+                 id="simulate-epsilon"),
+    pytest.param(2, HUGE_UNIFORM,
+                 f"compare --matrix matrix.csv --methods sc,lp {SPLITS} --perturb-epsilon 1e308"
+                 " --perturb-rho 0.1 --out bad.json", id="perturb-epsilon"),
+    pytest.param(3, "error: nan.csv: scores must be finite (no NaN or infinities)",
+                 "calibrate --scores nan.csv --method sc", id="nan-score"),
+    pytest.param(3, "error: label.csv: true labels must index a matrix column",
+                 f"evaluate --method sc --matrix label.csv {ONE_SPLIT}", id="label"),
+    pytest.param(3, "error: nan_matrix.csv: score matrix entries must be finite",
+                 f"evaluate --method sc --matrix nan_matrix.csv {ONE_SPLIT}", id="nan-matrix"),
+    pytest.param(3, "error: weight.csv: weights must be finite and strictly positive",
+                 "calibrate --weights weight.csv --method weighted", id="weight"),
+    pytest.param(3, "error: header_only.csv: a score matrix needs at least one data row",
+                 f"evaluate --method sc --matrix header_only.csv {ONE_SPLIT}", id="header-only"),
+]
+
+
 class TestArgumentErrors:
+    @pytest.mark.parametrize("code, line, command", ERRORS)
+    def test_exit_code_and_error_line(self, chain_inputs, capsys, code, line, command):
+        for name, text in BAD_FILES.items():
+            (chain_inputs / name).write_text(text)
+        assert main(shlex.split(command)) == code
+        assert capsys.readouterr() == ("", line + "\n")
+
     def test_negative_seed_exit_2(self, matrix_file, capsys):
         code = main([
             "evaluate", "--matrix", str(matrix_file), "--method", "sc",
@@ -581,6 +783,17 @@ class TestSimulate:
         assert payload["global_law"] == {"kind": "point", "value": 25.0}
         values = [float(line) for line in out.read_text().split()]
         assert len(values) == 200
+
+    def test_sidecar_records_its_local_law(self, scores_file, tmp_path):
+        # Uniform on [-epsilon, epsilon] by default, else the point law asked for.
+        head = ["simulate", "--scores", str(scores_file), "--epsilon", "0.2", "--rho", "0.1"]
+        assert main([*head, "--out", str(tmp_path / "test.csv")]) == 0
+        assert main([*head, "--local-law", "point", "--local-value", "0.1",
+                     "--out", str(tmp_path / "point.csv")]) == 0
+        laws = {name: json.loads((tmp_path / f"{name}_spec.json").read_text())["local_law"]
+                for name in ("test", "point")}
+        assert laws == {"test": {"kind": "uniform", "low": -0.2, "high": 0.2},
+                        "point": {"kind": "point", "value": 0.1}}
 
     def test_writes_each_perturbed_score_by_repr(self, scores_file, tmp_path):
         out = tmp_path / "perturbed.csv"
