@@ -6,7 +6,9 @@ are therefore fully deterministic.
 """
 
 import json
+import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from lpconformal import (
     worst_case_coverage,
     worst_case_quantile,
 )
+from lpconformal import lp_metric
+from lpconformal.cli import main
 from lpconformal.core import InfeasibleLevelError
 
 from oracles import (
@@ -273,9 +277,12 @@ def test_criterion_09_pushforward_inclusion():
 def test_criterion_10_determinism(tmp_path):
     """Byte-identical JSON across repeated runs with the same configuration.
 
-    Evaluation and estimation are sequential and keyed by (seed, split
-    index), so results cannot depend on scheduling or thread counts; two
-    fresh runs must serialize identically.
+    Evaluation is sequential and keyed by (seed, split index). Estimation's
+    transport kernel may hand its upper-end searches to one helper thread,
+    but every exact comparison and every kernel block stays on the calling
+    thread, in order, so results cannot depend on scheduling or on the CPUs
+    the process may use. Two fresh runs must serialize identically, and so
+    must an ``estimate`` run with the helper and one on a single CPU.
     """
     rng = np.random.default_rng(42)
     rows, labels = 800, 6
@@ -316,6 +323,23 @@ def test_criterion_10_determinism(tmp_path):
         )
 
     assert estimate_payload() == estimate_payload()
+
+    # 20 000 scores against 20 000: the kernel runs one grid point per block.
+    gen = np.random.default_rng(4343)
+    paths = {flag: tmp_path / f"{flag}.csv" for flag in ("calib-a", "calib-b", "test")}
+    for path, size, loc in zip(paths.values(), (20_000, 500, 20_000), (0.0, 0.0, 0.2)):
+        np.savetxt(path, gen.normal(loc=loc, size=size), fmt="%.17g")
+    files = [arg for flag, path in paths.items() for arg in (f"--{flag}", str(path))]
+    outputs = []
+    for cpus in (2, 1):
+        out = tmp_path / f"estimate_{cpus}.json"
+        with mock.patch.object(lp_metric, "_usable_cpus", return_value=cpus), \
+                mock.patch.object(threading.Thread, "start", autospec=True,
+                                  side_effect=threading.Thread.start) as starts:
+            assert main(["estimate", *files, "--out", str(out)]) == 0
+        assert starts.call_count == (cpus == 2)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
     _report(10, "determinism")
 
 

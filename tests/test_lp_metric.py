@@ -8,7 +8,9 @@ oracle of ``oracles.py`` on the same integer scaling for larger ones.
 
 import contextlib
 import itertools
+import os
 import pickle
+import threading
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -661,6 +663,117 @@ class TestWinfDistance:
             answers = [winf_within(p, q, e) for p, q in pairs for e in (0.0, 0.3, 10.0)]
         assert fills.call_count == 0
         assert answers == [winf_distance(p, q) <= e for p, q in pairs for e in (0.0, 0.3, 10.0)]
+
+
+@contextlib.contextmanager
+def usable_cpus(count):
+    """The transport kernel run as in a process that may use ``count`` CPUs."""
+    with mock.patch.object(lp_metric, "_usable_cpus", return_value=count):
+        yield
+
+
+@contextlib.contextmanager
+def thread_starts():
+    """Counts the threads started inside the block."""
+    with mock.patch.object(threading.Thread, "start", autospec=True,
+                           side_effect=threading.Thread.start) as start:
+        yield start
+
+
+class TestHelperThread:
+    """Two or more blocks on two or more CPUs search the upper ends on one helper thread."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(instances(), instances(equal_sizes=True),
+                     far_apart().map(lambda xy: (np.array(xy[0]), np.array(xy[1]), _MAX_FLOAT))),
+           distinct_floats(range(1, 9), st.one_of(st.floats(0.0, 7.0), st.floats(0.0, 1e16),
+                                                  st.floats(0.0, 1e308))),
+           st.integers(1, 3))
+    def test_both_paths_equal_the_per_point_kernel(self, inst, extra, rows):
+        x, y, eps = inst
+        p, q = ScoreSample(x), ScoreSample(y)
+        grid = sorted(set(extra) | {eps})
+        below = sum(e < sup_norm_distance(x, y) for e in grid)
+        profiles = []
+        with mock.patch.object(lp_metric, "_BLOCK_CELLS", rows * min(len(x), len(y))):
+            for cpus in (2, 1):
+                with usable_cpus(cpus), thread_starts() as starts, warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    profiles.append(lp_profile(p, q, grid))
+                assert starts.call_count == (cpus == 2 and below > rows)
+        assert profiles[0] == profiles[1] == kernel_profile(x, y, grid)
+
+    @staticmethod
+    def five_blocks():
+        """Samples and a grid of five points below their sup-norm distance, one block each."""
+        rng = np.random.default_rng(31)
+        p, q = ScoreSample(rng.normal(size=50)), ScoreSample(rng.normal(size=60))
+        assert winf_distance(p, q) > 0.5
+        return p, q, [0.0, 0.1, 0.2, 0.3, 0.4], mock.patch.object(lp_metric, "_BLOCK_CELLS", 50)
+
+    def test_one_thread_for_the_call_and_none_after_it(self):
+        p, q, grid, one_row_blocks = self.five_blocks()
+        before = threading.active_count()
+        with one_row_blocks, usable_cpus(2), thread_starts() as starts, kernel_calls() as fills:
+            profile = lp_profile(p, q, grid)
+        assert starts.call_count == 1 and fills.call_count == 5
+        assert threading.active_count() == before
+        assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
+
+    def test_serial_runs_start_no_thread(self):
+        # One CPU, and a one-block grid or a single threshold on two.
+        p, q, grid, one_row_blocks = self.five_blocks()
+        with thread_starts() as starts:
+            with one_row_blocks, usable_cpus(1):
+                serial = lp_profile(p, q, grid)
+            with usable_cpus(2):
+                one_block = lp_profile(p, q, grid)
+                single = [(e, lp_distance(p, q, e).rho) for e in grid]
+        assert starts.call_count == 0
+        assert serial == one_block == single
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_the_process_affinity_decides(self):
+        # Unpatched, so a run pinned to one CPU (taskset -c 0) checks the serial path for real.
+        p, q, grid, one_row_blocks = self.five_blocks()
+        with one_row_blocks, thread_starts() as starts:
+            profile = lp_profile(p, q, grid)
+        assert starts.call_count == (len(os.sched_getaffinity(0)) >= 2)
+        assert profile == [(e, lp_distance(p, q, e).rho) for e in grid]
+
+    @pytest.mark.parametrize("failing", ["right", "left"], ids=["helper", "caller"])
+    def test_search_error_reaches_the_caller(self, failing):
+        # The upper ends' search (side="right") runs on the helper thread.
+        p, q, grid, one_row_blocks = self.five_blocks()
+        searchsorted = np.searchsorted
+        threads = {"left": set(), "right": set()}
+
+        def search(a, v, side="left", sorter=None):
+            threads[side].add(threading.get_ident())
+            if side == failing:
+                raise ArithmeticError(f"{side} search failed")
+            return searchsorted(a, v, side=side, sorter=sorter)
+
+        before = threading.active_count()
+        with one_row_blocks, usable_cpus(2), mock.patch.object(np, "searchsorted", search):
+            with pytest.raises(ArithmeticError, match=f"^{failing} search failed$"):
+                lp_profile(p, q, grid)
+        assert threading.active_count() == before
+        assert threads["left"] == {threading.get_ident()}
+        assert len(threads["right"]) == 1 and threads["right"] != threads["left"]
+
+
+class TestUsableCpus:
+    def test_affinity_where_the_platform_has_it(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert lp_metric._usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, usable", [(4, 4), (None, 1)])
+    def test_cpu_count_elsewhere(self, monkeypatch, count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert lp_metric._usable_cpus() == usable
 
 
 class TestSizeLimit:

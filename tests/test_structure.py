@@ -25,7 +25,8 @@ and what a count is; every caller keeps the float a check returns, and
 the rules it picks. One list in ``harness`` names the parameters each
 method's rule reads, which ``MethodSpec.rule``, ``params_dict`` and
 ``calibrate``'s payload follow, and one tuple, ``WEIGHTED_METHODS``, names
-the methods that read per-row weights. No public
+the methods that read per-row weights. ``concurrent.futures`` is imported
+only inside the transport kernel's ``_helper``. No public
 threshold is another one with an argument fixed: the method names keep those
 settings. The public surface is pinned, every exported name resolves, and so
 does every callable the benchmark's tracer wraps by name.
@@ -417,6 +418,22 @@ def test_no_scipy_import(path):
     imported += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
     scipy = [name for name in imported if name.split(".")[0] == "scipy"]
     assert not scipy, f"{path.name} imports {scipy}"
+
+
+def test_thread_pool_imported_only_where_the_kernel_starts_its_helper():
+    # concurrent.futures imports logging, which commands that never start the
+    # helper thread should not pay for at start-up.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "concurrent" for name in names):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, inside))
+    assert found == [("lp_metric.py", ["_helper"])]
 
 
 def test_lp_distance_has_no_method_switch():
