@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "quantile",
     "quantile_index",
     "snapped_ceil",
+    "usable_cpus",
 ]
 
 # Relative tolerance used to absorb floating-point round-off when derived
@@ -330,3 +332,14 @@ def conformal_quantile(sample: ScoreSample, alpha: float) -> ThresholdResult:
     unbounded and the tagged marker is returned instead of an infinity.
     """
     return conformal_rule(sample.n, alpha).apply(sample.scores)
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on.
+
+    This is the process's affinity where the platform has one, so a cgroup
+    CPU quota is not seen.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

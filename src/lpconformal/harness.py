@@ -13,10 +13,12 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import stat
+import threading
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import (QuantileRule, ScoreSample, ThresholdResult, check_alpha, check_count,
                    check_finite_nonnegative, check_finite_positive, check_labels,
-                   check_probability, check_seed, conformal_rule)
+                   check_probability, check_seed, conformal_rule, usable_cpus)
 from .lp_metric import LPParams
 from .robust import lp_rule
 from .baselines import (
@@ -453,6 +455,9 @@ _MOVE_BYTES = 256 << 10
 # decompressor (``np.lib._datasource._file_openers``).
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
+# The smallest file that ``_loadtxt`` parses in two halves on two processes.
+_SPLIT_BYTES = 2 << 20
+
 
 def _records(path):
     """Yield ``(line, fields)`` for each non-blank CSV record of ``path``.
@@ -479,8 +484,137 @@ def _build(path, kind, *args):
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+def _parse(source, skiprows, options):
+    """``np.loadtxt`` of ``source`` as ``_loadtxt`` reads every file, with each warning raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(source, delimiter=",", comments=None, skiprows=skiprows, ndmin=1,
+                          encoding="utf-8-sig", **options)
+
+
+def _split_point(fh, half, header_line):
+    """Where ``_loadtxt`` splits the binary file ``fh``, read to its end: ``(offset, lines)``.
+
+    ``offset`` is just past the first line end at or after the file's middle,
+    and ``lines`` counts the lines before it as universal newlines do: a
+    ``\r\n`` or a lone ``\r`` ends one line, as ``\n`` does. The byte checks
+    found a line end in every full block of ``half`` bytes, so the ``2 * half``
+    bytes from the middle hold one unless the file ends first. Returns None
+    when they hold none, when the first one ends the file, or when the lines
+    before ``offset`` are no more than the header's ``header_line``.
+    """
+    size = fh.tell()
+    fh.seek(size // 2)
+    window = fh.read(2 * half)
+    ends = [i for i in (window.find(b"\n"), window.find(b"\r")) if i >= 0]
+    if not ends:
+        return None
+    fh.seek(size // 2 + min(ends))
+    offset = fh.tell() + (2 if fh.read(2) == b"\r\n" else 1)
+    fh.seek(0)
+    lines, carriage = 0, False
+    while (left := offset - fh.tell()) > 0:
+        block = fh.read(min(half, left))
+        # A \r\n split between two blocks is one line end.
+        lines += block.count(b"\n") - (carriage and block.startswith(b"\n"))
+        if b"\r" in block:
+            lines += block.count(b"\r") - block.count(b"\r\n")
+        carriage = block.endswith(b"\r")
+    return (offset, lines) if offset < size and lines > header_line else None
+
+
+def _parse_halves(path, header_line, split, options):
+    """``_parse`` of ``path``'s data records, its two halves parsed at once, or None.
+
+    ``split`` is ``_split_point``'s ``(offset, lines)``. A forked child
+    parses the lines from ``offset`` on and writes their row count and
+    records into a pipe. Meanwhile this process parses the ``lines`` lines
+    before ``offset``, skipping ``header_line`` of them, grows that array in
+    place and reads the child's records into its end. No whole-array copy is
+    made. Both halves are whole lines, read as text through universal
+    newlines and parsed with the same options, so the array is the serial
+    call's, bit for bit.
+
+    Returns None, for the serial call to decide the file, when either half
+    raises or warns, the child exits non-zero or is killed, the pipe ends
+    short, or ``os.fork`` raises ``OSError``.
+
+    The caller is the process's only Python thread, so no Python lock is
+    held across the fork. Other OS threads, such as a BLAS pool, may run;
+    Python 3.12 and later warn on such a fork, and the warning is silenced
+    here. The child is safe still: it touches only its own file descriptors,
+    numpy's parser and ``os._exit``, in which it always ends, so it never
+    returns into the caller's stack or runs its exit handlers. It runs with
+    every signal blocked, so Ctrl-C cannot raise there; ``SIGKILL`` still
+    ends it. This process reaps the child on every path, killing it first
+    when this process leaves early, and closes both ends of the pipe. Should
+    this process die unhandled, the child's next write fails and it exits.
+    """
+    # Imported here: no other path pays signal's import at start-up.
+    import signal
+
+    offset, lines = split
+    reader, writer = os.pipe()
+    child = None
+    try:
+        # Blocked in the child for good, so that no Python signal handler,
+        # such as the one raising KeyboardInterrupt, runs there outside its
+        # try. This process blocks them only across the fork.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                child = os.fork()
+        except OSError:
+            return None
+        finally:
+            if child != 0:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if child == 0:
+            code = 1
+            try:
+                # With this process's read end closed, a write fails rather
+                # than blocks once the caller is gone.
+                os.close(reader)
+                with open(path, "rb") as raw:
+                    raw.seek(offset)
+                    with io.TextIOWrapper(raw, encoding="utf-8-sig") as text:
+                        tail = _parse(text, 0, options)
+                for data in (len(tail).to_bytes(8, "little"), tail.view(np.uint8)):
+                    data = memoryview(data)
+                    while data:
+                        data = data[os.write(writer, data):]
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(writer)
+        writer = None
+        with open(reader, "rb", closefd=False) as pipe:
+            try:
+                with open(path, encoding="utf-8-sig") as text:
+                    parsed = _parse(itertools.islice(text, lines), header_line, options)
+                head = len(parsed)
+                # The loadtxt result owns its buffer, which grows in place.
+                parsed.resize(head + int.from_bytes(pipe.read(8), "little"), refcheck=False)
+            except (ValueError, Warning):
+                return None
+            pipe.readinto(parsed.view(np.uint8)[head * parsed.itemsize:])
+        _, status = os.waitpid(child, 0)
+        child = None
+        # The child exits 0 only once it has written every record, so a short
+        # read is a failed child.
+        return parsed if status == 0 else None
+    finally:
+        if child:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+        os.close(reader)
+        if writer is not None:
+            os.close(writer)
+
+
 def _loadtxt(path, header_line, **options):
-    """The data records of ``path`` read by one ``np.loadtxt``, as a tuple of columns.
+    """The data records of ``path`` read by ``np.loadtxt``, as a tuple of columns.
 
     ``options`` give a structured ``dtype``, whose fields become the contiguous
     columns, and the ``usecols`` it reads. ``header_line`` is the header's record
@@ -494,6 +628,16 @@ def _loadtxt(path, header_line, **options):
     numpy would decompress, goes as an open file. A relative name is joined
     to ``os.curdir``, so that numpy takes no name such as ``s3://b/x.csv``
     for a URL.
+
+    A file read by its path and of at least ``_SPLIT_BYTES`` (2 MiB) is
+    parsed in two halves at once, in this process and in a forked child
+    (``_parse_halves``), when ``os.fork`` exists, this is the process's only
+    Python thread and the process may use two or more CPUs. ``np.loadtxt``
+    holds the GIL, so only a second process parses the second half in
+    parallel. The halves give the serial call's array bit for bit, and
+    whenever they give none the serial call runs, so it alone decides which
+    files go to the ``_records`` parser: values and messages do not depend
+    on the split.
 
     Every column but the last is a copy. The last shares numpy's record
     buffer: its bytes are moved to the front of that buffer, in blocks of at
@@ -543,16 +687,19 @@ def _loadtxt(path, header_line, **options):
         # relative name is no URL to numpy; os.path.abspath would drop
         # "link/.." by its text and could name another file.
         name = os.fsdecode(path)
-        source = None
+        source = split = None
         if fh.tell() > half and not name.endswith(_COMPRESSED):
             source = os.path.join(os.curdir, name)
-    try:
-        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            parsed = np.loadtxt(source or fh, delimiter=",", comments=None, skiprows=header_line,
-                                ndmin=1, encoding="utf-8-sig", **options)
-    except (ValueError, Warning):
-        return None
+            if (fh.tell() >= _SPLIT_BYTES and hasattr(os, "fork")
+                    and threading.active_count() == 1 and usable_cpus() >= 2):
+                split = _split_point(fh, half, header_line)
+    parsed = None if split is None else _parse_halves(path, header_line, split, options)
+    if parsed is None:
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                parsed = _parse(source or fh, header_line, options)
+        except (ValueError, Warning):
+            return None
     # A copy, not np.ascontiguousarray: that returns a view of a one-row
     # field, which the move below would overwrite.
     *head, last = parsed.dtype.names

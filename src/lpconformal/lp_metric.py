@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ScoreSample, check_finite_nonnegative, check_probability
+from .core import ScoreSample, check_finite_nonnegative, check_probability, usable_cpus
 
 __all__ = [
     "LPParams",
@@ -194,13 +193,6 @@ def _matched_units(p: ScoreSample, q: ScoreSample, grid: list[float]) -> list[in
     return matched + [n * m] * (len(grid) - len(below))
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _helper(blocks: int):
     """A one-thread executor for a kernel run of ``blocks`` blocks, or a context yielding ``None``.
 
@@ -217,7 +209,7 @@ def _helper(blocks: int):
     call, and no pool is kept in the module where a forked child would
     inherit it.
     """
-    if blocks < 2 or _usable_cpus() < 2:
+    if blocks < 2 or usable_cpus() < 2:
         return contextlib.nullcontext()
     # Imported here: concurrent.futures imports logging, a start-up cost that
     # commands which never start the helper should not pay.

@@ -333,7 +333,7 @@ def test_criterion_10_determinism(tmp_path):
     outputs = []
     for cpus in (2, 1):
         out = tmp_path / f"estimate_{cpus}.json"
-        with mock.patch.object(lp_metric, "_usable_cpus", return_value=cpus), \
+        with mock.patch.object(lp_metric, "usable_cpus", return_value=cpus), \
                 mock.patch.object(threading.Thread, "start", autospec=True,
                                   side_effect=threading.Thread.start) as starts:
             assert main(["estimate", *files, "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Tests for empirical quantiles, CDFs, and the conformal quantile."""
 
 import math
+import os
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -37,6 +38,7 @@ from lpconformal.core import (
     check_seed,
     conformal_rule,
     level_at_most_one,
+    usable_cpus,
 )
 from lpconformal.harness import METHOD_NAMES
 from lpconformal.robust import lp_rule, robust_rule, worst_case_rule
@@ -628,3 +630,16 @@ class TestValidators:
         assert level_at_most_one(0.9 + 0.1)
         assert level_at_most_one(1.0 + 1e-13)
         assert not level_at_most_one(1.0 + 1e-9)
+
+
+class TestUsableCpus:
+    def test_affinity_where_the_platform_has_it(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, usable", [(4, 4), (None, 1)])
+    def test_cpu_count_elsewhere(self, monkeypatch, count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert usable_cpus() == usable

@@ -3,14 +3,19 @@
 import codecs
 import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
 import re
+import signal
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import urllib.request
 import warnings
@@ -1149,6 +1154,366 @@ class TestPathRoute:
             for name in names:
                 assert read_scores(name).scores.tolist() == values
         assert sources == [absolute, absolute, absolute, relative, relative]
+
+
+@contextlib.contextmanager
+def forks():
+    """Counts the ``os.fork`` calls made inside the block."""
+    with mock.patch.object(os, "fork", side_effect=os.fork) as fork:
+        yield fork
+
+
+@contextlib.contextmanager
+def two_processes(cpus=2):
+    """Each file past one gate block split for two processes; yields ``_parse_halves``'s results."""
+    results = []
+    halves = harness._parse_halves
+
+    def spy(*args):
+        results.append(halves(*args))
+        return results[-1]
+
+    with mock.patch.object(harness, "_SPLIT_BYTES", 0), \
+            mock.patch.object(harness, "usable_cpus", return_value=cpus), \
+            mock.patch.object(harness, "_parse_halves", spy):
+        yield results
+
+
+@contextlib.contextmanager
+def leaves_nothing():
+    """Checks that the block leaves no child process and no open file descriptor."""
+    before = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+# Each reader: the header it needs (None for none), the columns it reads, one
+# data record by row number, and a record of each error kind that the
+# reader refuses. A whitespace-only line is no error: only numpy refuses it.
+_SPLIT_READERS = {
+    "scores": (None, lambda path: (read_scores(path).scores,),
+               lambda i: repr(i / 7 - 200),
+               {"bad token": "0.5x"}),
+    "scores_with_header": ("score", lambda path: (read_scores(path, has_header=True).scores,),
+                           lambda i: repr(i / 7 - 200),
+                           {"bad token": "0.5x"}),
+    "weighted": ("score,weight", _weight_columns,
+                 lambda i: f"{i / 7!r},{i % 5 + 0.25!r}",
+                 {"bad token": "0.5,x", "row width": "0.5"}),
+    "matrix": ("true_label,s_0,s_1,s_2", _matrix_columns,
+               lambda i: f"{i % 3},{i / 7!r},{i / 11!r},{-i / 13!r}",
+               {"bad token": "1,0.5,x,0.2", "row width": "1,0.5,0.2"}),
+}
+
+
+def _split_file(path, reader, layout, error=None, where="tail"):
+    """Write a file of ``reader``'s format in ``layout``, with ``error``'s record in one half.
+
+    ``error`` names one of the reader's error kinds, or is a line of its own;
+    ``where`` puts it third among the records ("head") or third from last.
+
+    The padded layouts pad one record with leading spaces, so that the file's
+    middle falls in that record's line.
+    """
+    header, _, record, errors = _SPLIT_READERS[reader]
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(layout, "\n")
+    padded = layout in ("tail_is_the_last_line", "middle_in_the_last_line",
+                        "one_row_in_the_tail")
+    # Padded files stay under two gate blocks, so that the padded line stays
+    # under one; the others reach past three blocks.
+    half = max(csv.field_size_limit() // 2, 1)
+    records, size = [], 0
+    while size < (3 * half // 5 if padded else 3 * half):
+        records.append(record(len(records)))
+        size += len(records[-1]) + len(newline)
+    if layout == "middle_in_the_last_line":
+        records[-1] = " " * (size + 100) + records[-1]
+    elif padded:
+        records[-1] = " " * (size + 100) + records[-1]
+        records.append(record(len(records)))
+    if layout == "one_row_in_the_tail":
+        records[-1:] = ["", records[-1], "", ""]
+    if error is not None:
+        records.insert(2 if where == "head" else len(records) - 2, errors.get(error, error))
+    lines = ([""] * 3 if layout == "blank_lines_before_the_header" else []) + (
+        [header] if header else []) + records
+    text = newline.join(lines) + ("" if layout == "no_final_newline" else newline)
+    path.write_bytes((codecs.BOM_UTF8 if layout == "bom" else b"") + text.encode("ascii"))
+    return path
+
+
+_SPLIT_LAYOUTS = ["lf", "crlf", "cr", "bom", "blank_lines_before_the_header", "no_final_newline",
+                  "tail_is_the_last_line", "one_row_in_the_tail"]
+
+
+def _format_error(read, path):
+    """The message of the ``FileFormatError`` that ``read(path)`` raises.
+
+    The error is dropped before this returns, and with it the reader's
+    frames, which hold its open ``_records`` parser.
+    """
+    try:
+        read(path)
+    except FileFormatError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} read without error")
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _column_bytes(columns):
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in columns]
+
+
+class TestSplitPoint:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text("01. ,", max_size=6), st.sampled_from(["\n", "\r\n", "\r"])),
+                    min_size=1, max_size=30),
+           st.integers(1, 8), st.integers(0, 3))
+    def test_first_line_end_from_the_middle(self, records, half, header_line):
+        # Small blocks put many a \r\n across a block boundary.
+        data = "".join(text + end for text, end in records).encode("ascii")
+        fh = io.BytesIO(data)
+        fh.seek(0, io.SEEK_END)
+        split = harness._split_point(fh, half, header_line)
+        middle = len(data) // 2
+        first = next((i for i in range(middle, len(data)) if data[i] in b"\r\n"), None)
+        offset = None if first is None else first + 1 + data.startswith(b"\r\n", first)
+        lines = None if offset is None else len(io.TextIOWrapper(io.BytesIO(data[:offset])).readlines())
+        if (first is None or first >= middle + 2 * half or offset == len(data)
+                or lines <= header_line):
+            assert split is None
+        else:
+            assert split == (offset, lines)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+class TestTwoProcessParse:
+    """A file past the size gate parses in two halves, on this process and a forked child."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    @pytest.mark.parametrize("layout", _SPLIT_LAYOUTS)
+    @pytest.mark.parametrize("reader", list(_SPLIT_READERS))
+    def test_same_result_on_both_paths(self, tmp_path, loadtxt_results, reader, layout):
+        path = _split_file(tmp_path / "f.csv", reader, layout)
+        columns = _SPLIT_READERS[reader][1]
+        serial = columns(path)
+        with leaves_nothing(), two_processes() as halves, forks() as fork:
+            split = columns(path)
+        assert fork.call_count == 1 and halves[0] is not None
+        assert None not in loadtxt_results
+        assert _column_bytes(loadtxt_results[0]) == _column_bytes(loadtxt_results[1])
+        assert _column_bytes(split) == _column_bytes(serial)
+
+    @pytest.mark.parametrize("reader", list(_SPLIT_READERS))
+    def test_middle_in_the_last_line_parses_whole(self, tmp_path, reader):
+        # The first line end at or after the middle ends the file, so no tail is left.
+        path = _split_file(tmp_path / "f.csv", reader, "middle_in_the_last_line")
+        columns = _SPLIT_READERS[reader][1]
+        with two_processes() as halves, forks() as fork:
+            split = columns(path)
+        assert fork.call_count == 0 and halves == []
+        assert _column_bytes(split) == _column_bytes(columns(path))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    @pytest.mark.parametrize("where", ["head", "tail"])
+    @pytest.mark.parametrize("reader, error", [
+        (reader, error) for reader, spec in _SPLIT_READERS.items() for error in spec[3]])
+    def test_same_error_from_either_half(self, tmp_path, reader, error, where):
+        path = _split_file(tmp_path / "f.csv", reader, "lf", error, where)
+        columns = _SPLIT_READERS[reader][1]
+        serial = _format_error(columns, path)
+        with leaves_nothing(), two_processes() as halves, forks() as fork:
+            split = _format_error(columns, path)
+        assert fork.call_count == 1 and halves == [None]
+        assert split == serial and re.search(r"f\.csv:\d+: ", serial)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    @pytest.mark.parametrize("reader", list(_SPLIT_READERS))
+    def test_whitespace_line_in_the_tail_read_by_the_csv_parser(self, tmp_path, reader):
+        path = _split_file(tmp_path / "f.csv", reader, "lf", " \t ")
+        columns = _SPLIT_READERS[reader][1]
+        serial = columns(path)
+        with leaves_nothing(), two_processes() as halves, forks() as fork:
+            split = columns(path)
+        assert fork.call_count == 1 and halves == [None]
+        assert _column_bytes(split) == _column_bytes(serial)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    def test_killed_child_leaves_nothing(self, tmp_path, monkeypatch):
+        path = _split_file(tmp_path / "f.csv", "matrix", "lf")
+        serial = _matrix_columns(path)
+        parse, parent = harness._parse, os.getpid()
+
+        def child_dies(source, skiprows, options):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(source, skiprows, options)
+
+        monkeypatch.setattr(harness, "_parse", child_dies)
+        with leaves_nothing(), two_processes() as halves:
+            split = _matrix_columns(path)
+        assert halves == [None]
+        assert _column_bytes(split) == _column_bytes(serial)
+
+    def test_child_runs_with_signals_blocked(self, tmp_path, monkeypatch):
+        # Ctrl-C reaches the child too; there it stays pending until the child exits.
+        path = _split_file(tmp_path / "f.csv", "matrix", "lf")
+        serial = _matrix_columns(path)
+        parse, parent = harness._parse, os.getpid()
+
+        def interrupt_child(source, skiprows, options):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return parse(source, skiprows, options)
+
+        monkeypatch.setattr(harness, "_parse", interrupt_child)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        with two_processes() as halves:
+            split = _matrix_columns(path)
+        assert halves[0] is not None and signal.pthread_sigmask(signal.SIG_BLOCK, []) == mask
+        assert _column_bytes(split) == _column_bytes(serial)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+    def test_interrupted_parent_kills_the_child(self, tmp_path, monkeypatch):
+        # Ctrl-C during this process's own half reaches the caller, and the
+        # child, which would take a minute, is killed rather than waited for.
+        path = _split_file(tmp_path / "f.csv", "matrix", "lf")
+        parse, parent = harness._parse, os.getpid()
+
+        def interrupted(source, skiprows, options):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif isinstance(source, itertools.islice):
+                raise KeyboardInterrupt
+            return parse(source, skiprows, options)
+
+        monkeypatch.setattr(harness, "_parse", interrupted)
+        start = time.monotonic()
+        with leaves_nothing(), two_processes(), forks() as fork:
+            with pytest.raises(KeyboardInterrupt):
+                read_matrix(path)
+        assert fork.call_count == 1 and time.monotonic() - start < 30
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc here")
+    def test_child_ends_when_the_caller_dies(self, tmp_path):
+        # The caller dies in its own half, as under SIGKILL, before it reads
+        # records that overflow the pipe's buffer: the child must not wait on
+        # that pipe for good.
+        path = tmp_path / "m.csv"
+        path.write_text(_MATRIX_HEADER + "\n" + "".join(
+            f"{i % 2},{i / 7!r},{i / 11!r}\n" for i in range(20_000)))
+        pid_file = tmp_path / "child"
+        script = f"""
+import itertools, os
+from unittest import mock
+from lpconformal import harness, read_matrix
+
+fork, parse = os.fork, harness._parse
+
+def fork_and_record():
+    child = fork()
+    if child:
+        with open({str(pid_file)!r}, "w") as fh:
+            fh.write(str(child))
+    return child
+
+def die_in_own_half(source, skiprows, options):
+    if isinstance(source, itertools.islice):
+        os._exit(0)
+    return parse(source, skiprows, options)
+
+with mock.patch.object(os, "fork", fork_and_record), \\
+        mock.patch.object(harness, "_parse", die_in_own_half), \\
+        mock.patch.object(harness, "_SPLIT_BYTES", 0), \\
+        mock.patch.object(harness, "usable_cpus", return_value=2):
+    read_matrix({str(path)!r})
+"""
+        package = os.path.dirname(os.path.dirname(harness.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+        child = int(pid_file.read_text())
+        deadline = time.monotonic() + 30
+        try:
+            while _running(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(child)
+        finally:
+            if _running(child):
+                os.kill(child, signal.SIGKILL)
+
+    def test_fork_error_parses_whole(self, tmp_path):
+        path = _split_file(tmp_path / "f.csv", "matrix", "lf")
+        serial = _matrix_columns(path)
+        with two_processes() as halves, \
+                mock.patch.object(os, "fork", side_effect=OSError("no more processes")):
+            split = _matrix_columns(path)
+        assert halves == [None]
+        assert _column_bytes(split) == _column_bytes(serial)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_files())
+    def test_equals_the_serial_call(self, case):
+        body, header_line, options = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            with open(path, "wb") as fh:
+                fh.write(body)
+            serial = harness._loadtxt(path, header_line, **options)
+            with two_processes():
+                split = harness._loadtxt(path, header_line, **options)
+        if serial is None:
+            assert split is None
+        else:
+            assert _column_bytes(split) == _column_bytes(serial)
+
+    def test_gates(self, tmp_path, monkeypatch):
+        # One CPU, a second live Python thread, a file below the gate, no os.fork.
+        path = _split_file(tmp_path / "f.csv", "matrix", "lf")
+        serial = _matrix_columns(path)
+        results = []
+        with forks() as fork:
+            with two_processes(cpus=1) as halves:
+                results.append(_matrix_columns(path))
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                with two_processes() as more:
+                    results.append(_matrix_columns(path))
+            finally:
+                stop.set()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+            with mock.patch.object(harness, "usable_cpus", return_value=2):
+                assert path.stat().st_size < harness._SPLIT_BYTES
+                results.append(_matrix_columns(path))
+        assert fork.call_count == 0 and halves == more == []
+        monkeypatch.delattr(os, "fork")
+        with two_processes() as halves:
+            results.append(_matrix_columns(path))
+        assert halves == []
+        assert all(_column_bytes(r) == _column_bytes(serial) for r in results)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_the_process_affinity_decides(self, tmp_path):
+        # Unpatched CPU count, so a run pinned to one CPU (taskset -c 0) checks that path for real.
+        path = _split_file(tmp_path / "f.csv", "matrix", "lf")
+        serial = _matrix_columns(path)
+        with mock.patch.object(harness, "_SPLIT_BYTES", 0), forks() as fork:
+            split = _matrix_columns(path)
+        assert fork.call_count == (len(os.sched_getaffinity(0)) >= 2)
+        assert _column_bytes(split) == _column_bytes(serial)
 
 
 # Values whose JSON and CSV texts differ from a plain repr, or whose reprs are

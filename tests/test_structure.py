@@ -26,7 +26,8 @@ the rules it picks. One list in ``harness`` names the parameters each
 method's rule reads, which ``MethodSpec.rule``, ``params_dict`` and
 ``calibrate``'s payload follow, and one tuple, ``WEIGHTED_METHODS``, names
 the methods that read per-row weights. ``concurrent.futures`` is imported
-only inside the transport kernel's ``_helper``. No public
+only inside the transport kernel's ``_helper``, and ``os.fork`` is called
+only in ``harness._parse_halves``, whose child always ends in ``os._exit``. No public
 threshold is another one with an argument fixed: the method names keep those
 settings. The public surface is pinned, every exported name resolves, and so
 does every callable the benchmark's tracer wraps by name.
@@ -185,9 +186,15 @@ def test_loadtxt_only_parses():
     loadtxt = _harness_function("_loadtxt")
     assert [a.arg for a in loadtxt.args.args] == ["path", "header_line"]
     (guarded,) = [node for node in ast.walk(loadtxt) if isinstance(node, ast.Try)]
-    calls = {ast.unparse(node.func) for stmt in guarded.body for node in ast.walk(stmt)
-             if isinstance(node, ast.Call)}
-    assert calls == {"open", "warnings.catch_warnings", "warnings.simplefilter", "np.loadtxt"}
+    assert _called(guarded.body) == {"open", "_parse"}
+    parse = _harness_function("_parse")
+    assert _called(parse.body) == {"warnings.catch_warnings", "warnings.simplefilter", "np.loadtxt"}
+
+
+def _called(statements):
+    """The names of the callables called in ``statements``."""
+    return {ast.unparse(node.func) for stmt in statements for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)}
 
 
 @pytest.mark.parametrize("reader", ["read_scores", "read_weighted_scores", "read_matrix"])
@@ -434,6 +441,27 @@ def test_thread_pool_imported_only_where_the_kernel_starts_its_helper():
                 inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 found.append((path.name, inside))
     assert found == [("lp_metric.py", ["_helper"])]
+
+
+def test_one_fork_whose_child_ends_in_exit():
+    # A forked child that returned into its caller's stack would run the rest
+    # of the program, or of a test session, a second time.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, ast.unparse(node), inside))
+    assert found == [("harness.py", "os.fork", ["_parse_halves"])]
+    (branch,) = [node for node in ast.walk(_harness_function("_parse_halves"))
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "child == 0"]
+    *before, guarded = branch.body
+    assert all(isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+               for stmt in before)
+    assert isinstance(guarded, ast.Try) and not guarded.orelse
+    assert ast.unparse(guarded.finalbody[-1]).startswith("os._exit(")
 
 
 def test_lp_distance_has_no_method_switch():
